@@ -8,13 +8,11 @@ the perturbation, `gap` is the unperturbed spectral separation.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import (
     BracketFailure,
@@ -272,27 +270,44 @@ def integral_angle_bound(norm_plus: float, norm_minus: float, gap: float) -> Int
     return IntegralBound(value=value, below_threshold=s / gap <= integral_threshold())
 
 
-def _step_sum(lam: np.ndarray) -> float:
-    return float(0.5 * np.sum(np.arcsin(np.clip(0.5 * math.pi * lam, -1.0, 1.0))))
+# The step cap in the log variable u = -log(1 - lam) of the partition search.
+_U_CAP = -math.log1p(-STEP_CAP)
+
+# Points per bracket in the partition search; each round narrows the bracket
+# around the best point to two grid cells, a factor (_GRID - 1) / 2.
+_GRID = 17
 
 
-def _step_sum_grad(lam: np.ndarray) -> np.ndarray:
-    return 0.25 * math.pi / np.sqrt(np.maximum(1e-300, 1.0 - (0.5 * math.pi * lam) ** 2))
+def _step_cost(u: np.ndarray) -> np.ndarray:
+    """Per-step bound (1/2) arcsin(pi lam / 2) of the step lam = 1 - exp(-u)."""
+    return 0.5 * np.arcsin(np.minimum(1.0, -0.5 * math.pi * np.expm1(-u)))
 
 
-def partition_infimum_bound(
-    x: float,
-    n_max: int = 64,
-    tol: float = 1e-10,
-    seed: int = 0,
-) -> float:
+def partition_infimum_bound(x: float, n_max: int = 64, tol: float = 1e-10) -> float:
     """Minimize the accumulated step bound over partitions of the homotopy path.
 
     Searches min over n <= n_max of (1/2) sum_j arcsin(pi lam_j / 2) subject to
-    prod_j (1 - lam_j) = 1 - x and 0 <= lam_j <= 2/pi.  For each n the search
-    covers the all-equal vector and multi-start local refinement over unequal
-    vectors.  Equals piecewise_angle_bound(x/2) in exact arithmetic; kept free
-    of the closed-form branches so it can serve as an independent cross-check.
+    prod_j (1 - lam_j) = 1 - x and 0 <= lam_j <= 2/pi.  In the step variables
+    u_j = -log(1 - lam_j) the constraint is linear, sum_j u_j = L = -log(1 - x),
+    and each step costs g(u) = (1/2) arcsin((pi/2)(1 - e^-u)) on
+    0 <= u <= u_cap = -log(1 - 2/pi).
+
+    g' is unimodal: it falls from g'(0) = pi/4 to a single minimum near
+    u = 0.520 and grows without bound towards u_cap.  A step at u_cap is
+    therefore never optimal (moving mass off it gains at an infinite rate),
+    and a step at 0 is a partition with fewer steps.  The remaining steps of an
+    optimum satisfy the KKT condition g'(u_j) = mu, which a unimodal g' meets
+    at no more than two values of u, one on each side of its minimum.  The
+    second-order condition, sum_j g''(u_j) d_j^2 >= 0 whenever sum_j d_j = 0,
+    fails as soon as two steps sit where g'' < 0, so at most one step takes
+    the smaller value.  For each n the search takes the all-equal vector and
+    the family "one step of a, n - 1 steps of (L - a)/(n - 1)", with a on a
+    grid over its feasible bracket that zooms in on the best point until the
+    bracket is narrower than `tol`.
+
+    Equals piecewise_angle_bound(x/2) in exact arithmetic; kept free of the
+    closed-form branches so it can serve as an independent cross-check.
+    Deterministic: repeated calls return the same float.
     """
     x = float(x)
     if not 0.0 <= x <= 2.0 * critical_strength():
@@ -303,47 +318,31 @@ def partition_infimum_bound(
         raise DomainError("tol must be positive")
     if x == 0.0:
         return 0.0
-    log_target = math.log1p(-x)
-    if n_max * math.log1p(-STEP_CAP) > log_target:
+    total = -math.log1p(-x)
+    if n_max * _U_CAP < total:
         raise InfeasibleConstraint(
             f"even {n_max} steps at the cap cannot reach the product 1-x = {1.0 - x!r}"
         )
-    rng = np.random.default_rng(seed)
-    ub = STEP_CAP * (1.0 - 1e-12)
-    ftol = min(tol, 1e-11)
-    best = np.inf
-    for n in range(1, n_max + 1):
-        lam_eq = -math.expm1(log_target / n)
-        if lam_eq > STEP_CAP + 1e-15:
-            continue  # this n cannot reach the product
-        best = min(best, _step_sum(np.full(n, lam_eq)))
-        if n < 2:
-            continue
-        constraint = {
-            "type": "eq",
-            "fun": lambda lam: float(np.sum(np.log1p(-np.minimum(lam, ub))) - log_target),
-            "jac": lambda lam: -1.0 / (1.0 - np.minimum(lam, ub)),
-        }
-        box = [(0.0, ub)] * n
-        starts = [np.full(n, min(lam_eq, ub))]
-        for _ in range(2 if n <= 16 else 1):
-            weights = rng.dirichlet(np.ones(n))
-            starts.append(np.clip(-np.expm1(weights * log_target), 0.0, ub))
-        for x0 in starts:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", RuntimeWarning)
-                res = minimize(
-                    _step_sum,
-                    x0,
-                    jac=_step_sum_grad,
-                    method="SLSQP",
-                    bounds=box,
-                    constraints=[constraint],
-                    options={"maxiter": 60, "ftol": ftol},
-                )
-            if res.x is None:
-                continue
-            lam = np.clip(res.x, 0.0, ub)
-            if abs(float(np.sum(np.log1p(-lam))) - log_target) <= 1e-8:
-                best = min(best, _step_sum(lam))
-    return float(best)
+    n = np.arange(1, n_max + 1, dtype=float)
+    n = n[total <= n * _U_CAP]
+    best = float(np.min(n * _step_cost(total / n)))
+    rest = n[n >= 2.0][:, None] - 1.0  # steps sharing the value (total - a) / rest
+    if rest.size == 0:
+        return best
+    lo = np.maximum(0.0, total - rest * _U_CAP)
+    hi = np.full_like(lo, min(_U_CAP, total))
+    t = np.linspace(0.0, 1.0, _GRID)
+    while True:
+        a = lo + (hi - lo) * t
+        cost = _step_cost(a) + rest * _step_cost((total - a) / rest)
+        best = min(best, float(cost.min()))
+        width = hi - lo
+        if width.max() <= tol:
+            return best
+        centre = np.take_along_axis(a, cost.argmin(axis=1)[:, None], axis=1)
+        cell = width / (_GRID - 1)
+        lo_next = np.maximum(lo, centre - cell)
+        hi_next = np.minimum(hi, centre + cell)
+        if np.array_equal(lo_next, lo) and np.array_equal(hi_next, hi):
+            return best  # the bracket has reached float resolution
+        lo, hi = lo_next, hi_next

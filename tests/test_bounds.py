@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -26,7 +29,7 @@ from specsub import (
     sin2theta_bound,
     solve_kappa,
 )
-from specsub.bounds import branch_formula
+from specsub.bounds import _U_CAP, _step_cost, branch_formula
 
 
 class TestConstants:
@@ -302,3 +305,47 @@ class TestPartitionInfimum:
             partition_infimum_bound(2.0 * critical_strength() + 1e-6)
         with pytest.raises(DomainError):
             partition_infimum_bound(0.5, n_max=0)
+
+    def test_step_cost_slope_is_unimodal(self):
+        # the two-value reduction rests on g' falling once, then rising
+        # without bound towards the cap; g' is differenced from the search's
+        # own step cost
+        def slope(u, h=1e-6):
+            return (_step_cost(u + h) - _step_cost(u - h)) / (2.0 * h)
+
+        u = np.linspace(0.0, _U_CAP, 4001)[1:-1]
+        d = slope(u)
+        assert np.count_nonzero(np.diff(np.sign(np.diff(d)))) == 1
+        assert u[np.argmin(d)] == pytest.approx(0.520, abs=2e-3)
+        assert float(slope(np.array(0.0))) == pytest.approx(math.pi / 4.0, abs=1e-9)
+        near_cap = np.array([_U_CAP - 10.0**-k for k in range(2, 9)])
+        steep = slope(near_cap, h=1e-3 * (_U_CAP - near_cap))
+        assert np.all(np.diff(steep) > 0.0)
+        assert steep[-1] > 1e3
+
+    def test_two_value_reduction_against_brute_force(self):
+        # with at most three steps, a dense grid over the constraint plane
+        # u3 = L - u1 - u2 must never beat the search
+        u = np.linspace(0.0, _U_CAP, 801)
+        u1, u2 = np.meshgrid(u, u, sparse=True)
+        for x in (0.05, 0.3, 0.5, 0.6, 0.7, 0.8, 0.88, 2.0 * critical_strength()):
+            total = -math.log1p(-x)
+            u3 = total - u1 - u2
+            feasible = (u3 >= 0.0) & (u3 <= _U_CAP)
+            lam = -np.expm1(-np.stack(np.broadcast_arrays(u1, u2, u3)))
+            steps = 0.5 * np.arcsin(np.clip(0.5 * math.pi * lam, -1.0, 1.0))
+            grid_min = float(np.min(np.where(feasible, steps.sum(axis=0), np.inf)))
+            searched = partition_infimum_bound(x, n_max=3)
+            assert grid_min >= searched - 1e-12, x
+            assert grid_min - searched <= 1e-5, x
+
+
+def test_import_does_not_load_scipy():
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    subprocess.run(
+        [sys.executable, "-c", "import specsub, sys; assert 'scipy' not in sys.modules"],
+        env=env,
+        check=True,
+    )
