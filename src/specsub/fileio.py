@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from json.encoder import encode_basestring_ascii
 from typing import Any, Optional
 
 import numpy as np
@@ -21,13 +22,15 @@ from .harness import Analysis, Instance
 PROBLEM_FORMAT_VERSION = 1
 REPORT_FORMAT_VERSION = 1
 
+_FLOAT_ONLY = frozenset((float,))
+
 
 def format_float(x: float) -> str:
     """Render a float with 17 significant digits, keeping it a JSON float."""
     if not math.isfinite(x):
         raise ValueError(f"cannot serialize non-finite value {x!r}")
     text = format(float(x), ".17g")
-    if not any(c in text for c in ".eE"):
+    if "." not in text and "e" not in text:
         text += ".0"
     return text
 
@@ -35,14 +38,20 @@ def format_float(x: float) -> str:
 def dumps(obj: Any, indent: int = 2) -> str:
     """Deterministic JSON text with 17-significant-digit floats."""
     pieces: list[str] = []
-    _emit(obj, pieces, 0, indent)
+    _emit(obj, pieces, "", " " * indent)
     return "".join(pieces)
 
 
-def _emit(obj: Any, out: list[str], level: int, indent: int) -> None:
-    pad = " " * (indent * (level + 1))
-    close_pad = " " * (indent * level)
-    if obj is None:
+def _emit(obj: Any, out: list[str], pad: str, step: str) -> None:
+    # Exact types first: payloads are built from plain floats, dicts and lists.
+    kind = type(obj)
+    if kind is float:
+        out.append(format_float(obj))
+    elif kind is dict:
+        _emit_dict(obj, out, pad, step)
+    elif kind is list:
+        _emit_list(obj, out, pad, step)
+    elif obj is None:
         out.append("null")
     elif isinstance(obj, bool):
         out.append("true" if obj else "false")
@@ -51,30 +60,43 @@ def _emit(obj: Any, out: list[str], level: int, indent: int) -> None:
     elif isinstance(obj, (float, np.floating)):
         out.append(format_float(float(obj)))
     elif isinstance(obj, str):
-        out.append(json.dumps(obj))
+        out.append(encode_basestring_ascii(obj))
     elif isinstance(obj, dict):
-        if not obj:
-            out.append("{}")
-            return
-        out.append("{\n")
-        for i, (key, value) in enumerate(obj.items()):
-            out.append(f"{pad}{json.dumps(str(key))}: ")
-            _emit(value, out, level + 1, indent)
-            out.append(",\n" if i + 1 < len(obj) else "\n")
-        out.append(close_pad + "}")
+        _emit_dict(obj, out, pad, step)
     elif isinstance(obj, (list, tuple, np.ndarray)):
-        seq = list(obj)
-        if not seq:
-            out.append("[]")
-            return
-        out.append("[\n")
-        for i, value in enumerate(seq):
-            out.append(pad)
-            _emit(value, out, level + 1, indent)
-            out.append(",\n" if i + 1 < len(seq) else "\n")
-        out.append(close_pad + "]")
+        _emit_list(list(obj), out, pad, step)
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+def _emit_dict(obj: dict, out: list[str], pad: str, step: str) -> None:
+    if not obj:
+        out.append("{}")
+        return
+    inner = pad + step
+    sep = "{\n" + inner
+    for key, value in obj.items():
+        out.append(sep + encode_basestring_ascii(str(key)) + ": ")
+        _emit(value, out, inner, step)
+        sep = ",\n" + inner
+    out.append("\n" + pad + "}")
+
+
+def _emit_list(seq: list, out: list[str], pad: str, step: str) -> None:
+    if not seq:
+        out.append("[]")
+        return
+    inner = pad + step
+    if _FLOAT_ONLY.issuperset(map(type, seq)):
+        # matrix rows and singular values: format and join in one step
+        out.append("[\n" + inner + (",\n" + inner).join(map(format_float, seq)) + "\n" + pad + "]")
+        return
+    sep = "[\n" + inner
+    for value in seq:
+        out.append(sep)
+        _emit(value, out, inner, step)
+        sep = ",\n" + inner
+    out.append("\n" + pad + "]")
 
 
 def sha256_digest(data: bytes) -> str:

@@ -15,13 +15,18 @@ from typing import Optional
 import numpy as np
 
 from . import bounds
-from .errors import DimensionMismatch, DomainError, GapConditionViolated, InvalidSpec
+from .errors import (
+    ConvergenceFailure,
+    DimensionMismatch,
+    DomainError,
+    GapConditionViolated,
+    InvalidSpec,
+)
 from .linalg import (
     PerturbationSplit,
     Projector,
     SpectralDecomposition,
     eigh,
-    require_hermitian,
     sign_split,
     spectral_projector,
 )
@@ -66,11 +71,10 @@ def measure_angles(p: Projector, q: Projector) -> AngleMeasurement:
         raise DimensionMismatch(
             f"projector shapes differ: {p.matrix.shape} vs {q.matrix.shape}"
         )
-    s = np.linalg.svd(p.matrix - q.matrix, compute_uv=False)
-    s = np.clip(s, 0.0, 1.0)
+    s = np.linalg.svd(p.matrix - q.matrix, compute_uv=False).clip(0.0, 1.0)
     return AngleMeasurement(
         max_angle=float(np.arcsin(s[0])),
-        sin2theta_norm=float(np.max(2.0 * s * np.sqrt(1.0 - s * s))),
+        sin2theta_norm=float((2.0 * s * np.sqrt(1.0 - s * s)).max()),
         singular_values=s,
     )
 
@@ -81,8 +85,8 @@ def geometry_kind(
     """Favourable when the convex hull of one component contains none of the other."""
     comp = decomp.eigenvalues[list(partition.component_indices)]
     rest = decomp.eigenvalues[list(partition.rest_indices)]
-    rest_in_comp_hull = np.any((rest >= comp.min()) & (rest <= comp.max()))
-    comp_in_rest_hull = np.any((comp >= rest.min()) & (comp <= rest.max()))
+    rest_in_comp_hull = ((rest >= comp.min()) & (rest <= comp.max())).any()
+    comp_in_rest_hull = ((comp >= rest.min()) & (comp <= rest.max())).any()
     if not rest_in_comp_hull or not comp_in_rest_hull:
         return GeometryKind.FAVOURABLE
     return GeometryKind.GENERIC
@@ -276,13 +280,12 @@ def analyze_instance(inst: Instance, angle_tol: float = 1e-9) -> Analysis:
     holds is compared against the measurement, and failures land in the
     report's violation list instead of raising.
     """
-    a = require_hermitian(inst.a, name="a")
-    v = require_hermitian(inst.v, name="v")
+    decomp_a = eigh(inst.a, name="a")
+    split = sign_split(inst.v, name="v")
+    a, v = np.asarray(inst.a), split.v
     if a.shape != v.shape:
         raise DimensionMismatch(f"a has shape {a.shape} but v has shape {v.shape}")
-    decomp_a = eigh(a)
     partition = partition_spectrum(decomp_a, inst.component_intervals)
-    split = sign_split(v)
     geometry = geometry_kind(decomp_a, partition)
     decomp_av = eigh(a + v)
     enclosure = spectral_enclosure_check(decomp_a, decomp_av, split)
@@ -301,6 +304,7 @@ def analyze_instance(inst: Instance, angle_tol: float = 1e-9) -> Analysis:
     measured = None
     if gap_ok:
         perturbed = perturbed_component(decomp_av, partition, split)
+        _require_equal_rank(partition, perturbed)
         p = spectral_projector(decomp_a, partition.component_indices)
         q = spectral_projector(decomp_av, perturbed.component_indices)
         angles = measure_angles(p, q)
@@ -389,6 +393,16 @@ def analyze_instance(inst: Instance, angle_tol: float = 1e-9) -> Analysis:
     )
 
 
+def _require_equal_rank(partition: SpectralPartition, sep: PerturbedSeparation) -> None:
+    """Under the gap condition the perturbed component keeps the unperturbed rank."""
+    k, k_perturbed = len(partition.component_indices), len(sep.component_indices)
+    if k_perturbed != k:
+        raise ConvergenceFailure(
+            f"perturbed component holds {k_perturbed} eigenvalues, "
+            f"the unperturbed one {k}"
+        )
+
+
 def verify_instance(inst: Instance, angle_tol: float = 1e-9) -> BoundReport:
     """Measure one instance and compare it against every applicable bound."""
     return analyze_instance(inst, angle_tol=angle_tol).report
@@ -417,11 +431,10 @@ def path_scan(inst: Instance, steps: int) -> list[PathPoint]:
     """
     if steps < 2:
         raise InvalidSpec(f"steps must be at least 2, got {steps!r}")
-    a = require_hermitian(inst.a, name="a")
-    v = require_hermitian(inst.v, name="v")
-    decomp_a = eigh(a)
+    decomp_a = eigh(inst.a, name="a")
     partition = partition_spectrum(decomp_a, inst.component_intervals)
-    split = sign_split(v)
+    split = sign_split(inst.v, name="v")
+    a, v = np.asarray(inst.a), split.v
     if not gap_condition(split, partition.gap):
         raise GapConditionViolated(
             f"||V+|| + ||V-|| = {split.norm_sum!r} must stay below gap {partition.gap!r}"
@@ -432,6 +445,7 @@ def path_scan(inst: Instance, steps: int) -> list[PathPoint]:
         t = float(t)
         dec_t = eigh(a + t * v)
         sep = perturbed_component_at_t(dec_t, partition, split, t)
+        _require_equal_rank(partition, sep)
         proj = spectral_projector(dec_t, sep.component_indices)
         if prev is None:
             delta, ceiling = 0.0, 0.0

@@ -8,6 +8,7 @@ tolerance 1e-12 * (1 + max|entry|) before touching it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable
 
 import numpy as np
@@ -26,10 +27,10 @@ def require_hermitian(a, name: str = "matrix") -> np.ndarray:
     if not np.issubdtype(arr.dtype, np.number):
         raise NonHermitianInput(f"{name} must be numeric, got dtype {arr.dtype}")
     arr = arr.astype(np.complex128 if np.iscomplexobj(arr) else np.float64, copy=False)
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise NonHermitianInput(f"{name} contains non-finite entries")
-    tol = HERMITICITY_RTOL * (1.0 + float(np.max(np.abs(arr))))
-    defect = float(np.max(np.abs(arr - arr.conj().T)))
+    tol = HERMITICITY_RTOL * (1.0 + float(abs(arr).max()))
+    defect = float(abs(arr - arr.conj().T).max())
     if defect > tol:
         raise NonHermitianInput(
             f"{name} is not Hermitian: max asymmetry {defect:.3e} exceeds {tol:.3e}"
@@ -49,22 +50,23 @@ class SpectralDecomposition:
         return int(self.eigenvalues.shape[0])
 
 
-def eigh(h) -> SpectralDecomposition:
+def eigh(h, name: str = "matrix") -> SpectralDecomposition:
     """Eigendecomposition of a Hermitian matrix.
 
-    The result is checked: eigenvector Gram defect at most 1e-10 and
+    The input is validated by require_hermitian, which names it `name` in
+    errors.  The result is checked: eigenvector Gram defect at most 1e-10 and
     column residuals ||H u_k - w_k u_k|| at most 1e-10 * (1 + ||H||).
     Deterministic for a fixed input on a fixed build of the solver.
     """
-    arr = require_hermitian(h)
+    arr = require_hermitian(h, name=name)
     try:
         w, u = np.linalg.eigh(arr)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(f"eigensolver failed: {exc}") from exc
     n = arr.shape[0]
-    gram_defect = float(np.max(np.abs(u.conj().T @ u - np.eye(n))))
-    norm_h = float(np.max(np.abs(w)))
-    residual = float(np.max(np.linalg.norm(arr @ u - u * w, axis=0)))
+    gram_defect = float(abs(u.conj().T @ u - np.eye(n)).max())
+    norm_h = float(abs(w).max())
+    residual = float(np.linalg.norm(arr @ u - u * w, axis=0).max())
     if gram_defect > DECOMPOSITION_RTOL or residual > DECOMPOSITION_RTOL * (1.0 + norm_h):
         raise ConvergenceFailure(
             f"decomposition failed verification: gram defect {gram_defect:.3e}, "
@@ -73,23 +75,27 @@ def eigh(h) -> SpectralDecomposition:
     return SpectralDecomposition(eigenvalues=w, eigenvectors=u)
 
 
-def operator_norm(h) -> float:
-    """Spectral norm of a Hermitian matrix, i.e. max |eigenvalue|."""
-    arr = require_hermitian(h)
+def _eigvalsh(arr: np.ndarray) -> np.ndarray:
     try:
-        w = np.linalg.eigvalsh(arr)
+        return np.linalg.eigvalsh(arr)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(f"eigensolver failed: {exc}") from exc
-    return float(np.max(np.abs(w)))
+
+
+def operator_norm(h) -> float:
+    """Spectral norm of a Hermitian matrix, i.e. max |eigenvalue|."""
+    return float(abs(_eigvalsh(require_hermitian(h))).max())
 
 
 @dataclass(frozen=True)
 class PerturbationSplit:
-    """V = V+ - V- with both parts positive semidefinite on orthogonal ranges."""
+    """V = V+ - V- with both parts positive semidefinite on orthogonal ranges.
+
+    The norms come from the eigenvalues of V alone; the dense parts V+ and
+    V- need its eigenvectors and are built on first read.
+    """
 
     v: np.ndarray
-    v_plus: np.ndarray
-    v_minus: np.ndarray
     norm_plus: float
     norm_minus: float
     norm_v: float
@@ -98,31 +104,53 @@ class PerturbationSplit:
     def norm_sum(self) -> float:
         return self.norm_plus + self.norm_minus
 
+    @property
+    def v_plus(self) -> np.ndarray:
+        return self._parts[0]
 
-def sign_split(v) -> PerturbationSplit:
+    @property
+    def v_minus(self) -> np.ndarray:
+        return self._parts[1]
+
+    @cached_property
+    def _parts(self) -> tuple[np.ndarray, np.ndarray]:
+        dec = eigh(self.v)
+        w, u = dec.eigenvalues, dec.eigenvectors
+        zero_tol = HERMITICITY_RTOL * (1.0 + self.norm_v)
+        pos = w > zero_tol
+        neg = w < -zero_tol
+        # these eigenvalues may sit ulps away from the eigvalsh ones behind the
+        # norms; a part is nonzero exactly when its norm is
+        if self.norm_plus == 0.0:
+            pos[:] = False
+        elif not pos.any():
+            pos[-1] = True
+        if self.norm_minus == 0.0:
+            neg[:] = False
+        elif not neg.any():
+            neg[0] = True
+        v_plus = (u[:, pos] * w[pos]) @ u[:, pos].conj().T
+        v_minus = (u[:, neg] * (-w[neg])) @ u[:, neg].conj().T
+        return 0.5 * (v_plus + v_plus.conj().T), 0.5 * (v_minus + v_minus.conj().T)
+
+
+def sign_split(v, name: str = "matrix") -> PerturbationSplit:
     """Split a Hermitian matrix into its positive and negative spectral parts.
 
     Eigenpairs with |eigenvalue| <= 1e-12 * (1 + ||V||) are dropped from both
     parts; they contribute the zero operator either way.  norm_plus and
-    norm_minus are the spectral norms of the two parts (0 for an empty part).
+    norm_minus are the spectral norms of the two parts (0 for an empty part),
+    taken from an eigenvalue-only solve.  The input is validated by
+    require_hermitian, which names it `name` in errors.
     """
-    arr = require_hermitian(v)
-    dec = eigh(arr)
-    w, u = dec.eigenvalues, dec.eigenvectors
-    norm_v = float(np.max(np.abs(w)))
+    arr = require_hermitian(v, name=name)
+    w = _eigvalsh(arr)
+    norm_v = float(abs(w).max())
     zero_tol = HERMITICITY_RTOL * (1.0 + norm_v)
-    pos = w > zero_tol
-    neg = w < -zero_tol
-    v_plus = (u[:, pos] * w[pos]) @ u[:, pos].conj().T
-    v_minus = (u[:, neg] * (-w[neg])) @ u[:, neg].conj().T
-    norm_plus = float(np.max(w[pos])) if pos.any() else 0.0
-    norm_minus = float(np.max(-w[neg])) if neg.any() else 0.0
     return PerturbationSplit(
         v=arr,
-        v_plus=0.5 * (v_plus + v_plus.conj().T),
-        v_minus=0.5 * (v_minus + v_minus.conj().T),
-        norm_plus=norm_plus,
-        norm_minus=norm_minus,
+        norm_plus=float(w[-1]) if w[-1] > zero_tol else 0.0,
+        norm_minus=float(-w[0]) if w[0] < -zero_tol else 0.0,
         norm_v=norm_v,
     )
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import bisect
+import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
@@ -40,6 +42,28 @@ class IntervalUnion:
 
     def contains(self, x: float, tol: float = 0.0) -> bool:
         return self.distance(x) <= tol
+
+
+def _ends(values, down: float, up: float) -> tuple[list[float], list[float]]:
+    """Ascending lower and upper ends of the intervals [v - down, v + up]."""
+    vals = np.sort(np.asarray(values, dtype=float).ravel())
+    return (vals - down).tolist(), (vals + up).tolist()
+
+
+def _distance(x: float, lo: list[float], hi: list[float]) -> float:
+    """Distance from x to the union of the intervals [lo[j], hi[j]] from _ends.
+
+    The intervals may overlap: the distance to their union is the least
+    distance to any one of them, so they need not be merged by enlarge first.
+    Both ends ascend, so of the intervals that start at or below x the one
+    reaching furthest right is the last, and the nearest on the right is the
+    first of the others.
+    """
+    j = bisect.bisect_right(lo, x)
+    below = x - hi[j - 1] if j else math.inf
+    if below <= 0.0:
+        return 0.0
+    return min(below, lo[j] - x) if j < len(lo) else below
 
 
 def enlarge(values, down: float, up: float) -> IntervalUnion:
@@ -172,18 +196,18 @@ def perturbed_component_at_t(
             f"the gap {partition.gap!r}"
         )
     down, up = t * split.norm_minus, t * split.norm_plus
-    comp_set = enlarge(partition.component_values, down=down, up=up)
-    rest_set = enlarge(partition.rest_values, down=down, up=up)
+    comp_lo, comp_hi = _ends(partition.component_values, down, up)
+    rest_lo, rest_hi = _ends(partition.rest_values, down, up)
     norm_a = float(np.max(np.abs(partition.eigenvalues)))
     tol = ENCLOSURE_RTOL * (1.0 + norm_a + split.norm_v)
     comp: list[int] = []
     rest: list[int] = []
-    for k, mu in enumerate(decomp_perturbed.eigenvalues):
-        d_comp = comp_set.distance(float(mu))
-        d_rest = rest_set.distance(float(mu))
+    for k, mu in enumerate(decomp_perturbed.eigenvalues.tolist()):
+        d_comp = _distance(mu, comp_lo, comp_hi)
+        d_rest = _distance(mu, rest_lo, rest_hi)
         if min(d_comp, d_rest) > tol:
             raise EnclosureViolation(
-                f"perturbed eigenvalue {float(mu)!r} lies {min(d_comp, d_rest):.3e} "
+                f"perturbed eigenvalue {mu!r} lies {min(d_comp, d_rest):.3e} "
                 f"outside both enlargements (tolerance {tol:.3e})"
             )
         (comp if d_comp <= d_rest else rest).append(k)
@@ -225,9 +249,9 @@ def spectral_enclosure_check(
     within 1e-9 * (1 + ||A|| + ||V||), together with the largest excess.
     A False result is data, not an error.
     """
-    enlarged = enlarge(decomp_a.eigenvalues, down=split.norm_minus, up=split.norm_plus)
+    lo, hi = _ends(decomp_a.eigenvalues, split.norm_minus, split.norm_plus)
     excess = max(
-        (enlarged.distance(float(mu)) for mu in decomp_perturbed.eigenvalues),
+        (_distance(mu, lo, hi) for mu in decomp_perturbed.eigenvalues.tolist()),
         default=0.0,
     )
     norm_a = float(np.max(np.abs(decomp_a.eigenvalues)))

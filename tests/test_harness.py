@@ -1,9 +1,14 @@
+import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
 
+import specsub.harness
+import specsub.linalg
 from specsub import (
+    ConvergenceFailure,
     DimensionMismatch,
     DomainError,
     GapConditionViolated,
@@ -322,6 +327,72 @@ class TestPathScan:
         inst = random_instance(n=4, d_target=1.0, component_split=2, scale=0.5, seed=10)
         with pytest.raises(InvalidSpec):
             path_scan(inst, steps=1)
+
+
+class TestComponentRank:
+    @staticmethod
+    def _drop_one(original):
+        def assign(*args):
+            sep = original(*args)
+            return dataclasses.replace(sep, component_indices=sep.component_indices[1:])
+
+        return assign
+
+    def test_analyze_rejects_rank_change(self, monkeypatch):
+        inst = random_instance(n=6, d_target=1.0, component_split=3, scale=0.5, seed=11)
+        monkeypatch.setattr(
+            specsub.harness, "perturbed_component",
+            self._drop_one(specsub.harness.perturbed_component),
+        )
+        with pytest.raises(ConvergenceFailure):
+            analyze_instance(inst)
+
+    def test_path_scan_rejects_rank_change(self, monkeypatch):
+        inst = random_instance(n=6, d_target=1.0, component_split=3, scale=0.5, seed=11)
+        monkeypatch.setattr(
+            specsub.harness, "perturbed_component_at_t",
+            self._drop_one(specsub.harness.perturbed_component_at_t),
+        )
+        with pytest.raises(ConvergenceFailure):
+            path_scan(inst, steps=4)
+
+
+class TestLayerCounts:
+    """One analysis: three validations, two eigendecompositions, one eigenvalue-only solve."""
+
+    @staticmethod
+    def _count(monkeypatch, counts, holder, name):
+        original = getattr(holder, name)
+
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(holder, name, counted)
+
+    def test_analyze_instance_at_n8(self, monkeypatch):
+        inst = random_instance(n=8, d_target=1.0, component_split=3, scale=0.9, seed=12)
+        counts = {"require_hermitian": 0, "eigh": 0, "eigvalsh": 0}
+        original = specsub.linalg.require_hermitian
+        for module in list(sys.modules.values()):
+            if getattr(module, "__name__", "").startswith("specsub") and (
+                getattr(module, "require_hermitian", None) is original
+            ):
+                self._count(monkeypatch, counts, module, "require_hermitian")
+        self._count(monkeypatch, counts, np.linalg, "eigh")
+        self._count(monkeypatch, counts, np.linalg, "eigvalsh")
+
+        analysis = analyze_instance(inst)
+        assert counts == {"require_hermitian": 3, "eigh": 2, "eigvalsh": 1}
+
+        # V+ and V- need the eigenvectors of V, built once on first read
+        v_plus = analysis.split.v_plus
+        assert counts["eigh"] == 3
+        assert analysis.split.v_minus is not None and analysis.split.v_plus is v_plus
+        assert counts["eigh"] == 3
+        np.testing.assert_allclose(
+            v_plus - analysis.split.v_minus, inst.v, atol=1e-12 * (1.0 + analysis.split.norm_v)
+        )
 
 
 class TestSharpnessGrid:

@@ -4,6 +4,7 @@ import pytest
 from specsub import (
     IndexOutOfRange,
     NonHermitianInput,
+    PerturbationSplit,
     eigh,
     operator_norm,
     require_hermitian,
@@ -126,6 +127,25 @@ class TestSignSplit:
         split = sign_split(inst.v)
         assert split.norm_plus == pytest.approx(0.3, abs=1e-12)
         assert split.norm_minus == pytest.approx(0.2, abs=1e-12)
+
+    def test_parts_follow_the_norms_at_the_zero_tolerance(self):
+        # the parts come from a separate eigh whose eigenvalues may fall on the
+        # other side of the zero tolerance than the eigvalsh ones behind the
+        # norms; the stored norms decide which part is nonzero
+        tol = 1e-12 * 2.0
+        above = PerturbationSplit(
+            v=np.diag([-1.0, 1.5 * tol]), norm_plus=0.0, norm_minus=1.0, norm_v=1.0
+        )
+        assert not above.v_plus.any()
+        np.testing.assert_array_equal(above.v_minus, np.diag([1.0, 0.0]))
+        below = PerturbationSplit(
+            v=np.diag([-1.0, 0.5 * tol]), norm_plus=0.5 * tol, norm_minus=1.0, norm_v=1.0
+        )
+        np.testing.assert_array_equal(below.v_plus, np.diag([0.0, 0.5 * tol]))
+        below_neg = PerturbationSplit(
+            v=np.diag([-0.5 * tol, 1.0]), norm_plus=1.0, norm_minus=0.5 * tol, norm_v=1.0
+        )
+        np.testing.assert_array_equal(below_neg.v_minus, np.diag([0.5 * tol, 0.0]))
 
     def test_zero_matrix(self):
         split = sign_split(np.zeros((3, 3)))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from specsub import spectral
 from specsub import (
     AmbiguousMembership,
     DomainError,
@@ -263,3 +264,77 @@ class TestGapCondition:
         assert gap_condition(split, 1.0)
         assert not gap_condition(split, 0.5)
         assert not gap_condition(split, 0.4)
+
+
+class TestAgainstMergedUnion:
+    """Distances to the unmerged intervals against the merged-union loops they replaced, bit for bit."""
+
+    @staticmethod
+    def ref_enlarge(values, down, up):
+        merged = []
+        for v in np.sort(np.asarray(values, dtype=float).ravel()):
+            lo, hi = float(v - down), float(v + up)
+            if merged and lo <= merged[-1][1]:
+                merged[-1][1] = max(merged[-1][1], hi)
+            else:
+                merged.append([lo, hi])
+        return tuple((lo, hi) for lo, hi in merged)
+
+    @staticmethod
+    def ref_distance(intervals, x):
+        best = np.inf
+        for lo, hi in intervals:
+            if lo <= x <= hi:
+                return 0.0
+            best = min(best, abs(x - lo), abs(x - hi))
+        return float(best)
+
+    def ref_assignment(self, mu, part, split, t):
+        down, up = t * split.norm_minus, t * split.norm_plus
+        comp_set = self.ref_enlarge(part.component_values, down, up)
+        rest_set = self.ref_enlarge(part.rest_values, down, up)
+        comp, rest = [], []
+        for k, m in enumerate(mu):
+            d_comp = self.ref_distance(comp_set, float(m))
+            d_rest = self.ref_distance(rest_set, float(m))
+            (comp if d_comp <= d_rest else rest).append(k)
+        return tuple(comp), tuple(rest)
+
+    def instances(self, count=300):
+        rng = np.random.default_rng(31)
+        for _ in range(count):
+            n = int(rng.integers(2, 17))
+            interlaced = n >= 4 and bool(rng.integers(0, 2))
+            split = int(rng.integers(2, n - 1)) if interlaced else int(rng.integers(1, n))
+            yield random_instance(
+                n=n, d_target=1.0, component_split=split,
+                scale=float(rng.uniform(0.0, 0.99)), seed=int(rng.integers(0, 2**32)),
+                interlaced=interlaced,
+            )
+
+    def test_random_instances(self):
+        for inst in self.instances():
+            dec_a = eigh(inst.a)
+            split = sign_split(inst.v)
+            part = partition_spectrum(dec_a, inst.component_intervals)
+            for t in (0.0, 0.5, 1.0):
+                dec_t = eigh(inst.a + t * inst.v)
+                sep = perturbed_component_at_t(dec_t, part, split, t)
+                assert (sep.component_indices, sep.rest_indices) == self.ref_assignment(
+                    dec_t.eigenvalues, part, split, t
+                )
+            dec_av = eigh(inst.a + inst.v)
+            union = self.ref_enlarge(dec_a.eigenvalues, split.norm_minus, split.norm_plus)
+            excess = max(self.ref_distance(union, float(m)) for m in dec_av.eigenvalues)
+            assert spectral_enclosure_check(dec_a, dec_av, split).max_excess == excess
+
+    def test_points_around_a_union(self):
+        rng = np.random.default_rng(32)
+        for _ in range(200):
+            values = rng.uniform(-3.0, 3.0, size=int(rng.integers(0, 9)))
+            down, up = (float(m) for m in rng.uniform(0.0, 0.5, size=2))
+            union = self.ref_enlarge(values, down, up)
+            lo, hi = spectral._ends(values, down, up)
+            ends = [x for iv in union for x in iv] + lo + hi
+            for x in [*ends, *rng.uniform(-4.0, 4.0, size=10), 0.0, -0.0, 1e300, -1e300]:
+                assert spectral._distance(float(x), lo, hi) == self.ref_distance(union, float(x))
