@@ -17,22 +17,11 @@ import numpy as np
 
 from . import __version__, bounds, fileio
 from .errors import SpecsubError
-from .harness import analyze_instance, random_instance
+from .harness import BOUND_CHECKS, Violation, analyze_instance, random_instance
 
 EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_VIOLATION = 2
-
-BOUND_CHECKS = (
-    "favourable_bound",
-    "generic_bound",
-    "half_arcsin_bound",
-    "sin2theta_bound",
-    "integral_bound",
-    "gap_lower_bound",
-    "sin2theta_chain",
-    "enclosure",
-)
 
 
 class _UsageError(Exception):
@@ -114,7 +103,10 @@ def _instance_params(seed: int, index: int, n: int):
     return int(state[1]), split, interlaced
 
 
-def _fuzz_one(task: tuple) -> tuple[int, dict, Optional[str]]:
+def _fuzz_one(
+    task: tuple,
+) -> tuple[int, tuple[str, ...], tuple[Violation, ...], Optional[str]]:
+    """Analyze one fuzz instance: its applicable checks, violations and report text."""
     index, seed, n, scale, want_report = task
     inst_seed, split, interlaced = _instance_params(seed, index, n)
     inst = random_instance(
@@ -126,27 +118,13 @@ def _fuzz_one(task: tuple) -> tuple[int, dict, Optional[str]]:
         interlaced=interlaced,
     )
     analysis = analyze_instance(inst)
-    rep = analysis.report
-    record = {
-        "applicable": {
-            "favourable_bound": rep.favourable_applicable,
-            "generic_bound": rep.generic_applicable,
-            "half_arcsin_bound": rep.half_arcsin_applicable,
-            "sin2theta_bound": rep.measured_angle is not None,
-            "integral_bound": rep.integral_applicable,
-            "gap_lower_bound": rep.gap_condition,
-            "sin2theta_chain": rep.measured_angle is not None,
-            "enclosure": True,
-        },
-        "violations": [{"name": name, "slack": slack} for name, slack in rep.violations],
-    }
     text = None
     if want_report:
         digest = fileio.sha256_digest(
             fileio.dumps(fileio.problem_payload(inst)).encode()
         )
         text = fileio.dumps(fileio.report_payload(analysis, __version__, digest))
-    return index, record, text
+    return index, analysis.report.applicable, analysis.report.violations, text
 
 
 def _cmd_fuzz(args) -> int:
@@ -161,25 +139,26 @@ def _cmd_fuzz(args) -> int:
         (i, args.seed, args.n, args.scale, args.out is not None)
         for i in range(args.count)
     ]
-    if args.jobs == 1:
+    # a pool forks all its workers up front, so start no more than can be used
+    workers = min(args.jobs, args.count, os.cpu_count() or 1)
+    if workers == 1:
         results = [_fuzz_one(task) for task in tasks]
     else:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_fuzz_one, tasks, chunksize=32))
     results.sort(key=lambda item: item[0])
 
     per_bound = {
-        name: {"applicable": 0, "violations": 0, "max_slack": 0.0}
-        for name in BOUND_CHECKS
+        check.name: {"applicable": 0, "violations": 0, "max_slack": 0.0}
+        for check in BOUND_CHECKS
     }
     total_violations = 0
     max_slack = 0.0
-    for index, record, text in results:
-        for name, flag in record["applicable"].items():
-            if flag:
-                per_bound[name]["applicable"] += 1
-        for violation in record["violations"]:
-            name, slack = violation["name"], float(violation["slack"])
+    for index, applicable, violations, text in results:
+        for name in applicable:
+            per_bound[name]["applicable"] += 1
+        for name, slack in violations:
+            slack = float(slack)
             total_violations += 1
             per_bound[name]["violations"] += 1
             per_bound[name]["max_slack"] = max(per_bound[name]["max_slack"], slack)

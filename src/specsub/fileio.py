@@ -11,13 +11,15 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from dataclasses import fields
 from json.encoder import encode_basestring_ascii
 from typing import Any, Optional
 
 import numpy as np
 
 from .errors import ParseError
-from .harness import Analysis, Instance
+from .harness import Analysis, BoundReport, Instance
+from .spectral import PerturbedSeparation
 
 PROBLEM_FORMAT_VERSION = 1
 REPORT_FORMAT_VERSION = 1
@@ -211,39 +213,28 @@ def _finite_or_none(x: Optional[float]) -> Optional[float]:
     return float(x)
 
 
+# A report's "report" object lists BoundReport's fields in declaration order,
+# except the geometry, which sits at the top level, and the applicable checks,
+# which follow from the flags.
+_REPORT_FIELDS = tuple(
+    f.name for f in fields(BoundReport) if f.name not in ("geometry", "applicable")
+)
+_PERTURBED_FIELDS = tuple(f.name for f in fields(PerturbedSeparation))
+
+
 def report_payload(analysis: Analysis, tool_version: str, input_digest: str) -> dict:
     """Assemble the report document for one analyzed instance."""
     rep = analysis.report
+    report = {name: getattr(rep, name) for name in _REPORT_FIELDS}
+    report["measured_gap"] = _finite_or_none(rep.measured_gap)
+    report["violations"] = [{"name": name, "slack": slack} for name, slack in rep.violations]
     payload: dict[str, Any] = {
         "format_version": REPORT_FORMAT_VERSION,
         "tool_version": tool_version,
         "input_digest": input_digest,
         "label": analysis.instance.label,
         "geometry": rep.geometry,
-        "report": {
-            "measured_angle": rep.measured_angle,
-            "favourable_applicable": rep.favourable_applicable,
-            "favourable_bound": rep.favourable_bound,
-            "generic_applicable": rep.generic_applicable,
-            "generic_bound": rep.generic_bound,
-            "half_arcsin_applicable": rep.half_arcsin_applicable,
-            "half_arcsin_bound": rep.half_arcsin_bound,
-            "sin2theta_measured": rep.sin2theta_measured,
-            "sin2theta_bound": rep.sin2theta_bound,
-            "integral_applicable": rep.integral_applicable,
-            "integral_bound": rep.integral_bound,
-            "integral_below_threshold": rep.integral_below_threshold,
-            "gap": rep.gap,
-            "norm_plus": rep.norm_plus,
-            "norm_minus": rep.norm_minus,
-            "norm_v": rep.norm_v,
-            "gap_condition": rep.gap_condition,
-            "measured_gap": _finite_or_none(rep.measured_gap),
-            "gap_lower_bound": rep.gap_lower_bound,
-            "enclosure_ok": rep.enclosure_ok,
-            "enclosure_excess": rep.enclosure_excess,
-            "violations": [{"name": name, "slack": slack} for name, slack in rep.violations],
-        },
+        "report": report,
         "angles": None,
         "perturbed": None,
     }
@@ -254,12 +245,9 @@ def report_payload(analysis: Analysis, tool_version: str, input_digest: str) -> 
             "singular_values": analysis.angles.singular_values.tolist(),
         }
     if analysis.perturbed is not None:
-        payload["perturbed"] = {
-            "component_indices": list(analysis.perturbed.component_indices),
-            "rest_indices": list(analysis.perturbed.rest_indices),
-            "gap_lower_bound": analysis.perturbed.gap_lower_bound,
-            "measured_gap": _finite_or_none(analysis.perturbed.measured_gap),
-        }
+        sep = analysis.perturbed
+        payload["perturbed"] = {name: getattr(sep, name) for name in _PERTURBED_FIELDS}
+        payload["perturbed"]["measured_gap"] = _finite_or_none(sep.measured_gap)
     return payload
 
 

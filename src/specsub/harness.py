@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import dataclass, replace
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -229,8 +229,9 @@ Violation = tuple[str, float]
 class BoundReport:
     """Per-instance record: measured angles, every applicable bound, violations.
 
-    Bounds that do not apply are None with their flag False.  `violations`
-    holds (check name, slack) pairs for every check that failed its tolerance.
+    Angle bounds that do not apply are None with their flag False, but
+    `sin2theta_bound` is always a float.  In BOUND_CHECKS order, `applicable`
+    names the checks made and `violations` holds (name, slack) for each failure.
     """
 
     measured_angle: Optional[float]
@@ -256,6 +257,47 @@ class BoundReport:
     enclosure_ok: bool
     enclosure_excess: float
     violations: tuple[Violation, ...]
+    applicable: tuple[str, ...]
+
+
+class BoundCheck(NamedTuple):
+    """One row of BOUND_CHECKS: whether the check is made, and by how much it fails.
+
+    `excess(report, angle_tol)` is the slack of a failure, or None when the check holds.
+    """
+
+    name: str
+    applies: Callable[[BoundReport], bool]
+    excess: Callable[[BoundReport, float], Optional[float]]
+
+
+def _excess(left: float, right: float, slack: float) -> Optional[float]:
+    """The slack left - right when left > right + slack, else None."""
+    return left - right if left > right + slack else None
+
+
+# Every check made on an instance, in the order of fuzz summaries and of report
+# violations.  The enclosure keeps the EnclosureCheck.ok rule, whose tolerance
+# scales with ||A|| and ||V||.
+BOUND_CHECKS: tuple[BoundCheck, ...] = (
+    BoundCheck("favourable_bound", lambda r: r.favourable_applicable,
+               lambda r, tol: _excess(r.measured_angle, r.favourable_bound, tol)),
+    BoundCheck("generic_bound", lambda r: r.generic_applicable,
+               lambda r, tol: _excess(r.measured_angle, r.generic_bound, tol)),
+    BoundCheck("half_arcsin_bound", lambda r: r.half_arcsin_applicable,
+               lambda r, tol: _excess(r.measured_angle, r.half_arcsin_bound, tol)),
+    BoundCheck("sin2theta_bound", lambda r: r.measured_angle is not None,
+               lambda r, tol: _excess(r.sin2theta_measured, r.sin2theta_bound, tol)),
+    BoundCheck("integral_bound", lambda r: r.integral_applicable,
+               lambda r, tol: _excess(r.measured_angle, r.integral_bound, tol)),
+    BoundCheck("gap_lower_bound", lambda r: r.gap_condition,
+               lambda r, tol: _excess(r.gap_lower_bound, r.measured_gap, GAP_SLACK)),
+    BoundCheck("sin2theta_chain", lambda r: r.measured_angle is not None,
+               lambda r, tol: _excess(math.sin(2.0 * r.measured_angle),
+                                      r.sin2theta_measured, SIN_CHAIN_SLACK)),
+    BoundCheck("enclosure", lambda r: True,
+               lambda r, tol: None if r.enclosure_ok else r.enclosure_excess),
+)
 
 
 @dataclass(frozen=True)
@@ -273,21 +315,28 @@ class Analysis:
     report: BoundReport
 
 
+def _setup(
+    inst: Instance,
+) -> tuple[np.ndarray, SpectralDecomposition, PerturbationSplit, SpectralPartition]:
+    """Validate and decompose an instance: A, eigh(A), the split of V, the partition."""
+    decomp_a = eigh(inst.a, name="a")
+    split = sign_split(inst.v, name="v")
+    a = np.asarray(inst.a)
+    if a.shape != split.v.shape:
+        raise DimensionMismatch(f"a has shape {a.shape} but v has shape {split.v.shape}")
+    return a, decomp_a, split, partition_spectrum(decomp_a, inst.component_intervals)
+
+
 def analyze_instance(inst: Instance, angle_tol: float = 1e-9) -> Analysis:
     """Run the full measurement pipeline on one instance.
 
-    Hypotheses are evaluated and recorded, every bound whose precondition
-    holds is compared against the measurement, and failures land in the
+    Hypotheses are evaluated and recorded, every check of BOUND_CHECKS that
+    applies is compared against the measurement, and failures land in the
     report's violation list instead of raising.
     """
-    decomp_a = eigh(inst.a, name="a")
-    split = sign_split(inst.v, name="v")
-    a, v = np.asarray(inst.a), split.v
-    if a.shape != v.shape:
-        raise DimensionMismatch(f"a has shape {a.shape} but v has shape {v.shape}")
-    partition = partition_spectrum(decomp_a, inst.component_intervals)
+    a, decomp_a, split, partition = _setup(inst)
     geometry = geometry_kind(decomp_a, partition)
-    decomp_av = eigh(a + v)
+    decomp_av = eigh(a + split.v)
     enclosure = spectral_enclosure_check(decomp_a, decomp_av, split)
 
     gap = partition.gap
@@ -295,28 +344,14 @@ def analyze_instance(inst: Instance, angle_tol: float = 1e-9) -> Analysis:
     gap_ok = gap_condition(split, gap)
     favourable = geometry is GeometryKind.FAVOURABLE
 
-    violations: list[Violation] = []
-    if not enclosure.ok:
-        violations.append(("enclosure", enclosure.max_excess))
-
     perturbed = None
     angles = None
-    measured = None
     if gap_ok:
         perturbed = perturbed_component(decomp_av, partition, split)
         _require_equal_rank(partition, perturbed)
         p = spectral_projector(decomp_a, partition.component_indices)
         q = spectral_projector(decomp_av, perturbed.component_indices)
         angles = measure_angles(p, q)
-        measured = angles.max_angle
-        if perturbed.measured_gap < perturbed.gap_lower_bound - GAP_SLACK:
-            violations.append(
-                ("gap_lower_bound", perturbed.gap_lower_bound - perturbed.measured_gap)
-            )
-        if math.sin(2.0 * measured) > angles.sin2theta_norm + SIN_CHAIN_SLACK:
-            violations.append(
-                ("sin2theta_chain", math.sin(2.0 * measured) - angles.sin2theta_norm)
-            )
 
     fav_applicable = gap_ok and favourable
     fav_bound = (
@@ -343,20 +378,8 @@ def analyze_instance(inst: Instance, angle_tol: float = 1e-9) -> Analysis:
         else None
     )
 
-    if measured is not None:
-        for name, value in (
-            ("favourable_bound", fav_bound),
-            ("generic_bound", gen_bound),
-            ("half_arcsin_bound", half_bound),
-            ("integral_bound", integral.value if integral else None),
-        ):
-            if value is not None and measured > value + angle_tol:
-                violations.append((name, measured - value))
-        if angles.sin2theta_norm > s2t_bound + angle_tol:
-            violations.append(("sin2theta_bound", angles.sin2theta_norm - s2t_bound))
-
     report = BoundReport(
-        measured_angle=measured,
+        measured_angle=angles.max_angle if angles is not None else None,
         favourable_applicable=fav_applicable,
         favourable_bound=fav_bound,
         generic_applicable=gen_applicable,
@@ -378,8 +401,17 @@ def analyze_instance(inst: Instance, angle_tol: float = 1e-9) -> Analysis:
         gap_lower_bound=perturbed.gap_lower_bound if perturbed else None,
         enclosure_ok=enclosure.ok,
         enclosure_excess=enclosure.max_excess,
-        violations=tuple(violations),
+        violations=(),
+        applicable=(),
     )
+    applicable: list[str] = []
+    violations: list[Violation] = []
+    for check in BOUND_CHECKS:
+        if check.applies(report):
+            applicable.append(check.name)
+            slack = check.excess(report, angle_tol)
+            if slack is not None:
+                violations.append((check.name, slack))
     return Analysis(
         instance=inst,
         decomp_a=decomp_a,
@@ -389,7 +421,9 @@ def analyze_instance(inst: Instance, angle_tol: float = 1e-9) -> Analysis:
         geometry=geometry,
         perturbed=perturbed,
         angles=angles,
-        report=report,
+        report=replace(
+            report, applicable=tuple(applicable), violations=tuple(violations)
+        ),
     )
 
 
@@ -431,10 +465,8 @@ def path_scan(inst: Instance, steps: int) -> list[PathPoint]:
     """
     if steps < 2:
         raise InvalidSpec(f"steps must be at least 2, got {steps!r}")
-    decomp_a = eigh(inst.a, name="a")
-    partition = partition_spectrum(decomp_a, inst.component_intervals)
-    split = sign_split(inst.v, name="v")
-    a, v = np.asarray(inst.a), split.v
+    a, decomp_a, split, partition = _setup(inst)
+    v = split.v
     if not gap_condition(split, partition.gap):
         raise GapConditionViolated(
             f"||V+|| + ||V-|| = {split.norm_sum!r} must stay below gap {partition.gap!r}"

@@ -5,6 +5,7 @@ import os
 import numpy as np
 import pytest
 
+import specsub.cli
 from specsub import __version__, analyze_instance, sharp_example_2x2
 from specsub.bounds import critical_strength, first_branch_point, kappa, second_branch_point
 from specsub.cli import main
@@ -18,7 +19,7 @@ from specsub.fileio import (
     sha256_digest,
 )
 from specsub.errors import ParseError
-from specsub.harness import Instance
+from specsub.harness import BOUND_CHECKS, Instance
 
 
 def write_problem(tmp_path, inst, name="problem.json"):
@@ -83,6 +84,15 @@ class TestAnalyze:
         out = capsys.readouterr().out
         assert code == 2
         assert parse_report(out)["report"]["violations"]
+
+    def test_violations_follow_the_check_table(self, tmp_path, capsys):
+        path = sharp_problem(tmp_path)
+        assert main(["analyze", path, "--tol", "-1"]) == 2
+        names = [v["name"] for v in parse_report(capsys.readouterr().out)["report"]["violations"]]
+        table = [check.name for check in BOUND_CHECKS]
+        assert len(names) >= 2
+        assert set(names) <= set(table)
+        assert names == sorted(names, key=table.index)
 
     def test_missing_file_is_input_error(self, capsys):
         code = main(["analyze", "/no/such/file.json"])
@@ -297,6 +307,54 @@ class TestFuzzCommand:
         assert main(args + ["--jobs", "2"]) == 0
         parallel = capsys.readouterr().out
         assert serial == parallel
+
+    def test_jobs_do_not_change_reports(self, tmp_path, capsys):
+        # 40 instances in chunks of 32 give both workers a share
+        args = ["fuzz", "--n", "5", "--count", "40", "--scale", "0.8", "--seed", "9"]
+        texts = {}
+        for jobs in ("1", "2"):
+            out_dir = tmp_path / f"jobs{jobs}"
+            assert main(args + ["--jobs", jobs, "--out", str(out_dir)]) == 0
+            capsys.readouterr()
+            texts[jobs] = {name: (out_dir / name).read_bytes() for name in os.listdir(out_dir)}
+        assert len(texts["1"]) == 40
+        assert texts["1"] == texts["2"]
+
+    @pytest.mark.parametrize(
+        "jobs, count, cpus, workers",
+        [(4096, 2, 8, 2), (4096, 50, 3, 3), (3, 50, 8, 3), (4, 1, 8, None), (4, 50, None, None)],
+    )
+    def test_jobs_start_no_more_workers_than_usable(
+        self, monkeypatch, capsys, jobs, count, cpus, workers
+    ):
+        started = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks, chunksize=1):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(specsub.cli, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(specsub.cli.os, "cpu_count", lambda: cpus)
+        args = ["fuzz", "--n", "4", "--count", str(count), "--scale", "0.5", "--seed", "2"]
+        assert main(args + ["--jobs", str(jobs)]) == 0
+        pooled = capsys.readouterr().out
+        assert started == ([] if workers is None else [workers])
+        assert main(args) == 0
+        assert capsys.readouterr().out == pooled
+
+    def test_per_bound_follows_the_check_table(self, capsys):
+        assert main(["fuzz", "--n", "4", "--count", "3", "--scale", "0.5", "--seed", "1"]) == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert list(summary["per_bound"]) == [check.name for check in BOUND_CHECKS]
 
     def test_out_directory_reports(self, tmp_path, capsys):
         out_dir = tmp_path / "reports"

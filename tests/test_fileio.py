@@ -161,3 +161,32 @@ class TestAgainstReference:
                 reference_dumps(obj)
             with pytest.raises(TypeError):
                 dumps(obj)
+
+
+def test_report_keys_are_the_published_format():
+    inst = random_instance(n=6, d_target=1.0, component_split=2, scale=0.5, seed=3)
+    report = report_payload(analyze_instance(inst), __version__, "sha256:" + "0" * 64)["report"]
+    assert list(report) == [
+        "measured_angle",
+        "favourable_applicable",
+        "favourable_bound",
+        "generic_applicable",
+        "generic_bound",
+        "half_arcsin_applicable",
+        "half_arcsin_bound",
+        "sin2theta_measured",
+        "sin2theta_bound",
+        "integral_applicable",
+        "integral_bound",
+        "integral_below_threshold",
+        "gap",
+        "norm_plus",
+        "norm_minus",
+        "norm_v",
+        "gap_condition",
+        "measured_gap",
+        "gap_lower_bound",
+        "enclosure_ok",
+        "enclosure_excess",
+        "violations",
+    ]

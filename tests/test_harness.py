@@ -26,6 +26,7 @@ from specsub import (
     spectral_projector,
     verify_instance,
 )
+from specsub.harness import BOUND_CHECKS, Instance
 
 
 def partition_for(values, intervals):
@@ -242,6 +243,13 @@ class TestVerifyInstance:
         assert rep.enclosure_ok
         assert rep.violations == ()
 
+    def test_applicable_checks_in_table_order(self):
+        table = tuple(check.name for check in BOUND_CHECKS)
+        inst = random_instance(n=6, d_target=1.0, component_split=2, scale=0.0, seed=3)
+        assert verify_instance(inst).applicable == table
+        inst = random_instance(n=6, d_target=1.0, component_split=2, scale=1.5, seed=4)
+        assert verify_instance(inst).applicable == ("enclosure",)
+
     def test_random_instances_have_no_violations(self):
         rng = np.random.default_rng(43)
         for _ in range(100):
@@ -327,6 +335,15 @@ class TestPathScan:
         inst = random_instance(n=4, d_target=1.0, component_split=2, scale=0.5, seed=10)
         with pytest.raises(InvalidSpec):
             path_scan(inst, steps=1)
+
+    @pytest.mark.parametrize("v", [np.array([[0.3]]), 0.1 * np.eye(2)])
+    def test_shape_mismatch(self, v):
+        inst = Instance(
+            a=np.diag([0.0, 1.0, 2.0]), v=v, component_intervals=((-0.5, 0.5),),
+            seed=0, label="mismatch",
+        )
+        with pytest.raises(DimensionMismatch):
+            path_scan(inst, steps=4)
 
 
 class TestComponentRank:
