@@ -8,10 +8,12 @@ standard output, diagnostics to standard error.  Exit codes: 0 clean,
 from __future__ import annotations
 
 import argparse
+import itertools
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -22,6 +24,10 @@ from .harness import BOUND_CHECKS, Violation, analyze_instance, random_instance
 EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_VIOLATION = 2
+
+# fuzz tasks per pool.map chunk, and chunks per worker in one window of tasks
+_CHUNKSIZE = 32
+_WINDOW_CHUNKS = 4
 
 
 class _UsageError(Exception):
@@ -69,6 +75,8 @@ def _build_parser() -> _Parser:
 
 
 def _cmd_analyze(args) -> int:
+    if not math.isfinite(args.tol):
+        raise SpecsubError(f"tol must be finite, got {args.tol!r}")
     inst, digest = fileio.load_problem(args.path)
     analysis = analyze_instance(inst, angle_tol=args.tol)
     print(fileio.dumps(fileio.report_payload(analysis, __version__, digest)))
@@ -127,34 +135,53 @@ def _fuzz_one(
     return index, analysis.report.applicable, analysis.report.violations, text
 
 
+def _fuzz_results(tasks: Iterator[tuple], workers: int) -> Iterator[tuple]:
+    """_fuzz_one of each task, in task order, on `workers` processes.
+
+    A pool gets the tasks in windows of _WINDOW_CHUNKS * workers * _CHUNKSIZE,
+    each submitted before the one ahead of it is drained, so the workers do
+    not idle at a window's edge and at most two windows are in flight.
+    """
+    if workers == 1:
+        yield from map(_fuzz_one, tasks)
+        return
+    size = _WINDOW_CHUNKS * workers * _CHUNKSIZE
+    windows = iter(lambda: list(itertools.islice(tasks, size)), [])
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        current = pool.map(_fuzz_one, next(windows), chunksize=_CHUNKSIZE)
+        for window in windows:
+            following = pool.map(_fuzz_one, window, chunksize=_CHUNKSIZE)
+            yield from current
+            current = following
+        yield from current
+
+
 def _cmd_fuzz(args) -> int:
-    if args.n < 2 or args.count < 1 or args.scale < 0.0 or args.jobs < 1:
+    if args.n < 2 or args.count < 1 or not 0.0 <= args.scale < math.inf or args.jobs < 1:
         raise SpecsubError(
-            f"need n >= 2, count >= 1, scale >= 0, jobs >= 1, got "
+            f"need n >= 2, count >= 1, finite scale >= 0, jobs >= 1, got "
             f"(n={args.n}, count={args.count}, scale={args.scale!r}, jobs={args.jobs})"
         )
     if args.out is not None:
         os.makedirs(args.out, exist_ok=True)
-    tasks = [
+    tasks = (
         (i, args.seed, args.n, args.scale, args.out is not None)
         for i in range(args.count)
-    ]
+    )
     # a pool forks all its workers up front, so start no more than can be used
     workers = min(args.jobs, args.count, os.cpu_count() or 1)
-    if workers == 1:
-        results = [_fuzz_one(task) for task in tasks]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_fuzz_one, tasks, chunksize=32))
-    results.sort(key=lambda item: item[0])
 
+    # each result is tallied and its report written as it arrives, so a
+    # campaign holds one instance (or two pool windows) whatever its count
     per_bound = {
         check.name: {"applicable": 0, "violations": 0, "max_slack": 0.0}
         for check in BOUND_CHECKS
     }
+    checked = 0
     total_violations = 0
     max_slack = 0.0
-    for index, applicable, violations, text in results:
+    for index, applicable, violations, text in _fuzz_results(tasks, workers):
+        checked += 1
         for name in applicable:
             per_bound[name]["applicable"] += 1
         for name, slack in violations:
@@ -173,7 +200,7 @@ def _cmd_fuzz(args) -> int:
         "count": args.count,
         "scale": args.scale,
         "seed": args.seed,
-        "checked": len(results),
+        "checked": checked,
         "violations": total_violations,
         "max_slack": max_slack,
         "per_bound": per_bound,

@@ -91,7 +91,7 @@ def _emit_list(seq: list, out: list[str], pad: str, step: str) -> None:
     inner = pad + step
     if _FLOAT_ONLY.issuperset(map(type, seq)):
         # matrix rows and singular values: format and join in one step
-        out.append("[\n" + inner + (",\n" + inner).join(map(format_float, seq)) + "\n" + pad + "]")
+        out.append("[\n" + inner + _float_row(seq, ",\n" + inner) + "\n" + pad + "]")
         return
     sep = "[\n" + inner
     for value in seq:
@@ -99,6 +99,25 @@ def _emit_list(seq: list, out: list[str], pad: str, step: str) -> None:
         _emit(value, out, inner, step)
         sep = ",\n" + inner
     out.append("\n" + pad + "]")
+
+
+def _float_row(seq: list, sep: str) -> str:
+    """format_float of every float in `seq`, joined by `sep`, in one % operation.
+
+    An integral value below 1e17 in magnitude prints as its integer digits
+    under %.17g, to which format_float adds ".0": that is %.1f.  Any other
+    finite value prints with a "." or an "e" under %.17g.  Non-finite values
+    print as inf or nan, so a text holding an "n" goes back to format_float,
+    which raises.
+    """
+    if any(map(float.is_integer, seq)):
+        fmt = sep.join(["%.1f" if x.is_integer() and -1e17 < x < 1e17 else "%.17g" for x in seq])
+    else:
+        fmt = sep.join(["%.17g"] * len(seq))
+    text = fmt % tuple(seq)
+    if "n" in text:
+        return sep.join(map(format_float, seq))
+    return text
 
 
 def sha256_digest(data: bytes) -> str:

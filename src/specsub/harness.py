@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -83,10 +84,12 @@ def geometry_kind(
     decomp: SpectralDecomposition, partition: SpectralPartition
 ) -> GeometryKind:
     """Favourable when the convex hull of one component contains none of the other."""
-    comp = decomp.eigenvalues[list(partition.component_indices)]
-    rest = decomp.eigenvalues[list(partition.rest_indices)]
-    rest_in_comp_hull = ((rest >= comp.min()) & (rest <= comp.max())).any()
-    comp_in_rest_hull = ((comp >= rest.min()) & (comp <= rest.max())).any()
+    w = decomp.eigenvalues.tolist()
+    comp = [w[k] for k in partition.component_indices]
+    rest = [w[k] for k in partition.rest_indices]
+    comp_lo, comp_hi, rest_lo, rest_hi = min(comp), max(comp), min(rest), max(rest)
+    rest_in_comp_hull = any(comp_lo <= x <= comp_hi for x in rest)
+    comp_in_rest_hull = any(rest_lo <= x <= rest_hi for x in comp)
     if not rest_in_comp_hull or not comp_in_rest_hull:
         return GeometryKind.FAVOURABLE
     return GeometryKind.GENERIC
@@ -161,8 +164,10 @@ def random_instance(
     """
     if n < 2 or not 1 <= component_split < n:
         raise InvalidSpec(f"need n >= 2 and 1 <= component_split < n, got ({n}, {component_split})")
-    if d_target <= 0.0 or scale < 0.0:
-        raise InvalidSpec(f"need d_target > 0 and scale >= 0, got ({d_target!r}, {scale!r})")
+    if not (0.0 < d_target < math.inf and 0.0 <= scale < math.inf):
+        raise InvalidSpec(
+            f"need finite d_target > 0 and scale >= 0, got ({d_target!r}, {scale!r})"
+        )
     k, m = component_split, n - component_split
     if interlaced and (k < 2 or m < 2):
         raise InvalidSpec("interlaced layout needs at least two eigenvalues per side")
@@ -195,7 +200,10 @@ def random_instance(
     shift = d * rng.uniform(-2.0, 2.0)
     comp_vals = comp_vals + shift
     rest_vals = rest_vals + shift
-    intervals = tuple((lo + shift, hi + shift) for lo, hi in intervals)
+    # built from a list: CPython resizes a tuple built from a generator, and a
+    # resized tuple skips the tuple free list when made but joins it when freed,
+    # so every instance would leave one more traced tuple parked there
+    intervals = tuple([(lo + shift, hi + shift) for lo, hi in intervals])
     q = _haar_unitary(n, rng)
     vals = np.concatenate([comp_vals, rest_vals])
     a = (q * vals) @ q.conj().T
@@ -264,6 +272,8 @@ class BoundCheck(NamedTuple):
     """One row of BOUND_CHECKS: whether the check is made, and by how much it fails.
 
     `excess(report, angle_tol)` is the slack of a failure, or None when the check holds.
+    Both read only the report's measurement fields, so any object carrying them
+    will do.
     """
 
     name: str
@@ -332,8 +342,11 @@ def analyze_instance(inst: Instance, angle_tol: float = 1e-9) -> Analysis:
 
     Hypotheses are evaluated and recorded, every check of BOUND_CHECKS that
     applies is compared against the measurement, and failures land in the
-    report's violation list instead of raising.
+    report's violation list instead of raising.  A non-finite `angle_tol`
+    raises DomainError: it would make every angle check pass or fail alike.
     """
+    if not math.isfinite(angle_tol):
+        raise DomainError(f"angle_tol must be finite, got {angle_tol!r}")
     a, decomp_a, split, partition = _setup(inst)
     geometry = geometry_kind(decomp_a, partition)
     decomp_av = eigh(a + split.v)
@@ -378,7 +391,8 @@ def analyze_instance(inst: Instance, angle_tol: float = 1e-9) -> Analysis:
         else None
     )
 
-    report = BoundReport(
+    # the fields of the report but its check results, which are read from them
+    fields = SimpleNamespace(
         measured_angle=angles.max_angle if angles is not None else None,
         favourable_applicable=fav_applicable,
         favourable_bound=fav_bound,
@@ -401,15 +415,13 @@ def analyze_instance(inst: Instance, angle_tol: float = 1e-9) -> Analysis:
         gap_lower_bound=perturbed.gap_lower_bound if perturbed else None,
         enclosure_ok=enclosure.ok,
         enclosure_excess=enclosure.max_excess,
-        violations=(),
-        applicable=(),
     )
     applicable: list[str] = []
     violations: list[Violation] = []
     for check in BOUND_CHECKS:
-        if check.applies(report):
+        if check.applies(fields):
             applicable.append(check.name)
-            slack = check.excess(report, angle_tol)
+            slack = check.excess(fields, angle_tol)
             if slack is not None:
                 violations.append((check.name, slack))
     return Analysis(
@@ -421,8 +433,8 @@ def analyze_instance(inst: Instance, angle_tol: float = 1e-9) -> Analysis:
         geometry=geometry,
         perturbed=perturbed,
         angles=angles,
-        report=replace(
-            report, applicable=tuple(applicable), violations=tuple(violations)
+        report=BoundReport(
+            **vars(fields), violations=tuple(violations), applicable=tuple(applicable)
         ),
     )
 

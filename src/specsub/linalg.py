@@ -24,7 +24,7 @@ def require_hermitian(a, name: str = "matrix") -> np.ndarray:
     arr = np.asarray(a)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 1:
         raise NonHermitianInput(f"{name} must be a square matrix, got shape {arr.shape}")
-    if not np.issubdtype(arr.dtype, np.number):
+    if arr.dtype.kind not in "iufc":
         raise NonHermitianInput(f"{name} must be numeric, got dtype {arr.dtype}")
     arr = arr.astype(np.complex128 if np.iscomplexobj(arr) else np.float64, copy=False)
     if not np.isfinite(arr).all():
@@ -63,10 +63,13 @@ def eigh(h, name: str = "matrix") -> SpectralDecomposition:
         w, u = np.linalg.eigh(arr)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(f"eigensolver failed: {exc}") from exc
-    n = arr.shape[0]
-    gram_defect = float(abs(u.conj().T @ u - np.eye(n)).max())
+    gram = u.conj().T @ u
+    gram.flat[:: arr.shape[0] + 1] -= 1.0
+    gram_defect = float(abs(gram).max())
     norm_h = float(abs(w).max())
-    residual = float(np.linalg.norm(arr @ u - u * w, axis=0).max())
+    # column 2-norms, computed as np.linalg.norm(r, axis=0) does
+    r = arr @ u - u * w
+    residual = float(np.sqrt((r.conj() * r).real.sum(axis=0)).max())
     if gram_defect > DECOMPOSITION_RTOL or residual > DECOMPOSITION_RTOL * (1.0 + norm_h):
         raise ConvergenceFailure(
             f"decomposition failed verification: gram defect {gram_defect:.3e}, "

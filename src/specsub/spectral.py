@@ -46,8 +46,8 @@ class IntervalUnion:
 
 def _ends(values, down: float, up: float) -> tuple[list[float], list[float]]:
     """Ascending lower and upper ends of the intervals [v - down, v + up]."""
-    vals = np.sort(np.asarray(values, dtype=float).ravel())
-    return (vals - down).tolist(), (vals + up).tolist()
+    vals = sorted(values)
+    return [v - down for v in vals], [v + up for v in vals]
 
 
 def _distance(x: float, lo: list[float], hi: list[float]) -> float:
@@ -124,33 +124,53 @@ def partition_spectrum(
     if not ivs:
         raise EmptyComponent("no selection intervals given")
     for lo, hi in ivs:
-        if not (np.isfinite(lo) and np.isfinite(hi)) or lo > hi:
+        if not (math.isfinite(lo) and math.isfinite(hi)) or lo > hi:
             raise InvalidInterval(f"bad selection interval [{lo}, {hi}]")
     w = decomp.eigenvalues
+    values = w.tolist()
     inside: list[int] = []
     outside: list[int] = []
-    for k, lam in enumerate(w):
-        lam = float(lam)
+    for k, lam in enumerate(values):
+        member = False
         for lo, hi in ivs:
             tol = BOUNDARY_RTOL * (1.0 + max(abs(lam), abs(lo), abs(hi)))
             if min(abs(lam - lo), abs(lam - hi)) <= tol:
                 raise AmbiguousMembership(
                     f"eigenvalue {lam!r} sits on the boundary of [{lo}, {hi}]"
                 )
-        if any(lo <= lam <= hi for lo, hi in ivs):
-            inside.append(k)
-        else:
-            outside.append(k)
+            if lo <= lam <= hi:
+                member = True
+        (inside if member else outside).append(k)
     if not inside or not outside:
         raise EmptyComponent(
             f"selection leaves {len(inside)} inside and {len(outside)} outside"
         )
-    gap = float(np.min(np.abs(np.subtract.outer(w[inside], w[outside]))))
     return SpectralPartition(
         eigenvalues=w,
         component_indices=tuple(inside),
         rest_indices=tuple(outside),
-        gap=gap,
+        gap=_class_gap(values, inside),
+    )
+
+
+def _class_gap(values: list[float], members: list[int]) -> float:
+    """Least distance between values[members] and the other values; inf if either is empty.
+
+    With `values` ascending, the closest pair across the two classes is
+    adjacent: between any cross pair sits an adjacent one whose exact
+    difference is no larger, and rounded subtraction is monotone.  So one
+    pass gives the same float as the minimum over all cross pairs.
+    """
+    member = [False] * len(values)
+    for k in members:
+        member[k] = True
+    return min(
+        (
+            hi - lo
+            for lo, hi, m_lo, m_hi in zip(values, values[1:], member, member[1:])
+            if m_lo != m_hi
+        ),
+        default=math.inf,
     )
 
 
@@ -196,13 +216,14 @@ def perturbed_component_at_t(
             f"the gap {partition.gap!r}"
         )
     down, up = t * split.norm_minus, t * split.norm_plus
-    comp_lo, comp_hi = _ends(partition.component_values, down, up)
-    rest_lo, rest_hi = _ends(partition.rest_values, down, up)
-    norm_a = float(np.max(np.abs(partition.eigenvalues)))
-    tol = ENCLOSURE_RTOL * (1.0 + norm_a + split.norm_v)
+    w = partition.eigenvalues.tolist()
+    comp_lo, comp_hi = _ends([w[k] for k in partition.component_indices], down, up)
+    rest_lo, rest_hi = _ends([w[k] for k in partition.rest_indices], down, up)
+    tol = ENCLOSURE_RTOL * (1.0 + max(map(abs, w)) + split.norm_v)
+    mus = decomp_perturbed.eigenvalues.tolist()
     comp: list[int] = []
     rest: list[int] = []
-    for k, mu in enumerate(decomp_perturbed.eigenvalues.tolist()):
+    for k, mu in enumerate(mus):
         d_comp = _distance(mu, comp_lo, comp_hi)
         d_rest = _distance(mu, rest_lo, rest_hi)
         if min(d_comp, d_rest) > tol:
@@ -211,16 +232,11 @@ def perturbed_component_at_t(
                 f"outside both enlargements (tolerance {tol:.3e})"
             )
         (comp if d_comp <= d_rest else rest).append(k)
-    mu = decomp_perturbed.eigenvalues
-    if comp and rest:
-        measured = float(np.min(np.abs(np.subtract.outer(mu[comp], mu[rest]))))
-    else:
-        measured = np.inf
     return PerturbedSeparation(
         component_indices=tuple(comp),
         rest_indices=tuple(rest),
         gap_lower_bound=perturbed_gap_lower_bound(split, partition.gap, t),
-        measured_gap=measured,
+        measured_gap=_class_gap(mus, comp),
     )
 
 
@@ -249,14 +265,14 @@ def spectral_enclosure_check(
     within 1e-9 * (1 + ||A|| + ||V||), together with the largest excess.
     A False result is data, not an error.
     """
-    lo, hi = _ends(decomp_a.eigenvalues, split.norm_minus, split.norm_plus)
+    w = decomp_a.eigenvalues.tolist()
+    lo, hi = _ends(w, split.norm_minus, split.norm_plus)
     excess = max(
         (_distance(mu, lo, hi) for mu in decomp_perturbed.eigenvalues.tolist()),
         default=0.0,
     )
-    norm_a = float(np.max(np.abs(decomp_a.eigenvalues)))
-    tol = ENCLOSURE_RTOL * (1.0 + norm_a + split.norm_v)
-    return EnclosureCheck(ok=excess <= tol, max_excess=float(excess))
+    tol = ENCLOSURE_RTOL * (1.0 + max(map(abs, w)) + split.norm_v)
+    return EnclosureCheck(ok=excess <= tol, max_excess=excess)
 
 
 def resolvent_interval(

@@ -1,6 +1,8 @@
+import gc
 import json
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,7 +20,7 @@ from specsub.fileio import (
     report_payload,
     sha256_digest,
 )
-from specsub.errors import ParseError
+from specsub.errors import ConvergenceFailure, ParseError
 from specsub.harness import BOUND_CHECKS, Instance
 
 
@@ -93,6 +95,14 @@ class TestAnalyze:
         assert len(names) >= 2
         assert set(names) <= set(table)
         assert names == sorted(names, key=table.index)
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-inf"])
+    def test_non_finite_tolerance_is_input_error(self, tmp_path, capsys, tol):
+        path = sharp_problem(tmp_path)
+        assert main(["analyze", path, f"--tol={tol}"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "tol must be finite" in captured.err
 
     def test_missing_file_is_input_error(self, capsys):
         code = main(["analyze", "/no/such/file.json"])
@@ -379,6 +389,127 @@ class TestFuzzCommand:
         assert main(["fuzz", "--n", "1", "--count", "5", "--scale", "0.5", "--seed", "1"]) == 1
         assert main(["fuzz", "--n", "4", "--count", "0", "--scale", "0.5", "--seed", "1"]) == 1
         capsys.readouterr()
+
+    @pytest.mark.parametrize("scale", ["nan", "inf", "-inf"])
+    def test_non_finite_scale_is_input_error(self, capsys, scale):
+        assert main(["fuzz", "--n", "4", "--count", "2", f"--scale={scale}", "--seed", "1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "finite scale" in captured.err
+
+
+def fuzz_args(count, out_dir=None, n=8):
+    args = ["fuzz", "--n", str(n), "--count", str(count), "--scale", "0.9", "--seed", "4"]
+    return args + (["--out", str(out_dir)] if out_dir is not None else [])
+
+
+def traced_peak(args):
+    """Peak traced memory of one in-process fuzz run, in bytes."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        code = main(args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    return peak
+
+
+class EagerPool:
+    """A pool that runs each map call to completion when it is made, as a
+    fast real pool would, and hands out the results in order."""
+
+    def __init__(self, max_workers):
+        self.workers = max_workers
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks, chunksize=1):
+        return iter([fn(task) for task in tasks])
+
+
+class TestFuzzStreaming:
+    @pytest.mark.parametrize("pooled", [False, True])
+    def test_memory_is_flat_in_count(self, monkeypatch, tmp_path, capsys, pooled):
+        if pooled:
+            # windows of 4 * 2 * 2 = 16 tasks, so 50 instances already fill two
+            monkeypatch.setattr(specsub.cli, "ProcessPoolExecutor", EagerPool)
+            monkeypatch.setattr(specsub.cli.os, "cpu_count", lambda: 2)
+            monkeypatch.setattr(specsub.cli, "_CHUNKSIZE", 2)
+        jobs = ["--jobs", "2"] if pooled else []
+        main(fuzz_args(5, tmp_path / "warm") + jobs)  # one-time set-up is not traced
+        small = traced_peak(fuzz_args(50, tmp_path / "small") + jobs)
+        large = traced_peak(fuzz_args(400, tmp_path / "large") + jobs)
+        capsys.readouterr()
+        assert len(os.listdir(tmp_path / "large")) == 400
+        assert large <= 1.2 * small, (small, large)
+
+    def test_pool_is_fed_fixed_windows_in_order(self, monkeypatch, capsys):
+        pools = []
+        events = []
+
+        class RecordingPool(EagerPool):
+            def __init__(self, max_workers):
+                super().__init__(max_workers)
+                self.calls = []
+                pools.append(self)
+
+            def map(self, fn, tasks, chunksize=1):
+                tasks = list(tasks)
+                window = len(self.calls)
+                self.calls.append((tasks, chunksize))
+                events.append(("map", window))
+                results = super().map(fn, tasks, chunksize)
+
+                def drain():
+                    for result in results:
+                        events.append(("result", window))
+                        yield result
+
+                return drain()
+
+        monkeypatch.setattr(specsub.cli, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(specsub.cli.os, "cpu_count", lambda: 2)
+        count = 600
+        assert main(fuzz_args(count, n=4) + ["--jobs", "2"]) == 0
+        pooled = capsys.readouterr().out
+        (pool,) = pools
+        size = specsub.cli._WINDOW_CHUNKS * pool.workers * specsub.cli._CHUNKSIZE
+        windows = [tasks for tasks, _ in pool.calls]
+        assert len(windows) == math.ceil(count / size) >= 3
+        assert all(len(w) <= size for w in windows)
+        assert all(chunksize == specsub.cli._CHUNKSIZE for _, chunksize in pool.calls)
+        assert [task[0] for w in windows for task in w] == list(range(count))
+        # each window is submitted before the one ahead of it yields a result
+        for k in range(1, len(windows)):
+            assert events.index(("map", k)) < events.index(("result", k - 1))
+        assert main(fuzz_args(count, n=4)) == 0
+        assert capsys.readouterr().out == pooled
+
+    def test_reports_before_a_failure_stay_on_disk(self, monkeypatch, tmp_path, capsys):
+        assert main(fuzz_args(12, tmp_path / "clean")) == 0
+        calls = []
+
+        def failing_at_seven(inst, *args, **kwargs):
+            calls.append(inst)
+            if len(calls) == 8:
+                raise ConvergenceFailure("forced failure at index 7")
+            return analyze_instance(inst, *args, **kwargs)
+
+        monkeypatch.setattr(specsub.cli, "analyze_instance", failing_at_seven)
+        assert main(fuzz_args(12, tmp_path / "broken")) == 1
+        captured = capsys.readouterr()
+        assert "forced failure at index 7" in captured.err
+        written = sorted(os.listdir(tmp_path / "broken"))
+        assert written == [f"instance-{i:06d}.json" for i in range(7)]
+        for name in written:
+            clean = (tmp_path / "clean" / name).read_bytes()
+            assert (tmp_path / "broken" / name).read_bytes() == clean
 
 
 class TestSerializer:

@@ -190,3 +190,47 @@ def test_report_keys_are_the_published_format():
         "enclosure_excess",
         "violations",
     ]
+
+
+ROW_VALUES = [
+    0.0, -0.0, 1.0, -3.0, 2.0**53, 1e16, 99999999999999984.0, 1e17, 1e22, 5e-324, 1 / 3,
+]
+
+
+class TestFloatRows:
+    """Float-only lists are formatted in one operation; the oracle formats each value."""
+
+    @pytest.mark.parametrize("value", ROW_VALUES)
+    def test_each_value(self, value):
+        for row in ([value], [value, -value], [0.5, value, 2.0], [value] * 5):
+            assert_same_output(row)
+            assert_same_output({"rows": [row, row[::-1]]})
+
+    def test_all_values_in_one_row(self):
+        assert_same_output(ROW_VALUES)
+        assert_same_output([-x for x in reversed(ROW_VALUES)])
+
+    def test_integral_values_near_the_cutoff(self):
+        edge = 1e17
+        row = [math.nextafter(edge, 0.0), edge, math.nextafter(edge, math.inf),
+               -math.nextafter(edge, 0.0), -edge, 2.0**56, 2.0**57, 123456789.0]
+        assert_same_output(row)
+
+    def test_random_rows(self):
+        rng = np.random.default_rng(17)
+        for _ in range(200):
+            size = int(rng.integers(1, 9))
+            row = (rng.standard_normal(size) * 10.0 ** rng.integers(-320, 300, size)).tolist()
+            row += np.round(rng.standard_normal(size) * 10.0 ** rng.integers(0, 20, size)).tolist()
+            rng.shuffle(row)
+            assert_same_output(row)
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("position", [0, 1, 3])
+    def test_non_finite_anywhere_raises_value_error(self, bad, position):
+        row = [0.5, 2.0, -0.0, 1e22]
+        row.insert(position, bad)
+        with pytest.raises(ValueError):
+            reference_dumps(row)
+        with pytest.raises(ValueError):
+            dumps(row)

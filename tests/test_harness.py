@@ -215,6 +215,13 @@ class TestRandomInstance:
                 n=4, d_target=1.0, component_split=1, scale=0.5, seed=0, interlaced=True
             )
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_scale_and_gap_rejected(self, bad):
+        with pytest.raises(InvalidSpec):
+            random_instance(n=4, d_target=1.0, component_split=2, scale=bad, seed=0)
+        with pytest.raises(InvalidSpec):
+            random_instance(n=4, d_target=bad, component_split=2, scale=0.5, seed=0)
+
 
 class TestVerifyInstance:
     def test_zero_perturbation(self):
@@ -249,6 +256,18 @@ class TestVerifyInstance:
         assert verify_instance(inst).applicable == table
         inst = random_instance(n=6, d_target=1.0, component_split=2, scale=1.5, seed=4)
         assert verify_instance(inst).applicable == ("enclosure",)
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf])
+    def test_non_finite_angle_tolerance_rejected(self, tol):
+        inst, _ = sharp_example_2x2(0.3, 0.2)
+        with pytest.raises(DomainError):
+            analyze_instance(inst, angle_tol=tol)
+
+    def test_negative_angle_tolerance_stays_legal(self):
+        inst, _ = sharp_example_2x2(0.3, 0.2)
+        names = {name for name, _ in analyze_instance(inst, angle_tol=-1.0).report.violations}
+        assert {"favourable_bound", "generic_bound", "half_arcsin_bound",
+                "sin2theta_bound", "integral_bound"} <= names
 
     def test_random_instances_have_no_violations(self):
         rng = np.random.default_rng(43)

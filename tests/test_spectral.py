@@ -338,3 +338,38 @@ class TestAgainstMergedUnion:
             ends = [x for iv in union for x in iv] + lo + hi
             for x in [*ends, *rng.uniform(-4.0, 4.0, size=10), 0.0, -0.0, 1e300, -1e300]:
                 assert spectral._distance(float(x), lo, hi) == self.ref_distance(union, float(x))
+
+
+class TestClassGap:
+    """The one-pass gap against the minimum over every cross pair."""
+
+    @staticmethod
+    def ref_gap(values, members):
+        values = np.asarray(values)
+        inside = sorted(members)
+        outside = [k for k in range(len(values)) if k not in set(members)]
+        if not inside or not outside:
+            return np.inf
+        return float(np.min(np.abs(np.subtract.outer(values[inside], values[outside]))))
+
+    def test_random_ascending_values(self):
+        rng = np.random.default_rng(41)
+        for _ in range(500):
+            size = int(rng.integers(1, 12))
+            values = np.sort(rng.standard_normal(size) * 10.0 ** rng.integers(-8, 9))
+            if rng.random() < 0.3:
+                values = np.sort(np.round(values, 1))  # ties across the classes
+            members = [k for k in range(size) if rng.random() < 0.5]
+            assert spectral._class_gap(values.tolist(), members) == self.ref_gap(values, members)
+
+    def test_partitions_and_perturbed_components(self):
+        for seed in range(100):
+            inst = random_instance(
+                n=7, d_target=1.0, component_split=1 + seed % 6, scale=0.9, seed=seed
+            )
+            dec_a, split = eigh(inst.a), sign_split(inst.v)
+            part = partition_spectrum(dec_a, inst.component_intervals)
+            assert part.gap == self.ref_gap(dec_a.eigenvalues, part.component_indices)
+            dec_av = eigh(inst.a + inst.v)
+            sep = perturbed_component(dec_av, part, split)
+            assert sep.measured_gap == self.ref_gap(dec_av.eigenvalues, sep.component_indices)
