@@ -28,6 +28,9 @@ EXIT_VIOLATION = 2
 # fuzz tasks per pool.map chunk, and chunks per worker in one window of tasks
 _CHUNKSIZE = 32
 _WINDOW_CHUNKS = 4
+# fuzz report files held open, then closed together; well under the usual
+# limits of 256 or 1024 open descriptors per process
+_OPEN_REPORTS = 128
 
 
 class _UsageError(Exception):
@@ -156,6 +159,19 @@ def _fuzz_results(tasks: Iterator[tuple], workers: int) -> Iterator[tuple]:
         yield from current
 
 
+def _write_all(fd: int, data: bytes) -> None:
+    """Write all of `data` to `fd`; one os.write may write only part of it."""
+    view = memoryview(data)
+    while view:
+        view = view[os.write(fd, view):]
+
+
+def _close_all(fds: list[int]) -> None:
+    """Close every descriptor in `fds` and empty the list."""
+    while fds:
+        os.close(fds.pop())
+
+
 def _cmd_fuzz(args) -> int:
     if args.n < 2 or args.count < 1 or not 0.0 <= args.scale < math.inf or args.jobs < 1:
         raise SpecsubError(
@@ -180,20 +196,31 @@ def _cmd_fuzz(args) -> int:
     checked = 0
     total_violations = 0
     max_slack = 0.0
-    for index, applicable, violations, text in _fuzz_results(tasks, workers):
-        checked += 1
-        for name in applicable:
-            per_bound[name]["applicable"] += 1
-        for name, slack in violations:
-            slack = float(slack)
-            total_violations += 1
-            per_bound[name]["violations"] += 1
-            per_bound[name]["max_slack"] = max(per_bound[name]["max_slack"], slack)
-            max_slack = max(max_slack, slack)
-        if text is not None:
-            path = os.path.join(args.out, f"instance-{index:06d}.json")
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(text + "\n")
+    # a report is written in full as it arrives, but its file is closed with
+    # up to _OPEN_REPORTS others: closing a file can start its writeback (ext4
+    # does so for a file truncated to empty, as when a campaign rewrites the
+    # reports of an earlier one), and I/O started between instances slows the
+    # analysis that follows it
+    reports: list[int] = []
+    try:
+        for index, applicable, violations, text in _fuzz_results(tasks, workers):
+            checked += 1
+            for name in applicable:
+                per_bound[name]["applicable"] += 1
+            for name, slack in violations:
+                slack = float(slack)
+                total_violations += 1
+                per_bound[name]["violations"] += 1
+                per_bound[name]["max_slack"] = max(per_bound[name]["max_slack"], slack)
+                max_slack = max(max_slack, slack)
+            if text is not None:
+                if len(reports) == _OPEN_REPORTS:
+                    _close_all(reports)
+                path = os.path.join(args.out, f"instance-{index:06d}.json")
+                reports.append(os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666))
+                _write_all(reports[-1], (text + "\n").encode())
+    finally:
+        _close_all(reports)
     summary = {
         "format_version": 1,
         "n": args.n,

@@ -511,6 +511,52 @@ class TestFuzzStreaming:
             clean = (tmp_path / "clean" / name).read_bytes()
             assert (tmp_path / "broken" / name).read_bytes() == clean
 
+    def test_report_files_are_closed_in_bounded_groups(self, monkeypatch, tmp_path, capsys):
+        assert main(fuzz_args(10, tmp_path / "clean")) == 0
+        clean_summary = capsys.readouterr().out
+        rewritten = tmp_path / "rewritten"
+        rewritten.mkdir()
+        for i in range(10):  # longer stale reports, which a rewrite must replace
+            (rewritten / f"instance-{i:06d}.json").write_bytes(b"x" * 100_000)
+        groups = []
+        close_all = specsub.cli._close_all
+
+        def recording(fds):
+            if fds:
+                groups.append(len(fds))
+            close_all(fds)
+
+        monkeypatch.setattr(specsub.cli, "_OPEN_REPORTS", 3)
+        monkeypatch.setattr(specsub.cli, "_close_all", recording)
+        assert main(fuzz_args(10, rewritten)) == 0
+        assert groups == [3, 3, 3, 1]
+        assert capsys.readouterr().out == clean_summary
+        for i in range(10):
+            name = f"instance-{i:06d}.json"
+            assert (rewritten / name).read_bytes() == (tmp_path / "clean" / name).read_bytes()
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+    def test_no_report_file_stays_open(self, monkeypatch, tmp_path, capsys):
+        before = len(os.listdir("/proc/self/fd"))
+        assert main(fuzz_args(20, tmp_path / "clean")) == 0
+        assert len(os.listdir("/proc/self/fd")) == before
+
+        calls = []
+
+        def failing_at_six(inst, *args, **kwargs):
+            calls.append(inst)
+            if len(calls) == 7:
+                raise ConvergenceFailure("forced failure at index 6")
+            return analyze_instance(inst, *args, **kwargs)
+
+        # reports 0-3 are closed as a group, and 4-5 are still open at the failure
+        monkeypatch.setattr(specsub.cli, "_OPEN_REPORTS", 4)
+        monkeypatch.setattr(specsub.cli, "analyze_instance", failing_at_six)
+        assert main(fuzz_args(9, tmp_path / "broken")) == 1
+        capsys.readouterr()
+        assert len(os.listdir("/proc/self/fd")) == before
+        assert len(os.listdir(tmp_path / "broken")) == 6
+
 
 class TestSerializer:
     def test_seventeen_digit_floats(self):
