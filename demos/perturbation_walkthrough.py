@@ -50,8 +50,8 @@ print(f"  ||sin 2T|| measured  = {report.sin2theta_measured:.9f}"
       f" <= bound {report.sin2theta_bound:.9f}")
 print(f"violations: {list(report.violations)}")
 
-# Walk the homotopy t -> A + tV and watch the projector drift step by step.
+# Walk the homotopy t -> A + tV and watch the subspace drift step by step.
 points = path_scan(inst, steps=20)
 worst = max(p.step_delta - p.step_bound for p in points[1:])
-print(f"\npath scan (20 steps): rank stays {points[0].projector.rank}, "
+print(f"\npath scan (20 steps): rank stays {points[0].basis.shape[1]}, "
       f"max (delta - bound) = {worst:.3e}")

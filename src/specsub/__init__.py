@@ -38,7 +38,6 @@ from .errors import (
     EmptyComponent,
     EnclosureViolation,
     GapConditionViolated,
-    IndexOutOfRange,
     InfeasibleConstraint,
     InvalidInterval,
     InvalidSpec,
@@ -63,13 +62,11 @@ from .harness import (
 )
 from .linalg import (
     PerturbationSplit,
-    Projector,
     SpectralDecomposition,
     eigh,
     operator_norm,
     require_hermitian,
     sign_split,
-    spectral_projector,
 )
 from .spectral import (
     EnclosureCheck,

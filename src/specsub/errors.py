@@ -13,10 +13,6 @@ class ConvergenceFailure(SpecsubError):
     """The eigensolver did not converge or its result failed the residual check."""
 
 
-class IndexOutOfRange(SpecsubError):
-    """An eigenvalue index falls outside 0..n-1."""
-
-
 class DimensionMismatch(SpecsubError):
     """Operands have incompatible shapes."""
 

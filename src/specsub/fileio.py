@@ -22,7 +22,7 @@ from .harness import Analysis, BoundReport, Instance
 from .spectral import PerturbedSeparation
 
 PROBLEM_FORMAT_VERSION = 1
-REPORT_FORMAT_VERSION = 1
+REPORT_FORMAT_VERSION = 2
 
 _FLOAT_ONLY = frozenset((float,))
 
@@ -127,28 +127,31 @@ def sha256_digest(data: bytes) -> str:
 def _matrix_block(obj: Any, name: str) -> np.ndarray:
     if not isinstance(obj, dict):
         raise ParseError(f"{name} must be an object with n/real[/imag]")
-    try:
-        n = int(obj["n"])
-    except (KeyError, TypeError, ValueError):
-        raise ParseError(f"{name}.n must be an integer") from None
+    n = obj.get("n")
+    if type(n) is not int:
+        raise ParseError(f"{name}.n must be a JSON integer")
     if n < 1:
         raise ParseError(f"{name}.n must be positive, got {n}")
     real = obj.get("real")
     try:
         real_arr = np.asarray(real, dtype=float)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ParseError(f"{name}.real must be an {n}x{n} numeric array") from None
     if real_arr.shape != (n, n):
         raise ParseError(f"{name}.real must have shape ({n}, {n}), got {real_arr.shape}")
+    if not np.isfinite(real_arr).all():
+        raise ParseError(f"{name}.real contains non-finite entries")
     imag = obj.get("imag")
     if imag is None:
         return real_arr
     try:
         imag_arr = np.asarray(imag, dtype=float)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ParseError(f"{name}.imag must be an {n}x{n} numeric array") from None
     if imag_arr.shape != (n, n):
         raise ParseError(f"{name}.imag must have shape ({n}, {n}), got {imag_arr.shape}")
+    if not np.isfinite(imag_arr).all():
+        raise ParseError(f"{name}.imag contains non-finite entries")
     return real_arr + 1j * imag_arr
 
 
@@ -179,10 +182,16 @@ def parse_problem(text: str, label: str = "<problem>") -> Instance:
         raise ParseError("sigma must be a nonempty list of [lo, hi] pairs")
     intervals: list[tuple[float, float]] = []
     for i, pair in enumerate(sigma):
+        if not (
+            isinstance(pair, list)
+            and len(pair) == 2
+            and all(type(x) in (int, float) for x in pair)
+        ):
+            raise ParseError(f"sigma[{i}] must be a list of two numbers [lo, hi]")
         try:
-            lo, hi = (float(pair[0]), float(pair[1]))
-        except (TypeError, ValueError, IndexError):
-            raise ParseError(f"sigma[{i}] must be a [lo, hi] pair") from None
+            lo, hi = float(pair[0]), float(pair[1])
+        except OverflowError:
+            raise ParseError(f"sigma[{i}] is not a valid interval") from None
         if not (math.isfinite(lo) and math.isfinite(hi)) or lo > hi:
             raise ParseError(f"sigma[{i}] = [{lo!r}, {hi!r}] is not a valid interval")
         intervals.append((lo, hi))

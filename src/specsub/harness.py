@@ -23,14 +23,7 @@ from .errors import (
     GapConditionViolated,
     InvalidSpec,
 )
-from .linalg import (
-    PerturbationSplit,
-    Projector,
-    SpectralDecomposition,
-    eigh,
-    sign_split,
-    spectral_projector,
-)
+from .linalg import PerturbationSplit, SpectralDecomposition, eigh, sign_split
 from .spectral import (
     PerturbedSeparation,
     SpectralPartition,
@@ -54,9 +47,11 @@ class GeometryKind(enum.Enum):
 
 @dataclass(frozen=True)
 class AngleMeasurement:
-    """Principal-angle data between the ranges of two projectors.
+    """Principal-angle data between two subspaces of equal dimension k in C^n.
 
-    `singular_values` are those of P - Q, descending, clipped to [0, 1];
+    `singular_values` are the min(k, n - k) sines of the principal angles,
+    descending, clipped to [0, 1]; the nonzero singular values of P - Q for
+    the two orthogonal projectors are these sines, each taken twice.
     max_angle = arcsin of the largest one, and sin2theta_norm is the largest
     value of 2 s sqrt(1 - s^2) over them.
     """
@@ -66,16 +61,25 @@ class AngleMeasurement:
     singular_values: np.ndarray
 
 
-def measure_angles(p: Projector, q: Projector) -> AngleMeasurement:
-    """Measure the maximal angle and the sin-2-Theta norm from P - Q."""
-    if p.matrix.shape != q.matrix.shape:
+def measure_angles(rest: np.ndarray, comp: np.ndarray) -> AngleMeasurement:
+    """Measure the maximal angle and the sin-2-Theta norm from orthonormal bases.
+
+    `rest` (n x (n - k)) spans the orthogonal complement of the first
+    subspace and `comp` (n x k) spans the second, so the sines are the
+    singular values of the (n - k) x k cross block rest* comp.  Raises
+    DimensionMismatch unless the heights agree and the widths add up to n,
+    i.e. unless both subspaces have dimension k.
+    """
+    n, m = rest.shape
+    if comp.shape[0] != n or m + comp.shape[1] != n:
         raise DimensionMismatch(
-            f"projector shapes differ: {p.matrix.shape} vs {q.matrix.shape}"
+            f"bases of shapes {rest.shape} and {comp.shape} are not a complement "
+            f"and a subspace of one space"
         )
-    s = np.linalg.svd(p.matrix - q.matrix, compute_uv=False).clip(0.0, 1.0)
+    s = np.linalg.svd(rest.conj().T @ comp, compute_uv=False).clip(0.0, 1.0)
     return AngleMeasurement(
-        max_angle=float(np.arcsin(s[0])),
-        sin2theta_norm=float((2.0 * s * np.sqrt(1.0 - s * s)).max()),
+        max_angle=float(np.arcsin(s.max(initial=0.0))),
+        sin2theta_norm=float((2.0 * s * np.sqrt(1.0 - s * s)).max(initial=0.0)),
         singular_values=s,
     )
 
@@ -362,9 +366,10 @@ def analyze_instance(inst: Instance, angle_tol: float = 1e-9) -> Analysis:
     if gap_ok:
         perturbed = perturbed_component(decomp_av, partition, split)
         _require_equal_rank(partition, perturbed)
-        p = spectral_projector(decomp_a, partition.component_indices)
-        q = spectral_projector(decomp_av, perturbed.component_indices)
-        angles = measure_angles(p, q)
+        angles = measure_angles(
+            decomp_a.eigenvectors[:, partition.rest_indices],
+            decomp_av.eigenvectors[:, perturbed.component_indices],
+        )
 
     fav_applicable = gap_ok and favourable
     fav_bound = (
@@ -456,22 +461,24 @@ def verify_instance(inst: Instance, angle_tol: float = 1e-9) -> BoundReport:
 
 @dataclass(frozen=True)
 class PathPoint:
-    """One stop of a homotopy scan: assignment, projector, and step data.
+    """One stop of a homotopy scan: assignment, component basis, and step data.
 
-    step_delta is the operator-norm change of the projector since the
-    previous grid point (0 at t=0), step_bound the corresponding guaranteed
-    ceiling.
+    `basis` holds the n x k orthonormal eigenvector columns of the perturbed
+    component at t.  step_delta is the operator-norm change of the component's
+    spectral projector since the previous grid point, the largest principal-angle
+    sine between the two subspaces (0 at t=0), and step_bound the
+    corresponding guaranteed ceiling.
     """
 
     t: float
     separation: PerturbedSeparation
-    projector: Projector
+    basis: np.ndarray
     step_delta: float
     step_bound: float
 
 
 def path_scan(inst: Instance, steps: int) -> list[PathPoint]:
-    """Track the perturbed component's projector along t -> A + tV.
+    """Track the perturbed component's subspace along t -> A + tV.
 
     Uses a uniform grid with `steps` sub-intervals (so steps + 1 points).
     """
@@ -484,25 +491,27 @@ def path_scan(inst: Instance, steps: int) -> list[PathPoint]:
             f"||V+|| + ||V-|| = {split.norm_sum!r} must stay below gap {partition.gap!r}"
         )
     points: list[PathPoint] = []
-    prev: Optional[PathPoint] = None
+    prev_rest: Optional[np.ndarray] = None
     for t in np.linspace(0.0, 1.0, steps + 1):
         t = float(t)
         dec_t = eigh(a + t * v)
         sep = perturbed_component_at_t(dec_t, partition, split, t)
         _require_equal_rank(partition, sep)
-        proj = spectral_projector(dec_t, sep.component_indices)
-        if prev is None:
+        basis = dec_t.eigenvectors[:, sep.component_indices]
+        if prev_rest is None:
             delta, ceiling = 0.0, 0.0
         else:
-            delta = float(
-                np.linalg.svd(proj.matrix - prev.projector.matrix, compute_uv=False)[0]
-            )
+            # with V = 0 every matrix on the path is A itself, but the cross
+            # block of one decomposition's own columns is rounding noise, not 0
+            delta = 0.0
+            if split.norm_v != 0.0:
+                delta = float(measure_angles(prev_rest, basis).singular_values[0])
             ceiling = bounds.path_step_bound(
-                prev.t, t, split.norm_v, split.norm_plus, split.norm_minus, partition.gap
+                points[-1].t, t, split.norm_v, split.norm_plus, split.norm_minus,
+                partition.gap,
             )
-        point = PathPoint(
-            t=t, separation=sep, projector=proj, step_delta=delta, step_bound=ceiling
+        points.append(
+            PathPoint(t=t, separation=sep, basis=basis, step_delta=delta, step_bound=ceiling)
         )
-        points.append(point)
-        prev = point
+        prev_rest = dec_t.eigenvectors[:, sep.rest_indices]
     return points

@@ -9,11 +9,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
-
 import numpy as np
 
-from .errors import ConvergenceFailure, IndexOutOfRange, NonHermitianInput
+from .errors import ConvergenceFailure, NonHermitianInput
 
 HERMITICITY_RTOL = 1e-12
 DECOMPOSITION_RTOL = 1e-10
@@ -156,28 +154,3 @@ def sign_split(v, name: str = "matrix") -> PerturbationSplit:
         norm_minus=float(-w[0]) if w[0] < -zero_tol else 0.0,
         norm_v=norm_v,
     )
-
-
-@dataclass(frozen=True)
-class Projector:
-    """Orthogonal projector stored as a dense Hermitian matrix, with its rank."""
-
-    matrix: np.ndarray
-    rank: int
-
-    @property
-    def n(self) -> int:
-        return int(self.matrix.shape[0])
-
-
-def spectral_projector(decomp: SpectralDecomposition, indices: Iterable[int]) -> Projector:
-    """Projector onto the span of the selected eigenvector columns.
-
-    `indices` is treated as a set; rank equals its size.
-    """
-    idx = sorted({int(i) for i in indices})
-    if idx and (idx[0] < 0 or idx[-1] >= decomp.n):
-        raise IndexOutOfRange(f"indices must lie in 0..{decomp.n - 1}, got {idx}")
-    cols = decomp.eigenvectors[:, idx]
-    p = cols @ cols.conj().T
-    return Projector(matrix=0.5 * (p + p.conj().T), rank=len(idx))

@@ -73,6 +73,22 @@ def _generic_stream(count):
         )
 
 
+def _path_stream(count):
+    rng = np.random.default_rng(2026_08_10)
+    for index in range(count):
+        interlaced = index % 2 == 1
+        n = int(rng.integers(4, 11)) if interlaced else int(rng.integers(2, 11))
+        split = int(rng.integers(2, n - 1)) if interlaced else int(rng.integers(1, n))
+        yield split, random_instance(
+            n=n,
+            d_target=float(rng.uniform(0.5, 2.0)),
+            component_split=split,
+            scale=float(rng.uniform(0.0, 0.9)),
+            seed=int(rng.integers(0, 2**63)),
+            interlaced=interlaced,
+        )
+
+
 @pytest.fixture(scope="module")
 def favourable_suite():
     start = time.perf_counter()
@@ -85,6 +101,21 @@ def generic_suite():
     start = time.perf_counter()
     analyses = [analyze_instance(inst) for inst in _generic_stream(1000)]
     return analyses, time.perf_counter() - start
+
+
+@pytest.fixture(scope="module")
+def path_suite():
+    start = time.perf_counter()
+    scans = [(split, path_scan(inst, steps=100)) for split, inst in _path_stream(50)]
+    return scans, time.perf_counter() - start
+
+
+def _dense_sines(p_basis, q_basis):
+    """Singular values of P - Q from the dense n x n projectors: the reference."""
+    p = p_basis @ p_basis.conj().T
+    q = q_basis @ q_basis.conj().T
+    diff = 0.5 * (p + p.conj().T) - 0.5 * (q + q.conj().T)
+    return np.linalg.svd(diff, compute_uv=False).clip(0.0, 1.0)
 
 
 def test_criterion_1_critical_constant(capsys):
@@ -247,33 +278,45 @@ def test_criterion_9_enclosure_suite(capsys, favourable_suite, generic_suite):
                     assert not np.any((mu > lo + tol) & (mu < hi - tol))
 
 
-def test_criterion_10_path_suite(capsys):
+def test_criterion_10_path_suite(capsys, path_suite):
     with criterion(
         capsys, 10, "100-step path scans obey the step bound at constant rank"
     ):
+        scans, elapsed = path_suite
         start = time.perf_counter()
-        rng = np.random.default_rng(2026_08_10)
-        for index in range(50):
-            interlaced = index % 2 == 1
-            n = int(rng.integers(4, 11)) if interlaced else int(rng.integers(2, 11))
-            split = (
-                int(rng.integers(2, n - 1)) if interlaced else int(rng.integers(1, n))
-            )
-            inst = random_instance(
-                n=n,
-                d_target=float(rng.uniform(0.5, 2.0)),
-                component_split=split,
-                scale=float(rng.uniform(0.0, 0.9)),
-                seed=int(rng.integers(0, 2**63)),
-                interlaced=interlaced,
-            )
-            points = path_scan(inst, steps=100)
-            ranks = {p.projector.rank for p in points}
+        for split, points in scans:
+            ranks = {p.basis.shape[1] for p in points}
             assert ranks == {split}, f"rank changed along the path: {ranks}"
             for p in points[1:]:
                 assert p.step_delta <= p.step_bound + 1e-9
-        elapsed = time.perf_counter() - start
-        assert elapsed < 120.0, f"took {elapsed:.1f} s"
+        total = elapsed + time.perf_counter() - start
+        assert total < 120.0, f"took {total:.1f} s"
+
+
+def test_angles_agree_with_dense_projectors(favourable_suite, generic_suite):
+    checked = 0
+    for analyses in (favourable_suite[0], generic_suite[0]):
+        for analysis in analyses:
+            if analysis.angles is None:
+                continue
+            s = _dense_sines(
+                analysis.decomp_a.eigenvectors[:, analysis.partition.component_indices],
+                analysis.decomp_perturbed.eigenvectors[
+                    :, analysis.perturbed.component_indices
+                ],
+            )
+            assert abs(analysis.angles.max_angle - math.asin(s[0])) <= 1e-12
+            s2t = float((2.0 * s * np.sqrt(1.0 - s * s)).max())
+            assert abs(analysis.angles.sin2theta_norm - s2t) <= 1e-12
+            checked += 1
+    assert checked == 2000
+
+
+def test_path_steps_agree_with_dense_projectors(path_suite):
+    for _, points in path_suite[0]:
+        for prev, point in zip(points, points[1:]):
+            s = _dense_sines(prev.basis, point.basis)
+            assert abs(point.step_delta - s[0]) <= 1e-12
 
 
 def test_criterion_11_finite_scope_note(capsys):

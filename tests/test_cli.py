@@ -180,6 +180,44 @@ class TestProblemParsing:
                 '"sigma": [[0.0, 1.0], [0.5, 2.0]]}'
             )
 
+    @pytest.mark.parametrize("entry", [{"lo": 0.25}, [0.25, 0.75, "junk"], [0.25], [True, 1.0]])
+    def test_sigma_entry_must_be_two_numbers(self, tmp_path, capsys, entry):
+        doc = {
+            "a": {"n": 2, "real": [[0.5, 0.0], [0.0, -0.5]]},
+            "v": {"n": 2, "real": [[0.0, 0.0], [0.0, 0.0]]},
+            "sigma": [entry],
+        }
+        path = tmp_path / "sigma.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["analyze", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: sigma[0] must be a list of two numbers")
+
+    @pytest.mark.parametrize("n", ["2.7", '"2"', "true", "2.0"])
+    def test_block_n_must_be_a_json_integer(self, n):
+        with pytest.raises(ParseError, match=r"a\.n must be a JSON integer"):
+            parse_problem(
+                f'{{"a": {{"n": {n}, "real": [[0.0, 0.0], [0.0, 1.0]]}}, '
+                '"v": {"n": 2, "real": [[0.0, 0.0], [0.0, 0.0]]}, '
+                '"sigma": [[-0.5, 0.5]]}'
+            )
+
+    # 1e400 overflows to inf in json.loads; a 401-digit integer has no float
+    @pytest.mark.parametrize("part", ["real", "imag"])
+    @pytest.mark.parametrize(
+        "value", ["1e400", "-1e400", "1" + "0" * 400], ids=["inf", "-inf", "big-int"]
+    )
+    def test_non_finite_entries_fail_at_parse_time(self, part, value):
+        other = "imag" if part == "real" else "real"
+        text = (
+            '{"a": {"n": 1, "real": [[0.0]]}, '
+            f'"v": {{"n": 1, "{part}": [[{value}]], "{other}": [[0.0]]}}, '
+            '"sigma": [[-0.5, 0.5]]}'
+        )
+        with pytest.raises(ParseError, match=rf"^v\.{part} "):
+            parse_problem(text)
+
     def test_complex_problem_round_trip(self, tmp_path):
         a = np.array([[1.0, 1j], [-1j, 5.0]])
         v = np.array([[0.1, 0.2 - 0.1j], [0.2 + 0.1j, -0.1]])

@@ -23,9 +23,9 @@ from specsub import (
     random_instance,
     sharp_example_2x2,
     sign_split,
-    spectral_projector,
     verify_instance,
 )
+from specsub.fileio import REPORT_FORMAT_VERSION, report_payload
 from specsub.harness import BOUND_CHECKS, Instance
 
 
@@ -36,20 +36,19 @@ def partition_for(values, intervals):
 
 class TestMeasureAngles:
     def test_identical_projectors(self):
-        dec = eigh(np.diag([0.0, 1.0, 2.0]))
-        p = spectral_projector(dec, [0, 1])
-        m = measure_angles(p, p)
+        u = eigh(np.diag([0.0, 1.0, 2.0])).eigenvectors
+        m = measure_angles(u[:, [2]], u[:, [0, 1]])
         assert m.max_angle == 0.0
         assert m.sin2theta_norm == 0.0
         assert np.all(m.singular_values == 0.0)
 
     def test_orthogonal_ranges(self):
-        dec = eigh(np.diag([0.0, 1.0]))
-        p = spectral_projector(dec, [0])
-        q = spectral_projector(dec, [1])
-        m = measure_angles(p, q)
+        # span(e0) against span(e1): the complement of the first is span(e1)
+        u = eigh(np.diag([0.0, 1.0])).eigenvectors
+        m = measure_angles(u[:, [1]], u[:, [1]])
         assert m.max_angle == pytest.approx(math.pi / 2.0, abs=1e-15)
         assert m.sin2theta_norm == pytest.approx(0.0, abs=1e-12)
+        assert m.singular_values.tolist() == [1.0]
 
     def test_sharp_example_angle(self):
         inst, expected = sharp_example_2x2(0.25, 0.25)
@@ -58,10 +57,24 @@ class TestMeasureAngles:
         assert expected == pytest.approx(math.pi / 12.0, abs=1e-15)
 
     def test_dimension_mismatch(self):
-        p = spectral_projector(eigh(np.diag([0.0, 1.0])), [0])
-        q = spectral_projector(eigh(np.diag([0.0, 1.0, 2.0])), [0])
-        with pytest.raises(DimensionMismatch):
-            measure_angles(p, q)
+        u2 = eigh(np.diag([0.0, 1.0])).eigenvectors
+        u3 = eigh(np.diag([0.0, 1.0, 2.0])).eigenvectors
+        with pytest.raises(DimensionMismatch):  # heights differ
+            measure_angles(u2[:, [1]], u3[:, [0]])
+        with pytest.raises(DimensionMismatch):  # ranks 1 and 2 in C^3
+            measure_angles(u3[:, [1, 2]], u3[:, [0, 1]])
+        with pytest.raises(DimensionMismatch):  # ranks 2 and 1 in C^3
+            measure_angles(u3[:, [2]], u3[:, [0]])
+
+    def test_one_sine_per_principal_angle(self):
+        rng = np.random.default_rng(40)
+        for n in range(2, 9):
+            d1 = eigh(_random_hermitian(rng, n))
+            d2 = eigh(_random_hermitian(rng, n))
+            for k in range(1, n):
+                m = measure_angles(d1.eigenvectors[:, k:], d2.eigenvectors[:, :k])
+                assert len(m.singular_values) == min(k, n - k)
+                assert np.all(np.diff(m.singular_values) <= 0.0)
 
     def test_sin_chain_inequality(self):
         rng = np.random.default_rng(41)
@@ -70,11 +83,37 @@ class TestMeasureAngles:
             d1 = eigh(_random_hermitian(rng, n))
             d2 = eigh(_random_hermitian(rng, n))
             k = int(rng.integers(1, n))
-            m = measure_angles(
-                spectral_projector(d1, range(k)), spectral_projector(d2, range(k))
-            )
+            m = measure_angles(d1.eigenvectors[:, k:], d2.eigenvectors[:, :k])
             assert math.sin(2.0 * m.max_angle) <= m.sin2theta_norm + 1e-10
             assert np.all((0.0 <= m.singular_values) & (m.singular_values <= 1.0))
+
+    def test_degenerate_eigenspace_is_basis_independent(self):
+        # rotating the basis of a degenerate eigenspace leaves the subspace,
+        # and so every principal angle, where it was
+        rng = np.random.default_rng(13)
+        q = np.linalg.qr(rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5)))[0]
+        vals = np.array([-2.0, 1.0, 1.0, 1.0, 3.0])
+        h = (q * vals) @ q.conj().T
+        dec = eigh(0.5 * (h + h.conj().T))
+        idx = [k for k, lam in enumerate(dec.eigenvalues) if abs(lam - 1.0) < 1e-8]
+        assert idx == [1, 2, 3]
+        rest = dec.eigenvectors[:, [0, 4]]
+        for _ in range(5):
+            rot = np.linalg.qr(
+                rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+            )[0]
+            m = measure_angles(rest, dec.eigenvectors[:, idx] @ rot)
+            assert m.max_angle <= 1e-12
+
+    def test_report_carries_the_sines(self):
+        inst = random_instance(n=7, d_target=1.0, component_split=2, scale=0.8, seed=12)
+        analysis = analyze_instance(inst)
+        doc = report_payload(analysis, "0", "sha256:" + "0" * 64)
+        assert doc["format_version"] == REPORT_FORMAT_VERSION == 2
+        sines = doc["angles"]["singular_values"]
+        assert sines == analysis.angles.singular_values.tolist()
+        assert len(sines) == 2
+        assert math.asin(sines[0]) == pytest.approx(doc["angles"]["max_angle"], abs=1e-15)
 
 
 def _random_hermitian(rng, n):
@@ -335,8 +374,7 @@ class TestPathScan:
     def test_rank_constant_along_path(self):
         inst = random_instance(n=8, d_target=1.0, component_split=3, scale=0.8, seed=7)
         points = path_scan(inst, steps=50)
-        ranks = {p.projector.rank for p in points}
-        assert ranks == {3}
+        assert {p.basis.shape for p in points} == {(8, 3)}
 
     def test_endpoints_match_static_assignments(self):
         inst = random_instance(n=6, d_target=1.0, component_split=2, scale=0.7, seed=8)

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from specsub import (
-    IndexOutOfRange,
     NonHermitianInput,
     PerturbationSplit,
     eigh,
@@ -10,7 +9,6 @@ from specsub import (
     require_hermitian,
     sharp_example_2x2,
     sign_split,
-    spectral_projector,
 )
 
 
@@ -166,78 +164,3 @@ class TestSignSplit:
             prod_tol = 1e-10 * (1.0 + split.norm_v**2)
             assert np.max(np.abs(split.v_plus @ split.v_minus)) <= prod_tol
             assert max(split.norm_plus, split.norm_minus) <= split.norm_v + 1e-12
-
-
-class TestSpectralProjector:
-    def test_empty_set_gives_zero(self):
-        dec = eigh(np.diag([1.0, 2.0, 3.0]))
-        p = spectral_projector(dec, [])
-        assert p.rank == 0
-        assert np.max(np.abs(p.matrix)) == 0.0
-
-    def test_all_indices_give_identity(self):
-        rng = np.random.default_rng(10)
-        dec = eigh(random_hermitian(rng, 5))
-        p = spectral_projector(dec, range(5))
-        assert p.rank == 5
-        assert np.max(np.abs(p.matrix - np.eye(5))) <= 1e-10
-
-    def test_selected_eigenvalue_of_diagonal(self):
-        # component {1/2} of diag(1/2, -1/2) projects onto the first axis
-        dec = eigh(np.diag([0.5, -0.5]))
-        (idx,) = [k for k, lam in enumerate(dec.eigenvalues) if lam > 0]
-        p = spectral_projector(dec, [idx])
-        np.testing.assert_allclose(p.matrix, np.diag([1.0, 0.0]), atol=1e-14)
-
-    def test_out_of_range(self):
-        dec = eigh(np.diag([1.0, 2.0]))
-        with pytest.raises(IndexOutOfRange):
-            spectral_projector(dec, [2])
-        with pytest.raises(IndexOutOfRange):
-            spectral_projector(dec, [-1])
-
-    def test_projector_invariants_and_complementarity(self):
-        rng = np.random.default_rng(11)
-        for _ in range(50):
-            n = int(rng.integers(2, 13))
-            dec = eigh(random_hermitian(rng, n))
-            k = int(rng.integers(1, n))
-            idx = rng.choice(n, size=k, replace=False)
-            p = spectral_projector(dec, idx)
-            q = spectral_projector(dec, sorted(set(range(n)) - set(idx.tolist())))
-            assert np.max(np.abs(p.matrix @ p.matrix - p.matrix)) <= 1e-10
-            assert np.max(np.abs(p.matrix - p.matrix.conj().T)) <= 1e-12
-            assert abs(np.trace(p.matrix).real - p.rank) <= 1e-8
-            assert np.max(np.abs(p.matrix + q.matrix - np.eye(n))) <= 1e-10
-
-    def test_projector_difference_norm_at_most_one(self):
-        rng = np.random.default_rng(12)
-        for _ in range(50):
-            n = int(rng.integers(2, 10))
-            d1 = eigh(random_hermitian(rng, n))
-            d2 = eigh(random_hermitian(rng, n))
-            p = spectral_projector(d1, range(int(rng.integers(1, n))))
-            q = spectral_projector(d2, range(int(rng.integers(1, n))))
-            assert operator_norm(p.matrix - q.matrix) <= 1.0 + 1e-10
-
-    def test_degenerate_eigenspace_is_basis_independent(self):
-        # rotate the basis of a degenerate eigenspace; the projector onto the
-        # degenerate cluster must not move
-        rng = np.random.default_rng(13)
-        q = np.linalg.qr(rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5)))[0]
-        vals = np.array([-2.0, 1.0, 1.0, 1.0, 3.0])
-        h = (q * vals) @ q.conj().T
-        h = 0.5 * (h + h.conj().T)
-        dec = eigh(h)
-        idx = [k for k, lam in enumerate(dec.eigenvalues) if abs(lam - 1.0) < 1e-8]
-        assert len(idx) == 3
-        p_ref = spectral_projector(dec, idx)
-        for trial in range(5):
-            u = dec.eigenvectors.copy()
-            rot = np.linalg.qr(
-                rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-            )[0]
-            u[:, idx] = u[:, idx] @ rot
-            cols = u[:, idx]
-            p_rot = cols @ cols.conj().T
-            assert np.max(np.abs(p_rot - p_ref.matrix)) <= 1e-10
