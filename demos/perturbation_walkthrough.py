@@ -5,7 +5,6 @@ import numpy as np
 from specsub import (
     analyze_instance,
     eigh,
-    enlarge,
     partition_spectrum,
     path_scan,
     random_instance,
@@ -29,11 +28,11 @@ print(f"\n||V+|| = {split.norm_plus:.6f}  ||V-|| = {split.norm_minus:.6f}  "
       f"||V|| = {split.norm_v:.6f}")
 print(f"gap condition ||V+|| + ||V-|| < d: {split.norm_sum:.6f} < {partition.gap:.6f}")
 
-# Where the perturbed component is allowed to live:
-enlarged = enlarge(partition.component_values, down=split.norm_minus, up=split.norm_plus)
-print("\nenlarged component set:")
-for lo, hi in enlarged.intervals:
-    print(f"  [{lo:.4f}, {hi:.4f}]")
+# Where the perturbed component is allowed to live: each component eigenvalue
+# lam enlarged to [lam - ||V-||, lam + ||V+||].
+print("\nenlarged component intervals:")
+for lam in partition.component_values:
+    print(f"  [{lam - split.norm_minus:.4f}, {lam + split.norm_plus:.4f}]")
 
 analysis = analyze_instance(inst)
 report = analysis.report

@@ -9,9 +9,7 @@ the perturbation), and verifies every bound on concrete instances.
 __version__ = "0.1.0"
 
 from .bounds import (
-    BoundConstants,
     IntegralBound,
-    bound_constants,
     critical_strength,
     favourable_angle_bound,
     first_branch_point,
@@ -70,13 +68,10 @@ from .linalg import (
 )
 from .spectral import (
     EnclosureCheck,
-    IntervalUnion,
     PerturbedSeparation,
     SpectralPartition,
-    enlarge,
     gap_condition,
     partition_spectrum,
-    perturbed_component,
     perturbed_component_at_t,
     perturbed_gap_lower_bound,
     resolvent_interval,

@@ -8,7 +8,6 @@ the perturbation, `gap` is the unperturbed spectral separation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -121,30 +120,6 @@ def kappa() -> float:
 def integral_threshold() -> float:
     """Strength ratio up to which the logarithmic bound stays below pi/2: 2 sinh(1)/e."""
     return 2.0 * math.sinh(1.0) / math.e
-
-
-@dataclass(frozen=True)
-class BoundConstants:
-    """The constants pinning down the piecewise bound and the log-bound threshold."""
-
-    c_crit: float
-    kappa: float
-    branch_points: tuple[float, float, float]
-    upper_validity: float
-    integral_threshold: float
-
-
-@lru_cache(maxsize=1)
-def bound_constants() -> BoundConstants:
-    c = critical_strength()
-    k = kappa()
-    return BoundConstants(
-        c_crit=c,
-        kappa=k,
-        branch_points=(first_branch_point(), second_branch_point(), k),
-        upper_validity=2.0 * c,
-        integral_threshold=integral_threshold(),
-    )
 
 
 def piecewise_angle_bound_with_branch(x: float) -> tuple[float, int]:

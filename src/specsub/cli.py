@@ -19,7 +19,13 @@ import numpy as np
 
 from . import __version__, bounds, fileio
 from .errors import SpecsubError
-from .harness import BOUND_CHECKS, Violation, analyze_instance, random_instance
+from .harness import (
+    BOUND_CHECKS,
+    Violation,
+    analyze_instance,
+    random_instance,
+    sharp_example_2x2,
+)
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -247,8 +253,6 @@ def _cmd_kappa(_args) -> int:
 
 
 def _cmd_sharp(args) -> int:
-    from .harness import sharp_example_2x2
-
     inst, expected = sharp_example_2x2(args.vplus, args.vminus)
     analysis = analyze_instance(inst)
     digest = fileio.sha256_digest(fileio.dumps(fileio.problem_payload(inst)).encode())

@@ -124,6 +124,22 @@ def sha256_digest(data: bytes) -> str:
     return "sha256:" + hashlib.sha256(data).hexdigest()
 
 
+def _number_array(obj: Any, field: str, n: int) -> np.ndarray:
+    """The n x n float array of a JSON list of n rows of n numbers."""
+    try:
+        arr = np.asarray(obj, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        raise ParseError(f"{field} must be an {n}x{n} numeric array") from None
+    if arr.shape != (n, n):
+        raise ParseError(f"{field} must have shape ({n}, {n}), got {arr.shape}")
+    # numpy also converts numeric strings and booleans
+    if not all(type(x) in (int, float) for row in obj for x in row):
+        raise ParseError(f"{field} entries must be JSON numbers")
+    if not np.isfinite(arr).all():
+        raise ParseError(f"{field} contains non-finite entries")
+    return arr
+
+
 def _matrix_block(obj: Any, name: str) -> np.ndarray:
     if not isinstance(obj, dict):
         raise ParseError(f"{name} must be an object with n/real[/imag]")
@@ -132,27 +148,11 @@ def _matrix_block(obj: Any, name: str) -> np.ndarray:
         raise ParseError(f"{name}.n must be a JSON integer")
     if n < 1:
         raise ParseError(f"{name}.n must be positive, got {n}")
-    real = obj.get("real")
-    try:
-        real_arr = np.asarray(real, dtype=float)
-    except (TypeError, ValueError, OverflowError):
-        raise ParseError(f"{name}.real must be an {n}x{n} numeric array") from None
-    if real_arr.shape != (n, n):
-        raise ParseError(f"{name}.real must have shape ({n}, {n}), got {real_arr.shape}")
-    if not np.isfinite(real_arr).all():
-        raise ParseError(f"{name}.real contains non-finite entries")
+    real = _number_array(obj.get("real"), f"{name}.real", n)
     imag = obj.get("imag")
     if imag is None:
-        return real_arr
-    try:
-        imag_arr = np.asarray(imag, dtype=float)
-    except (TypeError, ValueError, OverflowError):
-        raise ParseError(f"{name}.imag must be an {n}x{n} numeric array") from None
-    if imag_arr.shape != (n, n):
-        raise ParseError(f"{name}.imag must have shape ({n}, {n}), got {imag_arr.shape}")
-    if not np.isfinite(imag_arr).all():
-        raise ParseError(f"{name}.imag contains non-finite entries")
-    return real_arr + 1j * imag_arr
+        return real
+    return real + 1j * _number_array(imag, f"{name}.imag", n)
 
 
 def parse_problem(text: str, label: str = "<problem>") -> Instance:
@@ -168,7 +168,7 @@ def parse_problem(text: str, label: str = "<problem>") -> Instance:
     if not isinstance(doc, dict):
         raise ParseError("top level must be an object")
     version = doc.get("format_version", PROBLEM_FORMAT_VERSION)
-    if version != PROBLEM_FORMAT_VERSION:
+    if type(version) is not int or version != PROBLEM_FORMAT_VERSION:
         raise ParseError(f"unsupported format_version {version!r}")
     for key in ("a", "v", "sigma"):
         if key not in doc:
@@ -285,6 +285,9 @@ def parse_report(text: str) -> dict:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
-    if not isinstance(doc, dict) or doc.get("format_version") != REPORT_FORMAT_VERSION:
+    if not isinstance(doc, dict):
         raise ParseError("not a report document")
+    version = doc.get("format_version")
+    if type(version) is not int or version != REPORT_FORMAT_VERSION:
+        raise ParseError(f"not a report document: format_version {version!r}")
     return doc

@@ -17,7 +17,6 @@ import numpy as np
 
 from . import bounds
 from .errors import (
-    ConvergenceFailure,
     DimensionMismatch,
     DomainError,
     GapConditionViolated,
@@ -29,7 +28,6 @@ from .spectral import (
     SpectralPartition,
     gap_condition,
     partition_spectrum,
-    perturbed_component,
     perturbed_component_at_t,
     spectral_enclosure_check,
 )
@@ -84,11 +82,9 @@ def measure_angles(rest: np.ndarray, comp: np.ndarray) -> AngleMeasurement:
     )
 
 
-def geometry_kind(
-    decomp: SpectralDecomposition, partition: SpectralPartition
-) -> GeometryKind:
+def geometry_kind(partition: SpectralPartition) -> GeometryKind:
     """Favourable when the convex hull of one component contains none of the other."""
-    w = decomp.eigenvalues.tolist()
+    w = partition.eigenvalues.tolist()
     comp = [w[k] for k in partition.component_indices]
     rest = [w[k] for k in partition.rest_indices]
     comp_lo, comp_hi, rest_lo, rest_hi = min(comp), max(comp), min(rest), max(rest)
@@ -352,7 +348,7 @@ def analyze_instance(inst: Instance, angle_tol: float = 1e-9) -> Analysis:
     if not math.isfinite(angle_tol):
         raise DomainError(f"angle_tol must be finite, got {angle_tol!r}")
     a, decomp_a, split, partition = _setup(inst)
-    geometry = geometry_kind(decomp_a, partition)
+    geometry = geometry_kind(partition)
     decomp_av = eigh(a + split.v)
     enclosure = spectral_enclosure_check(decomp_a, decomp_av, split)
 
@@ -364,8 +360,7 @@ def analyze_instance(inst: Instance, angle_tol: float = 1e-9) -> Analysis:
     perturbed = None
     angles = None
     if gap_ok:
-        perturbed = perturbed_component(decomp_av, partition, split)
-        _require_equal_rank(partition, perturbed)
+        perturbed = perturbed_component_at_t(decomp_av, partition, split, 1.0)
         angles = measure_angles(
             decomp_a.eigenvectors[:, partition.rest_indices],
             decomp_av.eigenvectors[:, perturbed.component_indices],
@@ -444,16 +439,6 @@ def analyze_instance(inst: Instance, angle_tol: float = 1e-9) -> Analysis:
     )
 
 
-def _require_equal_rank(partition: SpectralPartition, sep: PerturbedSeparation) -> None:
-    """Under the gap condition the perturbed component keeps the unperturbed rank."""
-    k, k_perturbed = len(partition.component_indices), len(sep.component_indices)
-    if k_perturbed != k:
-        raise ConvergenceFailure(
-            f"perturbed component holds {k_perturbed} eigenvalues, "
-            f"the unperturbed one {k}"
-        )
-
-
 def verify_instance(inst: Instance, angle_tol: float = 1e-9) -> BoundReport:
     """Measure one instance and compare it against every applicable bound."""
     return analyze_instance(inst, angle_tol=angle_tol).report
@@ -496,7 +481,6 @@ def path_scan(inst: Instance, steps: int) -> list[PathPoint]:
         t = float(t)
         dec_t = eigh(a + t * v)
         sep = perturbed_component_at_t(dec_t, partition, split, t)
-        _require_equal_rank(partition, sep)
         basis = dec_t.eigenvectors[:, sep.component_indices]
         if prev_rest is None:
             delta, ceiling = 0.0, 0.0

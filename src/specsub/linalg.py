@@ -43,10 +43,6 @@ class SpectralDecomposition:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
-    @property
-    def n(self) -> int:
-        return int(self.eigenvalues.shape[0])
-
 
 def eigh(h, name: str = "matrix") -> SpectralDecomposition:
     """Eigendecomposition of a Hermitian matrix.

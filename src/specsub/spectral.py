@@ -11,6 +11,7 @@ import numpy as np
 
 from .errors import (
     AmbiguousMembership,
+    ConvergenceFailure,
     DomainError,
     EmptyComponent,
     EnclosureViolation,
@@ -25,25 +26,6 @@ ENCLOSURE_RTOL = 1e-9
 Interval = tuple[float, float]
 
 
-@dataclass(frozen=True)
-class IntervalUnion:
-    """Sorted union of disjoint closed intervals on the real line."""
-
-    intervals: tuple[Interval, ...]
-
-    def distance(self, x: float) -> float:
-        """Distance from x to the union; 0 when x lies inside an interval."""
-        best = np.inf
-        for lo, hi in self.intervals:
-            if lo <= x <= hi:
-                return 0.0
-            best = min(best, abs(x - lo), abs(x - hi))
-        return float(best)
-
-    def contains(self, x: float, tol: float = 0.0) -> bool:
-        return self.distance(x) <= tol
-
-
 def _ends(values, down: float, up: float) -> tuple[list[float], list[float]]:
     """Ascending lower and upper ends of the intervals [v - down, v + up]."""
     vals = sorted(values)
@@ -54,7 +36,7 @@ def _distance(x: float, lo: list[float], hi: list[float]) -> float:
     """Distance from x to the union of the intervals [lo[j], hi[j]] from _ends.
 
     The intervals may overlap: the distance to their union is the least
-    distance to any one of them, so they need not be merged by enlarge first.
+    distance to any one of them, so they need not be merged first.
     Both ends ascend, so of the intervals that start at or below x the one
     reaching furthest right is the last, and the nearest on the right is the
     first of the others.
@@ -64,25 +46,6 @@ def _distance(x: float, lo: list[float], hi: list[float]) -> float:
     if below <= 0.0:
         return 0.0
     return min(below, lo[j] - x) if j < len(lo) else below
-
-
-def enlarge(values, down: float, up: float) -> IntervalUnion:
-    """Expand each value to the closed interval [value - down, value + up].
-
-    Overlapping or touching intervals are merged, so the result is a sorted
-    union of disjoint closed intervals.
-    """
-    if down < 0.0 or up < 0.0:
-        raise DomainError("enlargement margins must be nonnegative")
-    vals = np.sort(np.asarray(values, dtype=float).ravel())
-    merged: list[list[float]] = []
-    for v in vals:
-        lo, hi = float(v - down), float(v + up)
-        if merged and lo <= merged[-1][1]:
-            merged[-1][1] = max(merged[-1][1], hi)
-        else:
-            merged.append([lo, hi])
-    return IntervalUnion(tuple((lo, hi) for lo, hi in merged))
 
 
 @dataclass(frozen=True)
@@ -96,10 +59,6 @@ class SpectralPartition:
     component_indices: tuple[int, ...]
     rest_indices: tuple[int, ...]
     gap: float
-
-    @property
-    def n(self) -> int:
-        return int(self.eigenvalues.shape[0])
 
     @property
     def component_values(self) -> np.ndarray:
@@ -206,7 +165,10 @@ def perturbed_component_at_t(
     (component values +[-t ||V-||, t ||V+||], likewise for the rest); under
     t(||V+|| + ||V-||) < gap these are disjoint.  An eigenvalue outside both,
     beyond 1e-9 * (1 + ||A|| + ||V||), raises EnclosureViolation: the enclosure
-    is guaranteed, so an escape signals a numerical failure.
+    is guaranteed, so an escape signals a numerical failure.  The gap
+    condition also keeps the component's rank, so a component whose
+    eigenvalue count differs from the unperturbed one raises
+    ConvergenceFailure.
     """
     if not 0.0 <= t <= 1.0:
         raise DomainError(f"t must be in [0, 1], got {t!r}")
@@ -232,21 +194,17 @@ def perturbed_component_at_t(
                 f"outside both enlargements (tolerance {tol:.3e})"
             )
         (comp if d_comp <= d_rest else rest).append(k)
+    if len(comp) != len(partition.component_indices):
+        raise ConvergenceFailure(
+            f"perturbed component holds {len(comp)} eigenvalues, "
+            f"the unperturbed one {len(partition.component_indices)}"
+        )
     return PerturbedSeparation(
         component_indices=tuple(comp),
         rest_indices=tuple(rest),
         gap_lower_bound=perturbed_gap_lower_bound(split, partition.gap, t),
         measured_gap=_class_gap(mus, comp),
     )
-
-
-def perturbed_component(
-    decomp_perturbed: SpectralDecomposition,
-    partition: SpectralPartition,
-    split: PerturbationSplit,
-) -> PerturbedSeparation:
-    """Assign the eigenvalues of A + V to the enlarged component and rest."""
-    return perturbed_component_at_t(decomp_perturbed, partition, split, 1.0)
 
 
 class EnclosureCheck(NamedTuple):

@@ -11,7 +11,6 @@ from specsub import (
     DomainError,
     GapConditionViolated,
     InfeasibleConstraint,
-    bound_constants,
     critical_strength,
     favourable_angle_bound,
     first_branch_point,
@@ -41,10 +40,8 @@ class TestConstants:
         assert 0.0 < critical_strength() < 0.5
 
     def test_branch_points_ordered(self):
-        c = bound_constants()
-        x1, x2, k = c.branch_points
-        assert 0.0 < x1 < x2 < k < c.c_crit < 0.5
-        assert c.upper_validity == 2.0 * c.c_crit
+        x1, x2, k = first_branch_point(), second_branch_point(), kappa()
+        assert 0.0 < x1 < x2 < k < critical_strength() < 0.5
 
     def test_integral_threshold_identity(self):
         # 2 sinh(1)/e equals 1 - exp(-2)

@@ -203,6 +203,49 @@ class TestProblemParsing:
                 '"sigma": [[-0.5, 0.5]]}'
             )
 
+    # numpy would convert each of these to a float
+    @pytest.mark.parametrize("part", ["real", "imag"])
+    @pytest.mark.parametrize("entry", ['"0.5"', '"0"', "true", "false"])
+    def test_matrix_entries_must_be_json_numbers(self, tmp_path, capsys, part, entry):
+        other = "imag" if part == "real" else "real"
+        path = tmp_path / "entries.json"
+        path.write_text(
+            '{"a": {"n": 2, "real": [[0.5, 0.0], [0.0, -0.5]]}, '
+            f'"v": {{"n": 2, "{part}": [[{entry}, 0.0], [0.0, 0.0]], '
+            f'"{other}": [[0.0, 0.0], [0.0, 0.0]]}}, '
+            '"sigma": [[0.25, 0.75]]}',
+            encoding="utf-8",
+        )
+        assert main(["analyze", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: v.{part} entries must be JSON numbers")
+
+    @pytest.mark.parametrize("version", ["true", "1.0", '"1"'])
+    def test_problem_format_version_must_be_a_json_integer(self, tmp_path, capsys, version):
+        path = tmp_path / "version.json"
+        path.write_text(
+            f'{{"format_version": {version}, '
+            '"a": {"n": 2, "real": [[0.5, 0.0], [0.0, -0.5]]}, '
+            '"v": {"n": 2, "real": [[0.0, 0.0], [0.0, 0.0]]}, '
+            '"sigma": [[0.25, 0.75]]}',
+            encoding="utf-8",
+        )
+        assert main(["analyze", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        expected = f"error: unsupported format_version {json.loads(version)!r}"
+        assert captured.err.startswith(expected)
+
+    @pytest.mark.parametrize("version", ["2.0", "true", '"2"'])
+    def test_report_format_version_must_be_a_json_integer(self, tmp_path, capsys, version):
+        inst, _ = sharp_example_2x2(0.3, 0.2)
+        assert main(["analyze", write_problem(tmp_path, inst)]) == 0
+        text = capsys.readouterr().out
+        assert parse_report(text)["format_version"] == 2
+        with pytest.raises(ParseError, match="format_version"):
+            parse_report(text.replace('"format_version": 2,', f'"format_version": {version},', 1))
+
     # 1e400 overflows to inf in json.loads; a 401-digit integer has no float
     @pytest.mark.parametrize("part", ["real", "imag"])
     @pytest.mark.parametrize(

@@ -4,16 +4,16 @@ import pytest
 from specsub import spectral
 from specsub import (
     AmbiguousMembership,
+    ConvergenceFailure,
     DomainError,
     EmptyComponent,
     EnclosureViolation,
     GapConditionViolated,
     InvalidInterval,
+    analyze_instance,
     eigh,
-    enlarge,
     gap_condition,
     partition_spectrum,
-    perturbed_component,
     perturbed_component_at_t,
     random_instance,
     resolvent_interval,
@@ -65,44 +65,12 @@ class TestPartitionSpectrum:
         assert part.gap == pytest.approx(1.5, abs=1e-15)
 
 
-class TestEnlarge:
-    def test_single_point(self):
-        union = enlarge([0.5], down=0.2, up=0.3)
-        assert union.intervals == ((0.3, 0.8),)
-
-    def test_overlap_merges(self):
-        union = enlarge([0.0, 0.1], down=0.05, up=0.05)
-        assert len(union.intervals) == 1
-        lo, hi = union.intervals[0]
-        assert lo == pytest.approx(-0.05) and hi == pytest.approx(0.15)
-
-    def test_disjoint_stay_separate(self):
-        union = enlarge([0.0, 10.0], down=1.0, up=1.0)
-        assert union.intervals == ((-1.0, 1.0), (9.0, 11.0))
-
-    def test_touching_intervals_merge(self):
-        # consecutive intervals in the union are separated by strictly
-        # positive gaps, so touching ones collapse
-        union = enlarge([0.0, 2.0], down=1.0, up=1.0)
-        assert union.intervals == ((-1.0, 3.0),)
-
-    def test_negative_margin_rejected(self):
-        with pytest.raises(DomainError):
-            enlarge([0.0], down=-0.1, up=0.0)
-
-    def test_distance(self):
-        union = enlarge([0.0], down=1.0, up=1.0)
-        assert union.distance(0.5) == 0.0
-        assert union.distance(2.0) == pytest.approx(1.0)
-        assert union.contains(1.0)
-
-
 class TestPerturbedComponent:
     def test_zero_perturbation_reproduces_component(self):
         dec = eigh(np.diag([0.0, 1.0, 5.0, 6.0]))
         part = partition_spectrum(dec, [(-0.5, 1.5)])
         split = sign_split(np.zeros((4, 4)))
-        sep = perturbed_component(dec, part, split)
+        sep = perturbed_component_at_t(dec, part, split, 1.0)
         assert sep.component_indices == part.component_indices
         assert sep.measured_gap == pytest.approx(part.gap, abs=1e-12)
 
@@ -112,7 +80,7 @@ class TestPerturbedComponent:
         part = partition_spectrum(dec_a, inst.component_intervals)
         split = sign_split(inst.v)
         dec_av = eigh(inst.a + inst.v)
-        sep = perturbed_component(dec_av, part, split)
+        sep = perturbed_component_at_t(dec_av, part, split, 1.0)
         upper = (0.1 + np.sqrt(1.0 - 0.25)) / 2.0
         (idx,) = sep.component_indices
         assert dec_av.eigenvalues[idx] == pytest.approx(upper, abs=1e-14)
@@ -125,7 +93,7 @@ class TestPerturbedComponent:
         dec_a = eigh(a)
         part = partition_spectrum(dec_a, [(-1.0, 1.0)])
         split = sign_split(v)
-        sep = perturbed_component(eigh(a + v), part, split)
+        sep = perturbed_component_at_t(eigh(a + v), part, split, 1.0)
         (idx,) = sep.component_indices
         assert eigh(a + v).eigenvalues[idx] == pytest.approx(0.5, abs=1e-14)
 
@@ -134,7 +102,7 @@ class TestPerturbedComponent:
         part = partition_spectrum(dec, [(-0.5, 0.5)])
         split = sign_split(np.diag([2.0, -2.0]))
         with pytest.raises(GapConditionViolated):
-            perturbed_component(dec, part, split)
+            perturbed_component_at_t(dec, part, split, 1.0)
 
     def test_enclosure_violation_raised_for_foreign_decomposition(self):
         # feeding a decomposition that is not spec(A + V) must trip the
@@ -144,7 +112,17 @@ class TestPerturbedComponent:
         split = sign_split(np.diag([0.1, -0.1]))
         foreign = eigh(np.diag([100.0, 200.0]))
         with pytest.raises(EnclosureViolation):
-            perturbed_component(foreign, part, split)
+            perturbed_component_at_t(foreign, part, split, 1.0)
+
+    def test_rank_change_raised_for_foreign_decomposition(self):
+        # both foreign eigenvalues lie in the enlarged component [-0.1, 0.1],
+        # which the gap condition keeps at the unperturbed rank 1
+        a = np.diag([0.0, 10.0])
+        part = partition_spectrum(eigh(a), [(-1.0, 1.0)])
+        split = sign_split(np.diag([0.1, -0.1]))
+        foreign = eigh(np.diag([0.0, 0.05]))
+        with pytest.raises(ConvergenceFailure, match="holds 2 eigenvalues"):
+            perturbed_component_at_t(foreign, part, split, 1.0)
 
 
 class TestPerturbedComponentAtT:
@@ -164,9 +142,8 @@ class TestPerturbedComponentAtT:
     def test_t_one_matches_full_perturbation(self):
         inst, part, split = self._setup()
         dec_av = eigh(inst.a + inst.v)
-        sep_t = perturbed_component_at_t(dec_av, part, split, 1.0)
-        sep = perturbed_component(dec_av, part, split)
-        assert sep_t == sep
+        sep = perturbed_component_at_t(dec_av, part, split, 1.0)
+        assert sep == analyze_instance(inst).perturbed
 
     def test_halfway_assignment_tracks_eigendecomposition(self):
         # at t = 1/2 the larger eigenvalue of A + tV belongs to the scaled
@@ -371,5 +348,5 @@ class TestClassGap:
             part = partition_spectrum(dec_a, inst.component_intervals)
             assert part.gap == self.ref_gap(dec_a.eigenvalues, part.component_indices)
             dec_av = eigh(inst.a + inst.v)
-            sep = perturbed_component(dec_av, part, split)
+            sep = perturbed_component_at_t(dec_av, part, split, 1.0)
             assert sep.measured_gap == self.ref_gap(dec_av.eigenvalues, sep.component_indices)
