@@ -25,7 +25,6 @@ from .bounds import (
     piecewise_angle_bound_with_branch,
     second_branch_point,
     sin2theta_bound,
-    solve_kappa,
 )
 from .errors import (
     AmbiguousMembership,
@@ -62,7 +61,6 @@ from .linalg import (
     PerturbationSplit,
     SpectralDecomposition,
     eigh,
-    operator_norm,
     require_hermitian,
     sign_split,
 )

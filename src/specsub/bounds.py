@@ -74,15 +74,15 @@ def branch_formula(branch: int, x: float) -> float:
     return _BRANCHES[branch](x)
 
 
-def solve_kappa(tol: float = 1e-13) -> float:
-    """Bisection for the crossover where the two-step and three-step formulas meet.
+@lru_cache(maxsize=1)
+def kappa() -> float:
+    """Interior crossover of the piecewise bound, solved once per process.
 
-    The root is bracketed between the second branch point and 2(pi-1)/pi^2;
-    the result lies strictly inside and satisfies
-    |branch3(kappa) - branch4(kappa)| <= tol.
+    Bisection for where the two-step and three-step formulas meet: the root
+    is bracketed between the second branch point and 2(pi-1)/pi^2, and the
+    result lies strictly inside and satisfies |branch3(kappa) - branch4(kappa)|
+    <= 1e-13.
     """
-    if tol <= 0.0:
-        raise DomainError("tol must be positive")
     lo, hi = kappa_bracket()
 
     def f(k: float) -> float:
@@ -106,15 +106,9 @@ def solve_kappa(tol: float = 1e-13) -> float:
         else:
             hi, fhi = mid, fm
     root = 0.5 * (lo + hi)
-    if abs(f(root)) > tol:
-        raise BracketFailure(f"residual {abs(f(root)):.3e} exceeds tol {tol:.3e}")
+    if abs(f(root)) > 1e-13:
+        raise BracketFailure(f"residual {abs(f(root)):.3e} exceeds tol 1.000e-13")
     return root
-
-
-@lru_cache(maxsize=1)
-def kappa() -> float:
-    """Interior crossover of the piecewise bound, solved once per process."""
-    return solve_kappa(1e-13)
 
 
 def integral_threshold() -> float:
@@ -148,10 +142,10 @@ def piecewise_angle_bound(x: float) -> float:
 
 
 def _require_norms(norm_plus: float, norm_minus: float, gap: float) -> float:
-    if norm_plus < 0.0 or norm_minus < 0.0:
-        raise DomainError("perturbation part norms must be nonnegative")
-    if gap <= 0.0:
-        raise DomainError(f"gap must be positive, got {gap!r}")
+    if not (0.0 <= norm_plus < math.inf and 0.0 <= norm_minus < math.inf):
+        raise DomainError(f"part norms must be finite and >= 0, got {norm_plus!r}, {norm_minus!r}")
+    if not 0.0 < gap < math.inf:
+        raise DomainError(f"gap must be finite and positive, got {gap!r}")
     return norm_plus + norm_minus
 
 
@@ -216,8 +210,8 @@ def path_step_bound(
     """
     if not 0.0 <= s <= t <= 1.0:
         raise DomainError(f"need 0 <= s <= t <= 1, got s={s!r}, t={t!r}")
-    if norm_v < 0.0:
-        raise DomainError("norm_v must be nonnegative")
+    if not 0.0 <= norm_v < math.inf:
+        raise DomainError(f"norm_v must be finite and nonnegative, got {norm_v!r}")
     total = _require_norms(norm_plus, norm_minus, gap)
     denom = gap - t * total
     if denom <= 0.0:

@@ -179,10 +179,14 @@ def _close_all(fds: list[int]) -> None:
 
 
 def _cmd_fuzz(args) -> int:
-    if args.n < 2 or args.count < 1 or not 0.0 <= args.scale < math.inf or args.jobs < 1:
+    if (
+        args.n < 2 or args.count < 1 or not 0.0 <= args.scale < math.inf
+        or args.seed < 0 or args.jobs < 1
+    ):
         raise SpecsubError(
-            f"need n >= 2, count >= 1, finite scale >= 0, jobs >= 1, got "
-            f"(n={args.n}, count={args.count}, scale={args.scale!r}, jobs={args.jobs})"
+            f"need n >= 2, count >= 1, finite scale >= 0, seed >= 0, jobs >= 1, got "
+            f"(n={args.n}, count={args.count}, scale={args.scale!r}, seed={args.seed}, "
+            f"jobs={args.jobs})"
         )
     if args.out is not None:
         os.makedirs(args.out, exist_ok=True)
@@ -244,7 +248,7 @@ def _cmd_fuzz(args) -> int:
 
 def _cmd_kappa(_args) -> int:
     lo, hi = bounds.kappa_bracket()
-    k = bounds.solve_kappa(1e-13)
+    k = bounds.kappa()
     residual = abs(bounds.branch_formula(3, k) - bounds.branch_formula(4, k))
     print(f"kappa = {k:.15g}")
     print(f"bracket = ({lo!r}, {hi!r})")

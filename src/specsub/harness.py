@@ -1,8 +1,9 @@
 """Instance generation, subspace-angle measurement, and bound verification.
 
 verify_instance evaluates every applicable bound against the measured
-angles and records violations as data; it never raises on a violation,
-so large randomized campaigns always run to completion.
+angles and records violations as data; it never raises on a violation.
+A numerical failure still raises ConvergenceFailure or EnclosureViolation,
+and one in any instance ends a fuzz campaign with exit 1.
 """
 
 from __future__ import annotations
@@ -164,9 +165,10 @@ def random_instance(
     """
     if n < 2 or not 1 <= component_split < n:
         raise InvalidSpec(f"need n >= 2 and 1 <= component_split < n, got ({n}, {component_split})")
-    if not (0.0 < d_target < math.inf and 0.0 <= scale < math.inf):
+    if not (0.0 < d_target < math.inf and 0.0 <= scale < math.inf and seed >= 0):
         raise InvalidSpec(
-            f"need finite d_target > 0 and scale >= 0, got ({d_target!r}, {scale!r})"
+            f"need finite d_target > 0, scale >= 0 and seed >= 0, "
+            f"got ({d_target!r}, {scale!r}, {seed!r})"
         )
     k, m = component_split, n - component_split
     if interlaced and (k < 2 or m < 2):
@@ -319,7 +321,6 @@ class Analysis:
     decomp_perturbed: SpectralDecomposition
     partition: SpectralPartition
     split: PerturbationSplit
-    geometry: GeometryKind
     perturbed: Optional[PerturbedSeparation]
     angles: Optional[AngleMeasurement]
     report: BoundReport
@@ -430,7 +431,6 @@ def analyze_instance(inst: Instance, angle_tol: float = 1e-9) -> Analysis:
         decomp_perturbed=decomp_av,
         partition=partition,
         split=split,
-        geometry=geometry,
         perturbed=perturbed,
         angles=angles,
         report=BoundReport(

@@ -8,7 +8,6 @@ tolerance 1e-12 * (1 + max|entry|) before touching it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 import numpy as np
 
 from .errors import ConvergenceFailure, NonHermitianInput
@@ -72,24 +71,12 @@ def eigh(h, name: str = "matrix") -> SpectralDecomposition:
     return SpectralDecomposition(eigenvalues=w, eigenvectors=u)
 
 
-def _eigvalsh(arr: np.ndarray) -> np.ndarray:
-    try:
-        return np.linalg.eigvalsh(arr)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceFailure(f"eigensolver failed: {exc}") from exc
-
-
-def operator_norm(h) -> float:
-    """Spectral norm of a Hermitian matrix, i.e. max |eigenvalue|."""
-    return float(abs(_eigvalsh(require_hermitian(h))).max())
-
-
 @dataclass(frozen=True)
 class PerturbationSplit:
     """V = V+ - V- with both parts positive semidefinite on orthogonal ranges.
 
-    The norms come from the eigenvalues of V alone; the dense parts V+ and
-    V- need its eigenvectors and are built on first read.
+    V is read through its three norms, ||V+||, ||V-|| and ||V||, all taken
+    from the eigenvalues of V; the parts themselves are never formed.
     """
 
     v: np.ndarray
@@ -101,47 +88,21 @@ class PerturbationSplit:
     def norm_sum(self) -> float:
         return self.norm_plus + self.norm_minus
 
-    @property
-    def v_plus(self) -> np.ndarray:
-        return self._parts[0]
-
-    @property
-    def v_minus(self) -> np.ndarray:
-        return self._parts[1]
-
-    @cached_property
-    def _parts(self) -> tuple[np.ndarray, np.ndarray]:
-        dec = eigh(self.v)
-        w, u = dec.eigenvalues, dec.eigenvectors
-        zero_tol = HERMITICITY_RTOL * (1.0 + self.norm_v)
-        pos = w > zero_tol
-        neg = w < -zero_tol
-        # these eigenvalues may sit ulps away from the eigvalsh ones behind the
-        # norms; a part is nonzero exactly when its norm is
-        if self.norm_plus == 0.0:
-            pos[:] = False
-        elif not pos.any():
-            pos[-1] = True
-        if self.norm_minus == 0.0:
-            neg[:] = False
-        elif not neg.any():
-            neg[0] = True
-        v_plus = (u[:, pos] * w[pos]) @ u[:, pos].conj().T
-        v_minus = (u[:, neg] * (-w[neg])) @ u[:, neg].conj().T
-        return 0.5 * (v_plus + v_plus.conj().T), 0.5 * (v_minus + v_minus.conj().T)
-
 
 def sign_split(v, name: str = "matrix") -> PerturbationSplit:
-    """Split a Hermitian matrix into its positive and negative spectral parts.
+    """Read a Hermitian matrix V = V+ - V- through its three norms.
 
-    Eigenpairs with |eigenvalue| <= 1e-12 * (1 + ||V||) are dropped from both
-    parts; they contribute the zero operator either way.  norm_plus and
-    norm_minus are the spectral norms of the two parts (0 for an empty part),
-    taken from an eigenvalue-only solve.  The input is validated by
-    require_hermitian, which names it `name` in errors.
+    One eigenvalue-only solve gives them all: norm_v is ||V||, and norm_plus
+    and norm_minus are the spectral norms of the positive and negative parts
+    (0 for an empty part).  Eigenvalues with |eigenvalue| <= 1e-12 * (1 + ||V||)
+    belong to neither part; they contribute the zero operator either way.  The
+    input is validated by require_hermitian, which names it `name` in errors.
     """
     arr = require_hermitian(v, name=name)
-    w = _eigvalsh(arr)
+    try:
+        w = np.linalg.eigvalsh(arr)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceFailure(f"eigensolver failed: {exc}") from exc
     norm_v = float(abs(w).max())
     zero_tol = HERMITICITY_RTOL * (1.0 + norm_v)
     return PerturbationSplit(

@@ -24,7 +24,6 @@ from specsub import (
     resolvent_interval,
     second_branch_point,
     sharp_example_2x2,
-    solve_kappa,
     verify_instance,
 )
 from specsub.bounds import branch_formula
@@ -137,7 +136,7 @@ def _timed(fn):
 def test_criterion_2_kappa_certification(capsys):
     with criterion(capsys, 2, "kappa certified inside its bracket with residual <= 1e-13"):
         lo, hi = kappa_bracket()
-        k = solve_kappa(1e-13)
+        k = kappa()
         assert lo < k < hi
         assert abs(branch_formula(3, k) - branch_formula(4, k)) <= 1e-13
         assert abs(branch_formula(3, k) - branch_formula(4, k)) <= 1e-10

@@ -26,7 +26,6 @@ from specsub import (
     piecewise_angle_bound_with_branch,
     second_branch_point,
     sin2theta_bound,
-    solve_kappa,
 )
 from specsub.bounds import _U_CAP, _step_cost, branch_formula
 
@@ -51,28 +50,24 @@ class TestConstants:
         assert integral_threshold() < 2.0 * critical_strength()
 
 
-class TestSolveKappa:
+class TestKappa:
     def test_root_inside_bracket(self):
         lo, hi = kappa_bracket()
-        k = solve_kappa(1e-13)
+        k = kappa()
         assert lo < k < hi
         assert round(lo, 4) == 0.3232
         assert round(hi, 4) == 0.434
 
     def test_residual(self):
-        k = solve_kappa(1e-13)
+        k = kappa()
         assert abs(branch_formula(3, k) - branch_formula(4, k)) <= 1e-13
 
     def test_branches_agree_at_kappa(self):
         k = kappa()
         assert branch_formula(3, k) == pytest.approx(branch_formula(4, k), abs=1e-10)
 
-    def test_bad_tolerance(self):
-        with pytest.raises(DomainError):
-            solve_kappa(0.0)
-
     def test_deterministic(self):
-        assert solve_kappa(1e-13) == solve_kappa(1e-13)
+        assert kappa.__wrapped__() == kappa.__wrapped__()
 
 
 class TestPiecewiseAngleBound:
@@ -235,6 +230,35 @@ class TestPathStepBound:
             path_step_bound(0.6, 0.4, 1.0, 0.1, 0.1, 1.0)
         with pytest.raises(DomainError):
             path_step_bound(0.0, 1.0, 1.0, 0.6, 0.5, 1.0)
+
+
+# each bound with valid arguments; every numeric argument position in turn
+# gets a non-finite value
+_BOUND_CALLS = [
+    (favourable_angle_bound, (0.1, 0.1, 1.0)),
+    (generic_angle_bound, (0.1, 0.1, 1.0)),
+    (half_arcsin_angle_bound, (0.1, 0.1, 1.0)),
+    (sin2theta_bound, (0.1, 0.1, 1.0)),
+    (integral_angle_bound, (0.1, 0.1, 1.0)),
+    (path_step_bound, (0.0, 0.5, 0.1, 0.1, 0.1, 1.0)),
+]
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "fn, args, position",
+    [
+        pytest.param(fn, args, i, id=f"{fn.__name__}-arg{i}")
+        for fn, args in _BOUND_CALLS
+        for i in range(len(args))
+    ],
+)
+def test_non_finite_arguments_rejected(fn, args, position, bad):
+    fn(*args)
+    bad_args = list(args)
+    bad_args[position] = bad
+    with pytest.raises(DomainError):
+        fn(*bad_args)
 
 
 class TestIntegralBound:

@@ -478,6 +478,12 @@ class TestFuzzCommand:
         assert captured.out == ""
         assert "finite scale" in captured.err
 
+    def test_negative_seed_is_input_error(self, capsys):
+        assert main(["fuzz", "--n", "4", "--count", "2", "--scale", "0.5", "--seed", "-1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "seed >= 0" in captured.err
+
 
 def fuzz_args(count, out_dir=None, n=8):
     args = ["fuzz", "--n", str(n), "--count", str(count), "--scale", "0.9", "--seed", "4"]

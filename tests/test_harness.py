@@ -260,6 +260,10 @@ class TestRandomInstance:
         with pytest.raises(InvalidSpec):
             random_instance(n=4, d_target=bad, component_split=2, scale=0.5, seed=0)
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(InvalidSpec, match="seed >= 0"):
+            random_instance(n=4, d_target=1.0, component_split=2, scale=0.5, seed=-1)
+
 
 class TestVerifyInstance:
     def test_zero_perturbation(self):
@@ -448,17 +452,8 @@ class TestLayerCounts:
         self._count(monkeypatch, counts, np.linalg, "eigh")
         self._count(monkeypatch, counts, np.linalg, "eigvalsh")
 
-        analysis = analyze_instance(inst)
+        analyze_instance(inst)
         assert counts == {"require_hermitian": 3, "eigh": 2, "eigvalsh": 1}
-
-        # V+ and V- need the eigenvectors of V, built once on first read
-        v_plus = analysis.split.v_plus
-        assert counts["eigh"] == 3
-        assert analysis.split.v_minus is not None and analysis.split.v_plus is v_plus
-        assert counts["eigh"] == 3
-        np.testing.assert_allclose(
-            v_plus - analysis.split.v_minus, inst.v, atol=1e-12 * (1.0 + analysis.split.norm_v)
-        )
 
 
 class TestSharpnessGrid:
