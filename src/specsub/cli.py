@@ -137,9 +137,7 @@ def _fuzz_one(
     analysis = analyze_instance(inst)
     text = None
     if want_report:
-        digest = fileio.sha256_digest(
-            fileio.dumps(fileio.problem_payload(inst)).encode()
-        )
+        digest = fileio.problem_digest(inst)
         text = fileio.dumps(fileio.report_payload(analysis, __version__, digest))
     return index, analysis.report.applicable, analysis.report.violations, text
 
@@ -259,7 +257,7 @@ def _cmd_kappa(_args) -> int:
 def _cmd_sharp(args) -> int:
     inst, expected = sharp_example_2x2(args.vplus, args.vminus)
     analysis = analyze_instance(inst)
-    digest = fileio.sha256_digest(fileio.dumps(fileio.problem_payload(inst)).encode())
+    digest = fileio.problem_digest(inst)
     measured = analysis.report.measured_angle
     fav = analysis.report.favourable_bound
     print(f"measured_angle = {measured!r}", file=sys.stderr)
@@ -294,6 +292,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return _COMMANDS[args.command](args)
     except (SpecsubError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_INPUT
 
 

@@ -13,7 +13,7 @@ import json
 import math
 from dataclasses import fields
 from json.encoder import encode_basestring_ascii
-from typing import Any, Optional
+from typing import Any, Callable, Optional
 
 import numpy as np
 
@@ -26,6 +26,12 @@ REPORT_FORMAT_VERSION = 2
 
 _FLOAT_ONLY = frozenset((float,))
 
+# the indent of every document specsub writes
+_INDENT = 2
+
+# where the emitter sends each piece of text: a list's append, or a hash
+_Sink = Callable[[str], Any]
+
 
 def format_float(x: float) -> str:
     """Render a float with 17 significant digits, keeping it a JSON float."""
@@ -37,68 +43,77 @@ def format_float(x: float) -> str:
     return text
 
 
-def dumps(obj: Any, indent: int = 2) -> str:
+def dumps(obj: Any, indent: int = _INDENT) -> str:
     """Deterministic JSON text with 17-significant-digit floats."""
     pieces: list[str] = []
-    _emit(obj, pieces, "", " " * indent)
+    _emit_document(obj, pieces.append, indent)
     return "".join(pieces)
 
 
-def _emit(obj: Any, out: list[str], pad: str, step: str) -> None:
-    # Exact types first: payloads are built from plain floats, dicts and lists.
+def _emit_document(obj: Any, write: _Sink, indent: int = _INDENT) -> None:
+    """Write the text of dumps(obj, indent) to `write`, piece by piece."""
+    _emit(obj, write, "", " " * indent)
+
+
+def _emit(obj: Any, write: _Sink, pad: str, step: str) -> None:
+    # Exact types first: payloads are built from plain floats, dicts, lists
+    # and float64 arrays.
     kind = type(obj)
     if kind is float:
-        out.append(format_float(obj))
+        write(format_float(obj))
     elif kind is dict:
-        _emit_dict(obj, out, pad, step)
+        _emit_dict(obj, write, pad, step)
     elif kind is list:
-        _emit_list(obj, out, pad, step)
+        _emit_list(obj, write, pad, step)
+    elif kind is np.ndarray and obj.ndim:
+        # problem matrices: print as the nested lists of their values
+        _emit(obj.tolist(), write, pad, step)
     elif obj is None:
-        out.append("null")
+        write("null")
     elif isinstance(obj, bool):
-        out.append("true" if obj else "false")
+        write("true" if obj else "false")
     elif isinstance(obj, (int, np.integer)):
-        out.append(str(int(obj)))
+        write(str(int(obj)))
     elif isinstance(obj, (float, np.floating)):
-        out.append(format_float(float(obj)))
+        write(format_float(float(obj)))
     elif isinstance(obj, str):
-        out.append(encode_basestring_ascii(obj))
+        write(encode_basestring_ascii(obj))
     elif isinstance(obj, dict):
-        _emit_dict(obj, out, pad, step)
+        _emit_dict(obj, write, pad, step)
     elif isinstance(obj, (list, tuple, np.ndarray)):
-        _emit_list(list(obj), out, pad, step)
+        _emit_list(list(obj), write, pad, step)
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def _emit_dict(obj: dict, out: list[str], pad: str, step: str) -> None:
+def _emit_dict(obj: dict, write: _Sink, pad: str, step: str) -> None:
     if not obj:
-        out.append("{}")
+        write("{}")
         return
     inner = pad + step
     sep = "{\n" + inner
     for key, value in obj.items():
-        out.append(sep + encode_basestring_ascii(str(key)) + ": ")
-        _emit(value, out, inner, step)
+        write(sep + encode_basestring_ascii(str(key)) + ": ")
+        _emit(value, write, inner, step)
         sep = ",\n" + inner
-    out.append("\n" + pad + "}")
+    write("\n" + pad + "}")
 
 
-def _emit_list(seq: list, out: list[str], pad: str, step: str) -> None:
+def _emit_list(seq: list, write: _Sink, pad: str, step: str) -> None:
     if not seq:
-        out.append("[]")
+        write("[]")
         return
     inner = pad + step
     if _FLOAT_ONLY.issuperset(map(type, seq)):
         # matrix rows and singular values: format and join in one step
-        out.append("[\n" + inner + _float_row(seq, ",\n" + inner) + "\n" + pad + "]")
+        write("[\n" + inner + _float_row(seq, ",\n" + inner) + "\n" + pad + "]")
         return
     sep = "[\n" + inner
     for value in seq:
-        out.append(sep)
-        _emit(value, out, inner, step)
+        write(sep)
+        _emit(value, write, inner, step)
         sep = ",\n" + inner
-    out.append("\n" + pad + "]")
+    write("\n" + pad + "]")
 
 
 def _float_row(seq: list, sep: str) -> str:
@@ -216,15 +231,15 @@ def load_problem(path: str) -> tuple[Instance, str]:
 
 
 def problem_payload(inst: Instance) -> dict:
-    """Problem document for a constructed instance (used for digests and --out files)."""
+    """Problem document for a constructed instance; its blocks hold views of the matrices."""
     a = np.asarray(inst.a)
     v = np.asarray(inst.v)
     n = a.shape[0]
 
     def block(m: np.ndarray) -> dict:
-        entry: dict[str, Any] = {"n": n, "real": m.real.tolist()}
+        entry: dict[str, Any] = {"n": n, "real": m.real}
         if np.iscomplexobj(m) and np.any(m.imag != 0.0):
-            entry["imag"] = m.imag.tolist()
+            entry["imag"] = m.imag
         return entry
 
     return {
@@ -233,6 +248,16 @@ def problem_payload(inst: Instance) -> dict:
         "v": block(v),
         "sigma": [[lo, hi] for lo, hi in inst.component_intervals],
     }
+
+
+def problem_digest(inst: Instance) -> str:
+    """sha256_digest(dumps(problem_payload(inst)).encode()), without holding the text.
+
+    The emitter hashes each piece of the document as it writes it.
+    """
+    sha = hashlib.sha256()
+    _emit_document(problem_payload(inst), lambda piece: sha.update(piece.encode()))
+    return "sha256:" + sha.hexdigest()
 
 
 def _finite_or_none(x: Optional[float]) -> Optional[float]:

@@ -139,7 +139,14 @@ def gap_condition(split: PerturbationSplit, gap: float) -> bool:
 
 
 def perturbed_gap_lower_bound(split: PerturbationSplit, gap: float, t: float = 1.0) -> float:
-    """Guaranteed separation of the perturbed components: gap - t(||V+|| + ||V-||)."""
+    """Guaranteed separation of the perturbed components: gap - t(||V+|| + ||V-||).
+
+    Raises DomainError unless 0 <= t <= 1 and the gap is finite and positive.
+    """
+    if not 0.0 <= t <= 1.0:
+        raise DomainError(f"t must be in [0, 1], got {t!r}")
+    if not 0.0 < gap < math.inf:
+        raise DomainError(f"gap must be finite and positive, got {gap!r}")
     return gap - t * split.norm_sum
 
 

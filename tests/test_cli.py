@@ -578,25 +578,42 @@ class TestFuzzStreaming:
         assert main(fuzz_args(count, n=4)) == 0
         assert capsys.readouterr().out == pooled
 
-    def test_reports_before_a_failure_stay_on_disk(self, monkeypatch, tmp_path, capsys):
-        assert main(fuzz_args(12, tmp_path / "clean")) == 0
+    @staticmethod
+    def fail_at(monkeypatch, tmp_path, capsys, name, index, exc):
+        """Fuzz with specsub.cli's `name` raising `exc` at `index`; returns stderr.
+
+        The reports of the instances before `index` stay on disk, byte for
+        byte as a clean run writes them.
+        """
+        assert main(fuzz_args(index + 5, tmp_path / "clean")) == 0
+        capsys.readouterr()
+        real = getattr(specsub.cli, name)
         calls = []
 
-        def failing_at_seven(inst, *args, **kwargs):
-            calls.append(inst)
-            if len(calls) == 8:
-                raise ConvergenceFailure("forced failure at index 7")
-            return analyze_instance(inst, *args, **kwargs)
+        def failing(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == index + 1:
+                raise exc
+            return real(*args, **kwargs)
 
-        monkeypatch.setattr(specsub.cli, "analyze_instance", failing_at_seven)
-        assert main(fuzz_args(12, tmp_path / "broken")) == 1
-        captured = capsys.readouterr()
-        assert "forced failure at index 7" in captured.err
+        monkeypatch.setattr(specsub.cli, name, failing)
+        assert main(fuzz_args(index + 5, tmp_path / "broken")) == 1
         written = sorted(os.listdir(tmp_path / "broken"))
-        assert written == [f"instance-{i:06d}.json" for i in range(7)]
-        for name in written:
-            clean = (tmp_path / "clean" / name).read_bytes()
-            assert (tmp_path / "broken" / name).read_bytes() == clean
+        assert written == [f"instance-{i:06d}.json" for i in range(index)]
+        for report in written:
+            clean = (tmp_path / "clean" / report).read_bytes()
+            assert (tmp_path / "broken" / report).read_bytes() == clean
+        return capsys.readouterr().err
+
+    def test_reports_before_a_failure_stay_on_disk(self, monkeypatch, tmp_path, capsys):
+        exc = ConvergenceFailure("forced failure at index 7")
+        err = self.fail_at(monkeypatch, tmp_path, capsys, "analyze_instance", 7, exc)
+        assert "forced failure at index 7" in err
+
+    def test_out_of_memory_is_an_error_line(self, monkeypatch, tmp_path, capsys):
+        exc = MemoryError("Unable to allocate 74.5 GiB")
+        err = self.fail_at(monkeypatch, tmp_path, capsys, "random_instance", 3, exc)
+        assert err == "error: out of memory: Unable to allocate 74.5 GiB\n"
 
     def test_report_files_are_closed_in_bounded_groups(self, monkeypatch, tmp_path, capsys):
         assert main(fuzz_args(10, tmp_path / "clean")) == 0

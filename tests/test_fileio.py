@@ -1,13 +1,15 @@
 """The serializer against a reference copy of its original recursive emitter."""
 
+import gc
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from specsub import __version__, analyze_instance, random_instance
-from specsub.fileio import dumps, problem_payload, report_payload
+from specsub import __version__, analyze_instance, random_instance, sharp_example_2x2
+from specsub.fileio import dumps, problem_digest, problem_payload, report_payload, sha256_digest
 from specsub.harness import Instance
 
 
@@ -234,3 +236,79 @@ class TestFloatRows:
             reference_dumps(row)
         with pytest.raises(ValueError):
             dumps(row)
+
+
+class TestFloatArrays:
+    """Float64 arrays print as the nested lists of their values print."""
+
+    @pytest.mark.parametrize("value", ROW_VALUES)
+    def test_each_value(self, value):
+        for row in ([value], [value, -value], [0.5, value, 2.0], [value] * 5):
+            # a row, a matrix holding the value once, and a matrix made of it
+            matrix = np.full((3, len(row)), 0.1)
+            matrix[1] = row
+            for arr in (np.array(row), matrix, np.array([row, row[::-1]])):
+                assert dumps(arr) == reference_dumps(arr)
+                assert dumps({"m": arr}) == reference_dumps({"m": arr})
+
+    def test_all_values_in_one_matrix(self):
+        values = np.array(ROW_VALUES + [-x for x in ROW_VALUES] + [0.25, 1e300])
+        for arr in (values, values.reshape(3, 8), values.reshape(8, 3)):
+            assert dumps(arr) == reference_dumps(arr)
+
+    def test_views_and_shapes(self):
+        m = np.arange(1.0, 13.0).reshape(3, 4) / 7.0
+        c = m + 1j * (m + 0.5)
+        for arr in (m, m.T, m[:, ::2], m[1:2], m[:, :1], c.real, c.imag, m[0], m[:, 1]):
+            assert dumps({"m": arr}) == reference_dumps({"m": arr})
+
+    def test_random_matrices(self):
+        rng = np.random.default_rng(23)
+        for _ in range(200):
+            rows, cols = (int(k) for k in rng.integers(1, 9, 2))
+            arr = rng.standard_normal((rows, cols)) * 10.0 ** rng.integers(-320, 300, (rows, cols))
+            if rng.random() < 0.5:
+                arr.flat[rng.integers(arr.size)] = np.round(rng.standard_normal() * 1e6)
+            assert dumps(arr) == reference_dumps(arr)
+            assert dumps({"rows": [arr, arr[0]]}) == reference_dumps({"rows": [arr, arr[0]]})
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("position", [0, 1, 5, 11])
+    def test_non_finite_anywhere_raises_value_error(self, bad, position):
+        for integral in (0.5, 2.0):
+            arr = np.full((3, 4), 0.75)
+            arr[2, 3] = integral
+            arr.flat[position] = bad
+            for obj in (arr, arr.ravel(), {"m": arr}):
+                with pytest.raises(ValueError):
+                    reference_dumps(obj)
+                with pytest.raises(ValueError):
+                    dumps(obj)
+
+
+class TestProblemDigest:
+    @pytest.mark.parametrize("n", [2, 8, 32])
+    def test_digest_of_the_problem_text(self, n):
+        count = 10 if n == 32 else 50
+        for inst in fuzz_instances(n, count):
+            expected = sha256_digest(reference_dumps(problem_payload(inst)).encode())
+            assert problem_digest(inst) == expected
+
+    def test_digest_of_the_sharp_problem(self):
+        inst, _ = sharp_example_2x2(0.3, 0.2)
+        assert problem_digest(inst) == sha256_digest(reference_dumps(problem_payload(inst)).encode())
+
+    @pytest.mark.parametrize("twin", ["complex", "real"])
+    def test_text_is_never_held_whole(self, twin):
+        complex_inst, real_inst = fuzz_instances(32, 1)
+        inst = complex_inst if twin == "complex" else real_inst
+        length = len(dumps(problem_payload(inst)))
+        problem_digest(inst)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            problem_digest(inst)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < length

@@ -15,6 +15,7 @@ from specsub import (
     gap_condition,
     partition_spectrum,
     perturbed_component_at_t,
+    perturbed_gap_lower_bound,
     random_instance,
     resolvent_interval,
     sharp_example_2x2,
@@ -161,6 +162,32 @@ class TestPerturbedComponentAtT:
         inst, part, split = self._setup()
         with pytest.raises(DomainError):
             perturbed_component_at_t(eigh(inst.a), part, split, 1.5)
+
+
+class TestPerturbedGapLowerBound:
+    def test_full_and_partial_perturbation(self):
+        split = sign_split(np.diag([0.2, -0.1]))
+        assert perturbed_gap_lower_bound(split, 1.0) == pytest.approx(0.7, abs=1e-15)
+        assert perturbed_gap_lower_bound(split, 1.0, 0.5) == pytest.approx(0.85, abs=1e-15)
+        assert perturbed_gap_lower_bound(split, 1.0, 0.0) == 1.0
+
+    @pytest.mark.parametrize(
+        "gap, t",
+        [
+            (1.0, -5.0),
+            (1.0, -1e-300),
+            (1.0, 2.0),
+            (1.0, np.nextafter(1.0, 2.0)),
+            (1.0, np.nan),
+            (np.inf, 1.0),
+            (np.nan, 1.0),
+            (0.0, 0.5),
+            (-1.0, 0.5),
+        ],
+    )
+    def test_out_of_domain_arguments_rejected(self, gap, t):
+        with pytest.raises(DomainError):
+            perturbed_gap_lower_bound(sign_split(np.diag([0.2, -0.1])), gap, t)
 
 
 class TestEnclosureCheck:
