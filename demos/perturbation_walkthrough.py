@@ -28,8 +28,9 @@ print(f"\n||V+|| = {split.norm_plus:.6f}  ||V-|| = {split.norm_minus:.6f}  "
       f"||V|| = {split.norm_v:.6f}")
 print(f"gap condition ||V+|| + ||V-|| < d: {split.norm_sum:.6f} < {partition.gap:.6f}")
 
-# Where the perturbed component is allowed to live: each component eigenvalue
-# lam enlarged to [lam - ||V-||, lam + ||V+||].
+# Where the perturbed component is allowed to live: by Weyl, the eigenvalue
+# of A + V with the same index as a component eigenvalue lam lies in
+# [lam - ||V-||, lam + ||V+||].
 print("\nenlarged component intervals:")
 for lam in partition.component_values:
     print(f"  [{lam - split.norm_minus:.4f}, {lam + split.norm_plus:.4f}]")

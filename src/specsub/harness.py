@@ -2,14 +2,17 @@
 
 verify_instance evaluates every applicable bound against the measured
 angles and records violations as data; it never raises on a violation.
-A numerical failure still raises ConvergenceFailure or EnclosureViolation,
-and one in any instance ends a fuzz campaign with exit 1.
+A numerical failure still raises ConvergenceFailure (eigensolver) or
+EnclosureViolation (an eigenvalue of A + tV outside its Weyl interval; the
+perturbed component is paired by index, so its rank cannot change), and one
+in any instance ends a fuzz campaign with exit 1.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import operator
 from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import Callable, NamedTuple, Optional
@@ -67,10 +70,12 @@ def measure_angles(rest: np.ndarray, comp: np.ndarray) -> AngleMeasurement:
     subspace and `comp` (n x k) spans the second, so the sines are the
     singular values of the (n - k) x k cross block rest* comp.  Raises
     DimensionMismatch unless the heights agree and the widths add up to n,
-    i.e. unless both subspaces have dimension k.
+    i.e. unless both are 2-D and both subspaces have dimension k.
     """
-    n, m = rest.shape
-    if comp.shape[0] != n or m + comp.shape[1] != n:
+    if not (
+        rest.ndim == comp.ndim == 2
+        and comp.shape[0] == rest.shape[0] == rest.shape[1] + comp.shape[1]
+    ):
         raise DimensionMismatch(
             f"bases of shapes {rest.shape} and {comp.shape} are not a complement "
             f"and a subspace of one space"
@@ -145,6 +150,14 @@ def _haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
     return q * (diag / np.abs(diag))
 
 
+def _integer(name: str, value) -> int:
+    """`value` as an int (numpy integers included); InvalidSpec for anything else."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise InvalidSpec(f"{name} must be an integer, got {value!r}") from None
+
+
 def random_instance(
     n: int,
     d_target: float,
@@ -161,8 +174,12 @@ def random_instance(
     a Gaussian Hermitian matrix rescaled so ||V+|| + ||V-|| equals
     scale * d_target.  With `interlaced`, each side is split into two
     clusters arranged alternately, so neither convex hull misses the other.
-    Deterministic per seed.
+    Deterministic per seed.  Non-integer n, component_split or seed raise
+    InvalidSpec.
     """
+    n = _integer("n", n)
+    component_split = _integer("component_split", component_split)
+    seed = _integer("seed", seed)
     if n < 2 or not 1 <= component_split < n:
         raise InvalidSpec(f"need n >= 2 and 1 <= component_split < n, got ({n}, {component_split})")
     if not (0.0 < d_target < math.inf and 0.0 <= scale < math.inf and seed >= 0):
@@ -226,7 +243,7 @@ def random_instance(
         a=a,
         v=v,
         component_intervals=intervals,
-        seed=int(seed),
+        seed=seed,
         label=f"random(n={n}, split={component_split}, scale={scale!r}, "
         f"seed={seed}, interlaced={interlaced})",
     )
@@ -467,6 +484,7 @@ def path_scan(inst: Instance, steps: int) -> list[PathPoint]:
 
     Uses a uniform grid with `steps` sub-intervals (so steps + 1 points).
     """
+    steps = _integer("steps", steps)
     if steps < 2:
         raise InvalidSpec(f"steps must be at least 2, got {steps!r}")
     a, decomp_a, split, partition = _setup(inst)

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
@@ -11,7 +10,7 @@ import numpy as np
 
 from .errors import (
     AmbiguousMembership,
-    ConvergenceFailure,
+    DimensionMismatch,
     DomainError,
     EmptyComponent,
     EnclosureViolation,
@@ -26,26 +25,22 @@ ENCLOSURE_RTOL = 1e-9
 Interval = tuple[float, float]
 
 
-def _ends(values, down: float, up: float) -> tuple[list[float], list[float]]:
-    """Ascending lower and upper ends of the intervals [v - down, v + up]."""
-    vals = sorted(values)
-    return [v - down for v in vals], [v + up for v in vals]
+def _weyl_excess(
+    w: np.ndarray, mus: np.ndarray, split: PerturbationSplit, t: float
+) -> tuple[int, float, float]:
+    """(j, excess, tol): the largest excess of mus[j] over [w[j] - t||V-||, w[j] + t||V+||].
 
-
-def _distance(x: float, lo: list[float], hi: list[float]) -> float:
-    """Distance from x to the union of the intervals [lo[j], hi[j]] from _ends.
-
-    The intervals may overlap: the distance to their union is the least
-    distance to any one of them, so they need not be merged first.
-    Both ends ascend, so of the intervals that start at or below x the one
-    reaching furthest right is the last, and the nearest on the right is the
-    first of the others.
+    By Weyl's monotonicity, A - tV- <= A + tV <= A + tV+, the j-th ascending
+    eigenvalue mu_j of A + tV lies in that interval around lam_j = w[j], so
+    the excess is <= 0 up to rounding; above tol = 1e-9 * (1 + ||A|| + ||V||)
+    it signals a numerical failure.  Spectra of different lengths raise
+    DimensionMismatch.
     """
-    j = bisect.bisect_right(lo, x)
-    below = x - hi[j - 1] if j else math.inf
-    if below <= 0.0:
-        return 0.0
-    return min(below, lo[j] - x) if j < len(lo) else below
+    if w.shape != mus.shape:
+        raise DimensionMismatch(f"{mus.size} perturbed eigenvalues for {w.size} unperturbed")
+    excess = np.maximum((w - t * split.norm_minus) - mus, mus - (w + t * split.norm_plus))
+    j = int(excess.argmax())
+    return j, float(excess[j]), ENCLOSURE_RTOL * (1.0 + float(np.abs(w).max()) + split.norm_v)
 
 
 @dataclass(frozen=True)
@@ -77,9 +72,14 @@ def partition_spectrum(
     Eigenvalues inside any interval form the component; the rest form the
     complement.  An eigenvalue within 1e-12 relative tolerance of an interval
     boundary raises AmbiguousMembership, and either side being empty raises
-    EmptyComponent.  The gap is the minimum distance between the two sides.
+    EmptyComponent; an interval that is not a pair of finite numbers
+    lo <= hi raises InvalidInterval.  The gap is the minimum distance
+    between the two sides.
     """
-    ivs = [(float(lo), float(hi)) for lo, hi in intervals]
+    try:
+        ivs = [(float(lo), float(hi)) for lo, hi in intervals]
+    except (TypeError, ValueError) as exc:
+        raise InvalidInterval(f"selection intervals must be pairs of numbers: {exc}") from None
     if not ivs:
         raise EmptyComponent("no selection intervals given")
     for lo, hi in ivs:
@@ -112,7 +112,7 @@ def partition_spectrum(
     )
 
 
-def _class_gap(values: list[float], members: list[int]) -> float:
+def _class_gap(values: list[float], members: Sequence[int]) -> float:
     """Least distance between values[members] and the other values; inf if either is empty.
 
     With `values` ascending, the closest pair across the two classes is
@@ -152,7 +152,7 @@ def perturbed_gap_lower_bound(split: PerturbationSplit, gap: float, t: float = 1
 
 @dataclass(frozen=True)
 class PerturbedSeparation:
-    """Assignment of a perturbed spectrum to the enlarged component and rest."""
+    """The perturbed component and rest of A + tV, paired by index with the unperturbed ones."""
 
     component_indices: tuple[int, ...]
     rest_indices: tuple[int, ...]
@@ -166,16 +166,15 @@ def perturbed_component_at_t(
     split: PerturbationSplit,
     t: float,
 ) -> PerturbedSeparation:
-    """Assign the eigenvalues of A + tV to the component enlarged by t-scaled margins.
+    """Pair the eigenvalues of A + tV with the partition of A by index.
 
-    Each perturbed eigenvalue must fall in exactly one of the two enlargements
-    (component values +[-t ||V-||, t ||V+||], likewise for the rest); under
-    t(||V+|| + ||V-||) < gap these are disjoint.  An eigenvalue outside both,
-    beyond 1e-9 * (1 + ||A|| + ||V||), raises EnclosureViolation: the enclosure
-    is guaranteed, so an escape signals a numerical failure.  The gap
-    condition also keeps the component's rank, so a component whose
-    eigenvalue count differs from the unperturbed one raises
-    ConvergenceFailure.
+    The j-th ascending eigenvalue mu_j of A + tV lies in
+    [lam_j - t||V-||, lam_j + t||V+||] (Weyl), and under t(||V+|| + ||V-||) < gap
+    these intervals keep the component apart from the rest, so the perturbed
+    component holds the unperturbed indices and its rank cannot change.  A
+    mu_j outside its interval beyond 1e-9 * (1 + ||A|| + ||V||) is a numerical
+    failure and raises EnclosureViolation; spectra of different lengths
+    raise DimensionMismatch.
     """
     if not 0.0 <= t <= 1.0:
         raise DomainError(f"t must be in [0, 1], got {t!r}")
@@ -184,33 +183,18 @@ def perturbed_component_at_t(
             f"t*(||V+|| + ||V-||) = {t * split.norm_sum!r} does not stay below "
             f"the gap {partition.gap!r}"
         )
-    down, up = t * split.norm_minus, t * split.norm_plus
-    w = partition.eigenvalues.tolist()
-    comp_lo, comp_hi = _ends([w[k] for k in partition.component_indices], down, up)
-    rest_lo, rest_hi = _ends([w[k] for k in partition.rest_indices], down, up)
-    tol = ENCLOSURE_RTOL * (1.0 + max(map(abs, w)) + split.norm_v)
-    mus = decomp_perturbed.eigenvalues.tolist()
-    comp: list[int] = []
-    rest: list[int] = []
-    for k, mu in enumerate(mus):
-        d_comp = _distance(mu, comp_lo, comp_hi)
-        d_rest = _distance(mu, rest_lo, rest_hi)
-        if min(d_comp, d_rest) > tol:
-            raise EnclosureViolation(
-                f"perturbed eigenvalue {mu!r} lies {min(d_comp, d_rest):.3e} "
-                f"outside both enlargements (tolerance {tol:.3e})"
-            )
-        (comp if d_comp <= d_rest else rest).append(k)
-    if len(comp) != len(partition.component_indices):
-        raise ConvergenceFailure(
-            f"perturbed component holds {len(comp)} eigenvalues, "
-            f"the unperturbed one {len(partition.component_indices)}"
+    w, mus = partition.eigenvalues, decomp_perturbed.eigenvalues
+    j, excess, tol = _weyl_excess(w, mus, split, t)
+    if excess > tol:
+        raise EnclosureViolation(
+            f"perturbed eigenvalue mu_{j} = {float(mus[j])!r} lies {excess:.3e} outside its "
+            f"Weyl interval around lam_{j} = {float(w[j])!r} (tolerance {tol:.3e})"
         )
     return PerturbedSeparation(
-        component_indices=tuple(comp),
-        rest_indices=tuple(rest),
+        component_indices=partition.component_indices,
+        rest_indices=partition.rest_indices,
         gap_lower_bound=perturbed_gap_lower_bound(split, partition.gap, t),
-        measured_gap=_class_gap(mus, comp),
+        measured_gap=_class_gap(mus.tolist(), partition.component_indices),
     )
 
 
@@ -224,20 +208,16 @@ def spectral_enclosure_check(
     decomp_perturbed: SpectralDecomposition,
     split: PerturbationSplit,
 ) -> EnclosureCheck:
-    """Check spec(A+V) against spec(A) + [-||V-||, ||V+||].
+    """Check spec(A+V) against spec(A) + [-||V-||, ||V+||], index by index.
 
-    Returns whether every perturbed eigenvalue lies inside the enlargement
-    within 1e-9 * (1 + ||A|| + ||V||), together with the largest excess.
-    A False result is data, not an error.
+    Returns whether each perturbed eigenvalue mu_j lies inside
+    [lam_j - ||V-||, lam_j + ||V+||] within 1e-9 * (1 + ||A|| + ||V||),
+    together with the largest excess (0.0 when all lie inside).  A False
+    result is data, not an error; spectra of different lengths raise
+    DimensionMismatch.
     """
-    w = decomp_a.eigenvalues.tolist()
-    lo, hi = _ends(w, split.norm_minus, split.norm_plus)
-    excess = max(
-        (_distance(mu, lo, hi) for mu in decomp_perturbed.eigenvalues.tolist()),
-        default=0.0,
-    )
-    tol = ENCLOSURE_RTOL * (1.0 + max(map(abs, w)) + split.norm_v)
-    return EnclosureCheck(ok=excess <= tol, max_excess=excess)
+    _, excess, tol = _weyl_excess(decomp_a.eigenvalues, decomp_perturbed.eigenvalues, split, 1.0)
+    return EnclosureCheck(ok=excess <= tol, max_excess=max(0.0, excess))
 
 
 def resolvent_interval(

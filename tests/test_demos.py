@@ -1,6 +1,7 @@
-"""The demo scripts run to completion against the package under src/."""
+"""The demo scripts and README's quickstart run to completion against the package under src/."""
 
 import os
+import re
 import subprocess
 import sys
 
@@ -16,14 +17,25 @@ def test_all_four_demos_found():
     assert len(DEMOS) == 4
 
 
-@pytest.mark.parametrize("name", DEMOS)
+def readme_quickstart():
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as f:
+        (block,) = re.findall(r"^```python\n(.*?)^```", f.read(), re.M | re.S)
+    return block
+
+
+@pytest.mark.parametrize("name", DEMOS + ["README.md"])
 def test_demo_runs(name):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (os.path.join(ROOT, "src"), env.get("PYTHONPATH", "")) if p
     )
+    script = (
+        ["-c", readme_quickstart()]
+        if name == "README.md"
+        else [os.path.join(ROOT, "demos", name)]
+    )
     proc = subprocess.run(
-        [sys.executable, os.path.join(ROOT, "demos", name)],
+        [sys.executable, *script],
         cwd=ROOT, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
         timeout=120,
     )

@@ -1,10 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from specsub import spectral
 from specsub import (
     AmbiguousMembership,
-    ConvergenceFailure,
+    DimensionMismatch,
     DomainError,
     EmptyComponent,
     EnclosureViolation,
@@ -58,6 +60,10 @@ class TestPartitionSpectrum:
         dec = eigh(np.diag([0.0, 1.0]))
         with pytest.raises(InvalidInterval):
             partition_spectrum(dec, [(0.5, 0.2)])
+
+    def test_non_numeric_interval_rejected(self):
+        with pytest.raises(InvalidInterval):
+            partition_spectrum(eigh(np.diag([0.0, 1.0])), [("a", 1)])
 
     def test_multi_interval_selection(self):
         dec = eigh(np.diag([0.0, 1.5, 3.0, 4.5]))
@@ -115,15 +121,22 @@ class TestPerturbedComponent:
         with pytest.raises(EnclosureViolation):
             perturbed_component_at_t(foreign, part, split, 1.0)
 
-    def test_rank_change_raised_for_foreign_decomposition(self):
+    def test_foreign_eigenvalue_outside_its_weyl_interval_raised(self):
         # both foreign eigenvalues lie in the enlarged component [-0.1, 0.1],
-        # which the gap condition keeps at the unperturbed rank 1
+        # but mu_1 = 0.05 is paired with lam_1 = 10 and lies far outside
+        # [10 - 0.1, 10 + 0.1]
         a = np.diag([0.0, 10.0])
         part = partition_spectrum(eigh(a), [(-1.0, 1.0)])
         split = sign_split(np.diag([0.1, -0.1]))
         foreign = eigh(np.diag([0.0, 0.05]))
-        with pytest.raises(ConvergenceFailure, match="holds 2 eigenvalues"):
+        with pytest.raises(EnclosureViolation, match="mu_1 = 0.05 .* lam_1 = 10.0"):
             perturbed_component_at_t(foreign, part, split, 1.0)
+
+    def test_spectra_of_different_lengths_rejected(self):
+        part = partition_spectrum(eigh(np.diag([0.0, 10.0])), [(-1.0, 1.0)])
+        split = sign_split(np.diag([0.1, -0.1]))
+        with pytest.raises(DimensionMismatch):
+            perturbed_component_at_t(eigh(np.diag([0.0, 0.05, 10.0])), part, split, 1.0)
 
 
 class TestPerturbedComponentAtT:
@@ -196,6 +209,12 @@ class TestEnclosureCheck:
         split = sign_split(np.zeros((2, 2)))
         ok, excess = spectral_enclosure_check(dec, dec, split)
         assert ok and excess == 0.0
+
+    def test_spectra_of_different_lengths_rejected(self):
+        with pytest.raises(DimensionMismatch):
+            spectral_enclosure_check(
+                eigh(np.eye(2)), eigh(np.eye(3)), sign_split(np.zeros((2, 2)))
+            )
 
     def test_diagonal_example(self):
         a = np.zeros((2, 2))
@@ -271,7 +290,7 @@ class TestGapCondition:
 
 
 class TestAgainstMergedUnion:
-    """Distances to the unmerged intervals against the merged-union loops they replaced, bit for bit."""
+    """Index pairing and the per-index excess against the merged-union loops they replaced."""
 
     @staticmethod
     def ref_enlarge(values, down, up):
@@ -304,17 +323,47 @@ class TestAgainstMergedUnion:
             (comp if d_comp <= d_rest else rest).append(k)
         return tuple(comp), tuple(rest)
 
+    @staticmethod
+    def random(rng):
+        n = int(rng.integers(2, 17))
+        interlaced = n >= 4 and bool(rng.integers(0, 2))
+        split = int(rng.integers(2, n - 1)) if interlaced else int(rng.integers(1, n))
+        return random_instance(
+            n=n, d_target=1.0, component_split=split,
+            scale=float(rng.uniform(0.0, 0.99)), seed=int(rng.integers(0, 2**32)),
+            interlaced=interlaced,
+        )
+
+    @staticmethod
+    def semidefinite(inst, rng, aligned=False):
+        """`inst` with V replaced by +-XX* of random rank r and the same ||V+|| + ||V-||.
+
+        One of t||V+||, t||V-|| is then zero, so each mu_j sits on one side of
+        its Weyl interval.  With `aligned`, X = U_S G for r eigenvectors U_S
+        of A, and every other eigenvalue of A is one of A + tV: mu_j = lam_j.
+        """
+        n = inst.a.shape[0]
+        r = int(rng.integers(1, n + 1))
+        x = rng.standard_normal((n, r)) + 1j * rng.standard_normal((n, r))
+        if aligned:
+            x = eigh(inst.a).eigenvectors[:, rng.choice(n, size=r, replace=False)] @ x[:r]
+        v = x @ x.conj().T
+        v = 0.5 * (v + v.conj().T)
+        v *= rng.choice([-1.0, 1.0]) * sign_split(inst.v).norm_sum / np.linalg.eigvalsh(v).max()
+        return dataclasses.replace(inst, v=v)
+
     def instances(self, count=300):
+        """Gaussian instances, then the Weyl edges: semidefinite V of every rank
+        and the sharp 2x2 family, where the bounds are attained."""
         rng = np.random.default_rng(31)
-        for _ in range(count):
-            n = int(rng.integers(2, 17))
-            interlaced = n >= 4 and bool(rng.integers(0, 2))
-            split = int(rng.integers(2, n - 1)) if interlaced else int(rng.integers(1, n))
-            yield random_instance(
-                n=n, d_target=1.0, component_split=split,
-                scale=float(rng.uniform(0.0, 0.99)), seed=int(rng.integers(0, 2**32)),
-                interlaced=interlaced,
-            )
+        for k in range(2 * count):
+            inst = self.random(rng)
+            yield inst if k < count else self.semidefinite(inst, rng)
+        grid = np.arange(0.0, 0.96, 0.05)
+        for v_plus in grid:
+            for v_minus in grid:
+                if v_plus + v_minus <= 0.95 + 1e-12:
+                    yield sharp_example_2x2(float(v_plus), float(v_minus))[0]
 
     def test_random_instances(self):
         for inst in self.instances():
@@ -332,16 +381,28 @@ class TestAgainstMergedUnion:
             excess = max(self.ref_distance(union, float(m)) for m in dec_av.eigenvalues)
             assert spectral_enclosure_check(dec_a, dec_av, split).max_excess == excess
 
-    def test_points_around_a_union(self):
-        rng = np.random.default_rng(32)
-        for _ in range(200):
-            values = rng.uniform(-3.0, 3.0, size=int(rng.integers(0, 9)))
-            down, up = (float(m) for m in rng.uniform(0.0, 0.5, size=2))
-            union = self.ref_enlarge(values, down, up)
-            lo, hi = spectral._ends(values, down, up)
-            ends = [x for iv in union for x in iv] + lo + hi
-            for x in [*ends, *rng.uniform(-4.0, 4.0, size=10), 0.0, -0.0, 1e300, -1e300]:
-                assert spectral._distance(float(x), lo, hi) == self.ref_distance(union, float(x))
+    def test_null_directions_of_a(self):
+        # with mu_j = lam_j exactly, rounding can put mu_j just past its own
+        # interval and inside a neighbour's: the per-index excess then reads a
+        # few ulps where the distance to the union reads less, still far
+        # below the tolerance
+        rng = np.random.default_rng(33)
+        for _ in range(300):
+            inst = self.semidefinite(self.random(rng), rng, aligned=True)
+            dec_a = eigh(inst.a)
+            split = sign_split(inst.v)
+            part = partition_spectrum(dec_a, inst.component_intervals)
+            for t in (0.0, 0.5, 1.0):
+                dec_t = eigh(inst.a + t * inst.v)
+                sep = perturbed_component_at_t(dec_t, part, split, t)
+                assert (sep.component_indices, sep.rest_indices) == self.ref_assignment(
+                    dec_t.eigenvalues, part, split, t
+                )
+            dec_av = eigh(inst.a + inst.v)
+            union = self.ref_enlarge(dec_a.eigenvalues, split.norm_minus, split.norm_plus)
+            excess = max(self.ref_distance(union, float(m)) for m in dec_av.eigenvalues)
+            check = spectral_enclosure_check(dec_a, dec_av, split)
+            assert check.ok and excess <= check.max_excess
 
 
 class TestClassGap:
