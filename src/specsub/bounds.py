@@ -8,6 +8,7 @@ the perturbation, `gap` is the unperturbed spectral separation.
 from __future__ import annotations
 
 import math
+import operator
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -281,10 +282,14 @@ def partition_infimum_bound(x: float, n_max: int = 64, tol: float = 1e-10) -> fl
     x = float(x)
     if not 0.0 <= x <= 2.0 * critical_strength():
         raise DomainError(f"x={x!r} outside [0, {2.0 * critical_strength()!r}]")
+    try:
+        n_max = operator.index(n_max)
+    except TypeError:
+        raise DomainError(f"n_max must be an integer, got {n_max!r}") from None
     if n_max < 1:
         raise DomainError(f"n_max must be at least 1, got {n_max!r}")
-    if tol <= 0.0:
-        raise DomainError("tol must be positive")
+    if not 0.0 < tol < math.inf:
+        raise DomainError(f"tol must be finite and positive, got {tol!r}")
     if x == 0.0:
         return 0.0
     total = -math.log1p(-x)

@@ -86,8 +86,9 @@ def _build_parser() -> _Parser:
 def _cmd_analyze(args) -> int:
     if not math.isfinite(args.tol):
         raise SpecsubError(f"tol must be finite, got {args.tol!r}")
-    inst, digest = fileio.load_problem(args.path)
+    inst = fileio.load_problem(args.path)
     analysis = analyze_instance(inst, angle_tol=args.tol)
+    digest = fileio.problem_digest(inst)
     print(fileio.dumps(fileio.report_payload(analysis, __version__, digest)))
     return EXIT_VIOLATION if analysis.report.violations else EXIT_OK
 

@@ -3,7 +3,8 @@
 Problems are a single JSON document: matrix blocks with an optional
 imaginary part, plus the selection intervals.  Reports serialize every
 float with 17 significant digits so they re-parse to the identical
-float64 values.
+float64 values.  A report names its problem by `problem_digest`, a hash
+of the problem's numbers, so a problem and its written file share it.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import json
 import math
 from dataclasses import fields
 from json.encoder import encode_basestring_ascii
-from typing import Any, Callable, Optional
+from typing import Any, Optional
 
 import numpy as np
 
@@ -22,15 +23,12 @@ from .harness import Analysis, BoundReport, Instance
 from .spectral import PerturbedSeparation
 
 PROBLEM_FORMAT_VERSION = 1
-REPORT_FORMAT_VERSION = 2
+REPORT_FORMAT_VERSION = 3
 
 _FLOAT_ONLY = frozenset((float,))
 
 # the indent of every document specsub writes
 _INDENT = 2
-
-# where the emitter sends each piece of text: a list's append, or a hash
-_Sink = Callable[[str], Any]
 
 
 def format_float(x: float) -> str:
@@ -46,16 +44,11 @@ def format_float(x: float) -> str:
 def dumps(obj: Any, indent: int = _INDENT) -> str:
     """Deterministic JSON text with 17-significant-digit floats."""
     pieces: list[str] = []
-    _emit_document(obj, pieces.append, indent)
+    _emit(obj, pieces.append, "", " " * indent)
     return "".join(pieces)
 
 
-def _emit_document(obj: Any, write: _Sink, indent: int = _INDENT) -> None:
-    """Write the text of dumps(obj, indent) to `write`, piece by piece."""
-    _emit(obj, write, "", " " * indent)
-
-
-def _emit(obj: Any, write: _Sink, pad: str, step: str) -> None:
+def _emit(obj: Any, write, pad: str, step: str) -> None:
     # Exact types first: payloads are built from plain floats, dicts, lists
     # and float64 arrays.
     kind = type(obj)
@@ -86,7 +79,7 @@ def _emit(obj: Any, write: _Sink, pad: str, step: str) -> None:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def _emit_dict(obj: dict, write: _Sink, pad: str, step: str) -> None:
+def _emit_dict(obj: dict, write, pad: str, step: str) -> None:
     if not obj:
         write("{}")
         return
@@ -99,7 +92,7 @@ def _emit_dict(obj: dict, write: _Sink, pad: str, step: str) -> None:
     write("\n" + pad + "}")
 
 
-def _emit_list(seq: list, write: _Sink, pad: str, step: str) -> None:
+def _emit_list(seq: list, write, pad: str, step: str) -> None:
     if not seq:
         write("[]")
         return
@@ -133,10 +126,6 @@ def _float_row(seq: list, sep: str) -> str:
     if "n" in text:
         return sep.join(map(format_float, seq))
     return text
-
-
-def sha256_digest(data: bytes) -> str:
-    return "sha256:" + hashlib.sha256(data).hexdigest()
 
 
 def _number_array(obj: Any, field: str, n: int) -> np.ndarray:
@@ -219,15 +208,14 @@ def parse_problem(text: str, label: str = "<problem>") -> Instance:
     return Instance(a=a, v=v, component_intervals=tuple(intervals), seed=0, label=label)
 
 
-def load_problem(path: str) -> tuple[Instance, str]:
-    """Read a problem file; returns the Instance and the input digest."""
+def load_problem(path: str) -> Instance:
+    """Read and parse a problem file."""
     try:
         with open(path, "rb") as fh:
             data = fh.read()
     except OSError as exc:
         raise ParseError(f"cannot read {path!r}: {exc}") from exc
-    inst = parse_problem(data.decode("utf-8", errors="replace"), label=path)
-    return inst, sha256_digest(data)
+    return parse_problem(data.decode("utf-8", errors="replace"), label=path)
 
 
 def problem_payload(inst: Instance) -> dict:
@@ -251,12 +239,12 @@ def problem_payload(inst: Instance) -> dict:
 
 
 def problem_digest(inst: Instance) -> str:
-    """sha256_digest(dumps(problem_payload(inst)).encode()), without holding the text.
-
-    The emitter hashes each piece of the document as it writes it.
-    """
-    sha = hashlib.sha256()
-    _emit_document(problem_payload(inst), lambda piece: sha.update(piece.encode()))
+    """sha256 of n and an imag flag per block, then every part and sigma as <f8, -0.0 as +0.0."""
+    doc = problem_payload(inst)
+    blocks = (doc["a"], doc["v"])
+    sha = hashlib.sha256(np.array([doc["a"]["n"], *("imag" in b for b in blocks)], dtype="<i8"))
+    for values in [b[k] for b in blocks for k in ("real", "imag") if k in b] + [doc["sigma"]]:
+        sha.update(np.ascontiguousarray(np.add(values, 0.0), dtype="<f8"))
     return "sha256:" + sha.hexdigest()
 
 

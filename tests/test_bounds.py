@@ -327,6 +327,32 @@ class TestPartitionInfimum:
         with pytest.raises(DomainError):
             partition_infimum_bound(0.5, n_max=0)
 
+    # a fractional n_max used to search ceil(n_max) steps, tol=inf stopped
+    # the grid after one round, and tol=nan passed the positivity check
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"n_max": 2.5},
+            {"n_max": 2.0},
+            {"n_max": "2"},
+            {"n_max": None},
+            {"tol": math.inf},
+            {"tol": math.nan},
+            {"tol": -math.inf},
+            {"tol": 0.0},
+        ],
+        ids=repr,
+    )
+    @pytest.mark.parametrize("x", [0.6, 0.85, 0.9])
+    def test_n_max_must_be_an_integer_and_tol_finite_positive(self, x, kwargs):
+        with pytest.raises(DomainError):
+            partition_infimum_bound(x, **kwargs)
+
+    def test_integer_like_n_max(self):
+        assert partition_infimum_bound(0.85, n_max=np.int64(2)) == partition_infimum_bound(
+            0.85, n_max=2
+        )
+
     def test_step_cost_slope_is_unimodal(self):
         # the two-value reduction rests on g' falling once, then rising
         # without bound towards the cap; g' is differenced from the search's

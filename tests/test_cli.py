@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import specsub.cli
-from specsub import __version__, analyze_instance, sharp_example_2x2
+from specsub import __version__, analyze_instance, random_instance, sharp_example_2x2
 from specsub.bounds import critical_strength, first_branch_point, kappa, second_branch_point
 from specsub.cli import main
 from specsub.fileio import (
@@ -16,9 +16,9 @@ from specsub.fileio import (
     load_problem,
     parse_problem,
     parse_report,
+    problem_digest,
     problem_payload,
     report_payload,
-    sha256_digest,
 )
 from specsub.errors import ConvergenceFailure, ParseError
 from specsub.harness import BOUND_CHECKS, Instance
@@ -142,9 +142,9 @@ class TestReportRoundTrip:
         assert main(["analyze", path]) == 0
         first = capsys.readouterr().out
         doc = parse_report(first)
-        inst, digest = load_problem(path)
+        inst = load_problem(path)
         analysis = analyze_instance(inst)
-        second = dumps(report_payload(analysis, __version__, digest)) + "\n"
+        second = dumps(report_payload(analysis, __version__, problem_digest(inst))) + "\n"
         assert second == first
         assert parse_report(second) == doc
 
@@ -152,7 +152,7 @@ class TestReportRoundTrip:
         path = sharp_problem(tmp_path, 0.123456789, 0.2)
         main(["analyze", path])
         doc = parse_report(capsys.readouterr().out)
-        inst, _ = load_problem(path)
+        inst = load_problem(path)
         rep = analyze_instance(inst).report
         assert doc["report"]["measured_angle"] == rep.measured_angle
         assert doc["report"]["favourable_bound"] == rep.favourable_bound
@@ -242,9 +242,9 @@ class TestProblemParsing:
         inst, _ = sharp_example_2x2(0.3, 0.2)
         assert main(["analyze", write_problem(tmp_path, inst)]) == 0
         text = capsys.readouterr().out
-        assert parse_report(text)["format_version"] == 2
+        assert parse_report(text)["format_version"] == 3
         with pytest.raises(ParseError, match="format_version"):
-            parse_report(text.replace('"format_version": 2,', f'"format_version": {version},', 1))
+            parse_report(text.replace('"format_version": 3,', f'"format_version": {version},', 1))
 
     # 1e400 overflows to inf in json.loads; a 401-digit integer has no float
     @pytest.mark.parametrize("part", ["real", "imag"])
@@ -268,10 +268,10 @@ class TestProblemParsing:
             a=a, v=v, component_intervals=((0.0, 2.0),), seed=0, label="complex"
         )
         path = write_problem(tmp_path, inst)
-        loaded, digest = load_problem(path)
+        loaded = load_problem(path)
         assert np.array_equal(loaded.a, a)
         assert np.array_equal(loaded.v, v)
-        assert digest.startswith("sha256:")
+        assert problem_digest(loaded) == problem_digest(inst)
 
 
 class TestBoundTable:
@@ -465,6 +465,26 @@ class TestFuzzCommand:
         assert files == [f"instance-{i:06d}.json" for i in range(4)]
         doc = parse_report((out_dir / files[0]).read_text(encoding="utf-8"))
         assert doc["report"]["violations"] == []
+
+    @pytest.mark.parametrize("n", [8, 32])
+    def test_reports_replay_through_analyze(self, tmp_path, capsys, n):
+        # even indices draw a separated component, odd ones an interlaced one
+        count = 6
+        assert main(fuzz_args(count, tmp_path / "reports", n=n)) == 0
+        capsys.readouterr()
+        for index in range(count):
+            inst_seed, split, interlaced = specsub.cli._instance_params(4, index, n)
+            inst = random_instance(
+                n=n, d_target=1.0, component_split=split, scale=0.9, seed=inst_seed,
+                interlaced=interlaced,
+            )
+            path = write_problem(tmp_path, inst, f"problem-{index}.json")
+            assert main(["analyze", path]) == 0
+            replayed = capsys.readouterr().out
+            fuzzed = (tmp_path / "reports" / f"instance-{index:06d}.json").read_text("utf-8")
+            label = f'"label": {dumps(inst.label)},'
+            assert fuzzed.count(label) == 1
+            assert replayed == fuzzed.replace(label, f'"label": {dumps(path)},')
 
     def test_invalid_parameters(self, capsys):
         assert main(["fuzz", "--n", "1", "--count", "5", "--scale", "0.5", "--seed", "1"]) == 1
@@ -671,7 +691,3 @@ class TestSerializer:
         text = dumps({"x": 1.0})
         assert '"x": 1.0' in text
         assert json.loads(text)["x"] == 1.0
-
-    def test_digest_stable(self):
-        assert sha256_digest(b"abc") == sha256_digest(b"abc")
-        assert sha256_digest(b"abc") != sha256_digest(b"abd")

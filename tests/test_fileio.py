@@ -1,5 +1,6 @@
 """The serializer against a reference copy of its original recursive emitter."""
 
+import dataclasses
 import gc
 import json
 import math
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 from specsub import __version__, analyze_instance, random_instance, sharp_example_2x2
-from specsub.fileio import dumps, problem_digest, problem_payload, report_payload, sha256_digest
+from specsub.fileio import dumps, parse_problem, problem_digest, problem_payload, report_payload
 from specsub.harness import Instance
 
 
@@ -286,17 +287,75 @@ class TestFloatArrays:
                     dumps(obj)
 
 
+def round_trip(inst):
+    """The instance that the problem file written for `inst` parses back to."""
+    return parse_problem(dumps(problem_payload(inst)) + "\n")
+
+
+def nudged(values, index):
+    """A float copy of `values` with the entry at flat `index` one ulp higher."""
+    out = np.array(values, dtype=float)
+    out.flat[index] = np.nextafter(out.flat[index], math.inf)
+    return out
+
+
 class TestProblemDigest:
+    """The digest hashes the problem's numbers, so a written problem file keeps it."""
+
     @pytest.mark.parametrize("n", [2, 8, 32])
-    def test_digest_of_the_problem_text(self, n):
+    def test_digest_survives_round_trip(self, n):
         count = 10 if n == 32 else 50
         for inst in fuzz_instances(n, count):
-            expected = sha256_digest(reference_dumps(problem_payload(inst)).encode())
-            assert problem_digest(inst) == expected
+            assert problem_digest(round_trip(inst)) == problem_digest(inst)
 
-    def test_digest_of_the_sharp_problem(self):
+    def test_sharp_digest_survives_round_trip(self):
         inst, _ = sharp_example_2x2(0.3, 0.2)
-        assert problem_digest(inst) == sha256_digest(reference_dumps(problem_payload(inst)).encode())
+        assert problem_digest(round_trip(inst)) == problem_digest(inst)
+
+    def test_zero_perturbation_digest_survives_round_trip(self):
+        inst = random_instance(n=6, d_target=1.0, component_split=2, scale=0.0, seed=5)
+        assert "imag" in problem_payload(inst)["a"]
+        assert "imag" not in problem_payload(inst)["v"]
+        assert problem_digest(round_trip(inst)) == problem_digest(inst)
+
+    def test_signed_zeros_hash_as_positive_zero(self):
+        a = np.empty((2, 2), dtype=complex)
+        a.real = [[-0.0, -0.0], [-0.0, 3.0]]
+        a.imag = [[-0.0, 1.0], [-1.0, -0.0]]
+        v = np.empty((2, 2), dtype=complex)
+        v.real = [[0.25, -0.0], [-0.0, -0.0]]
+        v.imag = -0.0
+        inst = Instance(a=a, v=v, component_intervals=((-0.0, 1.0),), seed=0, label="zeros")
+        assert "imag" in problem_payload(inst)["a"]
+        assert "imag" not in problem_payload(inst)["v"]
+        assert problem_digest(round_trip(inst)) == problem_digest(inst)
+        positive = dataclasses.replace(
+            inst, a=a + 0.0, v=v + 0.0, component_intervals=((0.0, 1.0),)
+        )
+        assert problem_digest(positive) == problem_digest(inst)
+
+    def test_digests_are_distinct_across_a_suite(self):
+        digests = {problem_digest(inst) for inst in fuzz_instances(8, 100)}
+        assert len(digests) == 200
+
+    @pytest.mark.parametrize("twin", ["complex", "real"])
+    def test_one_ulp_changes_the_digest(self, twin):
+        complex_inst, real_inst = fuzz_instances(8, 1)
+        inst = complex_inst if twin == "complex" else real_inst
+        variants = []
+        for name in ("a", "v"):
+            m = getattr(inst, name)
+            for i in range(m.size):
+                variants.append({name: nudged(m.real, i) + 1j * m.imag})
+                if np.iscomplexobj(m):
+                    variants.append({name: m.real + 1j * nudged(m.imag, i)})
+        sigma = np.array(inst.component_intervals)
+        for i in range(sigma.size):
+            variants.append({"component_intervals": tuple(map(tuple, nudged(sigma, i)))})
+        digests = {problem_digest(dataclasses.replace(inst, **v)) for v in variants}
+        assert len(variants) == (2 if twin == "complex" else 1) * 2 * 64 + sigma.size
+        assert digests.isdisjoint({problem_digest(inst)})
+        assert len(digests) == len(variants)
 
     @pytest.mark.parametrize("twin", ["complex", "real"])
     def test_text_is_never_held_whole(self, twin):

@@ -108,7 +108,7 @@ class TestMeasureAngles:
         inst = random_instance(n=7, d_target=1.0, component_split=2, scale=0.8, seed=12)
         analysis = analyze_instance(inst)
         doc = report_payload(analysis, "0", "sha256:" + "0" * 64)
-        assert doc["format_version"] == REPORT_FORMAT_VERSION == 2
+        assert doc["format_version"] == REPORT_FORMAT_VERSION == 3
         sines = doc["angles"]["singular_values"]
         assert sines == analysis.angles.singular_values.tolist()
         assert len(sines) == 2
