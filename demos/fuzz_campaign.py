@@ -31,7 +31,7 @@ for index in range(200):
     totals["violations"] += len(report.violations)
     bound = (
         report.favourable_bound
-        if report.favourable_applicable
+        if report.favourable_bound is not None
         else report.generic_bound
     )
     if bound is not None:

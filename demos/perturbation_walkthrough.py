@@ -37,7 +37,8 @@ for lam in partition.component_values:
 
 analysis = analyze_instance(inst)
 report = analysis.report
-print(f"\nperturbed component indices: {analysis.perturbed.component_indices}")
+# paired by index, the perturbed component holds the partition's indices
+print(f"\nperturbed component indices: {analysis.partition.component_indices}")
 print(f"measured separation {report.measured_gap:.6f} "
       f">= guaranteed {report.gap_lower_bound:.6f}")
 

@@ -71,8 +71,14 @@ _BRANCHES = {1: _branch1, 2: _branch2, 3: _branch3, 4: _branch4}
 
 
 def branch_formula(branch: int, x: float) -> float:
-    """Evaluate one branch formula regardless of where x falls; used for continuity checks."""
-    return _BRANCHES[branch](x)
+    """Evaluate one branch formula regardless of where x falls; used for continuity checks.
+
+    A branch other than 1, 2, 3 or 4 raises DomainError.
+    """
+    formula = _BRANCHES.get(branch)
+    if formula is None:
+        raise DomainError(f"branch must be 1, 2, 3 or 4, got {branch!r}")
+    return formula(x)
 
 
 @lru_cache(maxsize=1)

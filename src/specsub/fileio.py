@@ -14,16 +14,15 @@ import json
 import math
 from dataclasses import fields
 from json.encoder import encode_basestring_ascii
-from typing import Any, Optional
+from typing import Any
 
 import numpy as np
 
 from .errors import ParseError
 from .harness import Analysis, BoundReport, Instance
-from .spectral import PerturbedSeparation
 
 PROBLEM_FORMAT_VERSION = 1
-REPORT_FORMAT_VERSION = 3
+REPORT_FORMAT_VERSION = 4
 
 _FLOAT_ONLY = frozenset((float,))
 
@@ -248,48 +247,31 @@ def problem_digest(inst: Instance) -> str:
     return "sha256:" + sha.hexdigest()
 
 
-def _finite_or_none(x: Optional[float]) -> Optional[float]:
-    if x is None or not math.isfinite(x):
-        return None
-    return float(x)
-
-
 # A report's "report" object lists BoundReport's fields in declaration order,
 # except the geometry, which sits at the top level, and the applicable checks,
-# which follow from the flags.
+# which are the checks whose two sides are both present.
 _REPORT_FIELDS = tuple(
     f.name for f in fields(BoundReport) if f.name not in ("geometry", "applicable")
 )
-_PERTURBED_FIELDS = tuple(f.name for f in fields(PerturbedSeparation))
 
 
 def report_payload(analysis: Analysis, tool_version: str, input_digest: str) -> dict:
     """Assemble the report document for one analyzed instance."""
     rep = analysis.report
     report = {name: getattr(rep, name) for name in _REPORT_FIELDS}
-    report["measured_gap"] = _finite_or_none(rep.measured_gap)
     report["violations"] = [{"name": name, "slack": slack} for name, slack in rep.violations]
-    payload: dict[str, Any] = {
+    angles = analysis.angles
+    return {
         "format_version": REPORT_FORMAT_VERSION,
         "tool_version": tool_version,
         "input_digest": input_digest,
         "label": analysis.instance.label,
         "geometry": rep.geometry,
         "report": report,
-        "angles": None,
-        "perturbed": None,
+        "component_indices": analysis.partition.component_indices,
+        "rest_indices": analysis.partition.rest_indices,
+        "singular_values": None if angles is None else angles.singular_values.tolist(),
     }
-    if analysis.angles is not None:
-        payload["angles"] = {
-            "max_angle": analysis.angles.max_angle,
-            "sin2theta_norm": analysis.angles.sin2theta_norm,
-            "singular_values": analysis.angles.singular_values.tolist(),
-        }
-    if analysis.perturbed is not None:
-        sep = analysis.perturbed
-        payload["perturbed"] = {name: getattr(sep, name) for name in _PERTURBED_FIELDS}
-        payload["perturbed"]["measured_gap"] = _finite_or_none(sep.measured_gap)
-    return payload
 
 
 def parse_report(text: str) -> dict:

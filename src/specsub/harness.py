@@ -117,9 +117,14 @@ def sharp_example_2x2(v_plus: float, v_minus: float) -> tuple[Instance, float]:
 
     A = diag(1/2, -1/2), the perturbation has spectrum {-v_minus, v_plus},
     and the measured maximal angle equals (1/2) arcsin(v_plus + v_minus),
-    which is returned as the expected angle.
+    which is returned as the expected angle.  Values outside [0, 1) or
+    summing to 1 or more, and non-numbers, raise DomainError.
     """
-    if not (0.0 <= v_plus < 1.0 and 0.0 <= v_minus < 1.0):
+    try:
+        valid = 0.0 <= v_plus < 1.0 and 0.0 <= v_minus < 1.0
+    except TypeError:  # not a number
+        valid = False
+    if not valid:
         raise DomainError(f"need 0 <= v_plus, v_minus < 1, got ({v_plus!r}, {v_minus!r})")
     v = v_plus + v_minus
     if v >= 1.0:
@@ -174,15 +179,19 @@ def random_instance(
     a Gaussian Hermitian matrix rescaled so ||V+|| + ||V-|| equals
     scale * d_target.  With `interlaced`, each side is split into two
     clusters arranged alternately, so neither convex hull misses the other.
-    Deterministic per seed.  Non-integer n, component_split or seed raise
-    InvalidSpec.
+    Deterministic per seed.  Non-integer n, component_split or seed, and
+    non-numeric d_target or scale, raise InvalidSpec.
     """
     n = _integer("n", n)
     component_split = _integer("component_split", component_split)
     seed = _integer("seed", seed)
     if n < 2 or not 1 <= component_split < n:
         raise InvalidSpec(f"need n >= 2 and 1 <= component_split < n, got ({n}, {component_split})")
-    if not (0.0 < d_target < math.inf and 0.0 <= scale < math.inf and seed >= 0):
+    try:
+        valid = 0.0 < d_target < math.inf and 0.0 <= scale < math.inf and seed >= 0
+    except TypeError:  # not a number
+        valid = False
+    if not valid:
         raise InvalidSpec(
             f"need finite d_target > 0, scale >= 0 and seed >= 0, "
             f"got ({d_target!r}, {scale!r}, {seed!r})"
@@ -256,28 +265,29 @@ Violation = tuple[str, float]
 class BoundReport:
     """Per-instance record: measured angles, every applicable bound, violations.
 
-    Angle bounds that do not apply are None with their flag False, but
-    `sin2theta_bound` is always a float.  In BOUND_CHECKS order, `applicable`
-    names the checks made and `violations` holds (name, slack) for each failure.
+    A bound outside its hypotheses is None, and so is every measurement that
+    needs the gap condition ||V+|| + ||V-|| < gap: the gap condition holds
+    exactly when `measured_angle` is not None.  `sin2theta_bound` is always a
+    float.  In BOUND_CHECKS order, `applicable` names the checks made and
+    `violations` holds (name, slack) for each failure.
     """
 
+    # 19 fields: keep the count off 20.  CPython 3.11's tuple free list hands
+    # out only tuples of fewer than 20 items but takes back 20-item ones, so a
+    # 20-keyword call per instance would leave a traced tuple parked there for
+    # each of up to 2000 instances, and campaign memory would grow with count.
     measured_angle: Optional[float]
-    favourable_applicable: bool
     favourable_bound: Optional[float]
-    generic_applicable: bool
     generic_bound: Optional[float]
-    half_arcsin_applicable: bool
     half_arcsin_bound: Optional[float]
     sin2theta_measured: Optional[float]
     sin2theta_bound: float
-    integral_applicable: bool
     integral_bound: Optional[float]
     integral_below_threshold: Optional[bool]
     gap: float
     norm_plus: float
     norm_minus: float
     norm_v: float
-    gap_condition: bool
     geometry: str
     measured_gap: Optional[float]
     gap_lower_bound: Optional[float]
@@ -288,44 +298,40 @@ class BoundReport:
 
 
 class BoundCheck(NamedTuple):
-    """One row of BOUND_CHECKS: whether the check is made, and by how much it fails.
+    """One row of BOUND_CHECKS: a measured side that must not exceed a bound side.
 
-    `excess(report, angle_tol)` is the slack of a failure, or None when the check holds.
-    Both read only the report's measurement fields, so any object carrying them
-    will do.
+    `measured` and `bound` read a report's fields, so any object carrying them
+    will do.  The check applies when both read a value, not None, and fails
+    when measured > bound + slack, by measured - bound; a `slack` of None is
+    the call's angle_tol.
     """
 
     name: str
-    applies: Callable[[BoundReport], bool]
-    excess: Callable[[BoundReport, float], Optional[float]]
-
-
-def _excess(left: float, right: float, slack: float) -> Optional[float]:
-    """The slack left - right when left > right + slack, else None."""
-    return left - right if left > right + slack else None
+    measured: Callable[[BoundReport], Optional[float]]
+    bound: Callable[[BoundReport], Optional[float]]
+    slack: Optional[float]
 
 
 # Every check made on an instance, in the order of fuzz summaries and of report
 # violations.  The enclosure keeps the EnclosureCheck.ok rule, whose tolerance
-# scales with ||A|| and ||V||.
+# scales with ||A|| and ||V||: its excess counts only when that rule fails.
+_read = operator.attrgetter
 BOUND_CHECKS: tuple[BoundCheck, ...] = (
-    BoundCheck("favourable_bound", lambda r: r.favourable_applicable,
-               lambda r, tol: _excess(r.measured_angle, r.favourable_bound, tol)),
-    BoundCheck("generic_bound", lambda r: r.generic_applicable,
-               lambda r, tol: _excess(r.measured_angle, r.generic_bound, tol)),
-    BoundCheck("half_arcsin_bound", lambda r: r.half_arcsin_applicable,
-               lambda r, tol: _excess(r.measured_angle, r.half_arcsin_bound, tol)),
-    BoundCheck("sin2theta_bound", lambda r: r.measured_angle is not None,
-               lambda r, tol: _excess(r.sin2theta_measured, r.sin2theta_bound, tol)),
-    BoundCheck("integral_bound", lambda r: r.integral_applicable,
-               lambda r, tol: _excess(r.measured_angle, r.integral_bound, tol)),
-    BoundCheck("gap_lower_bound", lambda r: r.gap_condition,
-               lambda r, tol: _excess(r.gap_lower_bound, r.measured_gap, GAP_SLACK)),
-    BoundCheck("sin2theta_chain", lambda r: r.measured_angle is not None,
-               lambda r, tol: _excess(math.sin(2.0 * r.measured_angle),
-                                      r.sin2theta_measured, SIN_CHAIN_SLACK)),
-    BoundCheck("enclosure", lambda r: True,
-               lambda r, tol: None if r.enclosure_ok else r.enclosure_excess),
+    BoundCheck("favourable_bound", _read("measured_angle"), _read("favourable_bound"), None),
+    BoundCheck("generic_bound", _read("measured_angle"), _read("generic_bound"), None),
+    BoundCheck("half_arcsin_bound", _read("measured_angle"), _read("half_arcsin_bound"), None),
+    BoundCheck("sin2theta_bound", _read("sin2theta_measured"), _read("sin2theta_bound"), None),
+    BoundCheck("integral_bound", _read("measured_angle"), _read("integral_bound"), None),
+    BoundCheck("gap_lower_bound", _read("gap_lower_bound"), _read("measured_gap"), GAP_SLACK),
+    BoundCheck(
+        "sin2theta_chain",
+        lambda r: None if r.measured_angle is None else math.sin(2.0 * r.measured_angle),
+        _read("sin2theta_measured"),
+        SIN_CHAIN_SLACK,
+    ),
+    BoundCheck(
+        "enclosure", lambda r: 0.0 if r.enclosure_ok else r.enclosure_excess, lambda r: 0.0, 0.0
+    ),
 )
 
 
@@ -338,7 +344,6 @@ class Analysis:
     decomp_perturbed: SpectralDecomposition
     partition: SpectralPartition
     split: PerturbationSplit
-    perturbed: Optional[PerturbedSeparation]
     angles: Optional[AngleMeasurement]
     report: BoundReport
 
@@ -371,84 +376,61 @@ def analyze_instance(inst: Instance, angle_tol: float = 1e-9) -> Analysis:
     enclosure = spectral_enclosure_check(decomp_a, decomp_av, split)
 
     gap = partition.gap
-    s = split.norm_sum
-    gap_ok = gap_condition(split, gap)
+    plus, minus, s = split.norm_plus, split.norm_minus, split.norm_sum
     favourable = geometry is GeometryKind.FAVOURABLE
 
-    perturbed = None
-    angles = None
-    if gap_ok:
-        perturbed = perturbed_component_at_t(decomp_av, partition, split, 1.0)
+    # a bound outside its hypotheses stays None, and so does every measurement
+    # that needs the gap condition
+    sep = angles = integral = fav_bound = gen_bound = half_bound = None
+    if gap_condition(split, gap):
+        sep = perturbed_component_at_t(decomp_av, partition, split, 1.0)
         angles = measure_angles(
             decomp_a.eigenvectors[:, partition.rest_indices],
-            decomp_av.eigenvectors[:, perturbed.component_indices],
+            decomp_av.eigenvectors[:, partition.component_indices],
         )
-
-    fav_applicable = gap_ok and favourable
-    fav_bound = (
-        bounds.favourable_angle_bound(split.norm_plus, split.norm_minus, gap)
-        if fav_applicable
-        else None
-    )
-    gen_applicable = s < 2.0 * bounds.critical_strength() * gap
-    gen_bound = (
-        bounds.generic_angle_bound(split.norm_plus, split.norm_minus, gap)
-        if gen_applicable
-        else None
-    )
-    half_applicable = s <= 2.0 * gap / math.pi
-    half_bound = (
-        bounds.half_arcsin_angle_bound(split.norm_plus, split.norm_minus, gap)
-        if half_applicable
-        else None
-    )
-    s2t_bound = bounds.sin2theta_bound(split.norm_plus, split.norm_minus, gap, favourable)
-    integral = (
-        bounds.integral_angle_bound(split.norm_plus, split.norm_minus, gap)
-        if gap_ok
-        else None
-    )
+        integral = bounds.integral_angle_bound(plus, minus, gap)
+        if favourable:
+            fav_bound = bounds.favourable_angle_bound(plus, minus, gap)
+    if s < 2.0 * bounds.critical_strength() * gap:
+        gen_bound = bounds.generic_angle_bound(plus, minus, gap)
+    if s <= 2.0 * gap / math.pi:
+        half_bound = bounds.half_arcsin_angle_bound(plus, minus, gap)
 
     # the fields of the report but its check results, which are read from them
     fields = SimpleNamespace(
         measured_angle=angles.max_angle if angles is not None else None,
-        favourable_applicable=fav_applicable,
         favourable_bound=fav_bound,
-        generic_applicable=gen_applicable,
         generic_bound=gen_bound,
-        half_arcsin_applicable=half_applicable,
         half_arcsin_bound=half_bound,
         sin2theta_measured=angles.sin2theta_norm if angles is not None else None,
-        sin2theta_bound=s2t_bound,
-        integral_applicable=gap_ok,
-        integral_bound=integral.value if integral else None,
-        integral_below_threshold=integral.below_threshold if integral else None,
+        sin2theta_bound=bounds.sin2theta_bound(plus, minus, gap, favourable),
+        integral_bound=integral.value if integral is not None else None,
+        integral_below_threshold=integral.below_threshold if integral is not None else None,
         gap=gap,
-        norm_plus=split.norm_plus,
-        norm_minus=split.norm_minus,
+        norm_plus=plus,
+        norm_minus=minus,
         norm_v=split.norm_v,
-        gap_condition=gap_ok,
         geometry=geometry.value,
-        measured_gap=perturbed.measured_gap if perturbed else None,
-        gap_lower_bound=perturbed.gap_lower_bound if perturbed else None,
+        measured_gap=sep.measured_gap if sep is not None else None,
+        gap_lower_bound=sep.gap_lower_bound if sep is not None else None,
         enclosure_ok=enclosure.ok,
         enclosure_excess=enclosure.max_excess,
     )
     applicable: list[str] = []
     violations: list[Violation] = []
     for check in BOUND_CHECKS:
-        if check.applies(fields):
-            applicable.append(check.name)
-            slack = check.excess(fields, angle_tol)
-            if slack is not None:
-                violations.append((check.name, slack))
+        measured, bound = check.measured(fields), check.bound(fields)
+        if measured is None or bound is None:
+            continue
+        applicable.append(check.name)
+        if measured > bound + (angle_tol if check.slack is None else check.slack):
+            violations.append((check.name, measured - bound))
     return Analysis(
         instance=inst,
         decomp_a=decomp_a,
         decomp_perturbed=decomp_av,
         partition=partition,
         split=split,
-        perturbed=perturbed,
         angles=angles,
         report=BoundReport(
             **vars(fields), violations=tuple(violations), applicable=tuple(applicable)
@@ -463,7 +445,7 @@ def verify_instance(inst: Instance, angle_tol: float = 1e-9) -> BoundReport:
 
 @dataclass(frozen=True)
 class PathPoint:
-    """One stop of a homotopy scan: assignment, component basis, and step data.
+    """One stop of a homotopy scan: separation, component basis, and step data.
 
     `basis` holds the n x k orthonormal eigenvector columns of the perturbed
     component at t.  step_delta is the operator-norm change of the component's
@@ -499,7 +481,7 @@ def path_scan(inst: Instance, steps: int) -> list[PathPoint]:
         t = float(t)
         dec_t = eigh(a + t * v)
         sep = perturbed_component_at_t(dec_t, partition, split, t)
-        basis = dec_t.eigenvectors[:, sep.component_indices]
+        basis = dec_t.eigenvectors[:, partition.component_indices]
         if prev_rest is None:
             delta, ceiling = 0.0, 0.0
         else:
@@ -515,5 +497,5 @@ def path_scan(inst: Instance, steps: int) -> list[PathPoint]:
         points.append(
             PathPoint(t=t, separation=sep, basis=basis, step_delta=delta, step_bound=ceiling)
         )
-        prev_rest = dec_t.eigenvectors[:, sep.rest_indices]
+        prev_rest = dec_t.eigenvectors[:, partition.rest_indices]
     return points

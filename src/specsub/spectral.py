@@ -152,10 +152,11 @@ def perturbed_gap_lower_bound(split: PerturbationSplit, gap: float, t: float = 1
 
 @dataclass(frozen=True)
 class PerturbedSeparation:
-    """The perturbed component and rest of A + tV, paired by index with the unperturbed ones."""
+    """Guaranteed and measured gap between the perturbed component of A + tV and the rest.
 
-    component_indices: tuple[int, ...]
-    rest_indices: tuple[int, ...]
+    The perturbed component holds the partition's own indices (Weyl pairing).
+    """
+
     gap_lower_bound: float
     measured_gap: float
 
@@ -191,8 +192,6 @@ def perturbed_component_at_t(
             f"Weyl interval around lam_{j} = {float(w[j])!r} (tolerance {tol:.3e})"
         )
     return PerturbedSeparation(
-        component_indices=partition.component_indices,
-        rest_indices=partition.rest_indices,
         gap_lower_bound=perturbed_gap_lower_bound(split, partition.gap, t),
         measured_gap=_class_gap(mus.tolist(), partition.component_indices),
     )

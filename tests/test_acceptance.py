@@ -15,6 +15,7 @@ from specsub import (
     analyze_instance,
     critical_strength,
     first_branch_point,
+    gap_condition,
     kappa,
     kappa_bracket,
     partition_infimum_bound,
@@ -28,6 +29,7 @@ from specsub import (
 )
 from specsub.bounds import branch_formula
 from specsub.errors import NonHermitianInput
+from specsub.harness import GAP_SLACK, SIN_CHAIN_SLACK
 from specsub.linalg import require_hermitian
 
 
@@ -208,7 +210,7 @@ def test_criterion_6_favourable_fuzz(capsys, favourable_suite):
         violations = 0
         for analysis in analyses:
             rep = analysis.report
-            assert rep.favourable_applicable
+            assert rep.favourable_bound is not None
             violations += len(rep.violations)
             assert rep.measured_angle <= rep.favourable_bound + 1e-9
             assert rep.measured_gap >= rep.gap_lower_bound - 1e-10
@@ -227,10 +229,10 @@ def test_criterion_7_generic_fuzz(capsys, generic_suite):
         for analysis in analyses:
             rep = analysis.report
             assert rep.geometry == "generic"
-            assert rep.generic_applicable
+            assert rep.generic_bound is not None
             violations += len(rep.violations)
             assert rep.measured_angle <= rep.generic_bound + 1e-9
-            if rep.half_arcsin_applicable:
+            if rep.half_arcsin_bound is not None:
                 assert rep.measured_angle <= rep.half_arcsin_bound + 1e-9
         assert violations == 0
         total = elapsed + time.perf_counter() - start
@@ -300,15 +302,79 @@ def test_angles_agree_with_dense_projectors(favourable_suite, generic_suite):
                 continue
             s = _dense_sines(
                 analysis.decomp_a.eigenvectors[:, analysis.partition.component_indices],
-                analysis.decomp_perturbed.eigenvectors[
-                    :, analysis.perturbed.component_indices
-                ],
+                analysis.decomp_perturbed.eigenvectors[:, analysis.partition.component_indices],
             )
             assert abs(analysis.angles.max_angle - math.asin(s[0])) <= 1e-12
             s2t = float((2.0 * s * np.sqrt(1.0 - s * s)).max())
             assert abs(analysis.angles.sin2theta_norm - s2t) <= 1e-12
             checked += 1
     assert checked == 2000
+
+
+def _reference_checks(analysis, angle_tol):
+    """(applicable, violations) with each check's hypotheses read off the problem.
+
+    The favourable bound needs the gap condition and favourable geometry, the
+    generic bound ||V+|| + ||V-|| < 2 c_crit d, the half-arcsin bound
+    ||V+|| + ||V-|| <= 2d/pi; every other check but the enclosure needs the
+    gap condition, and the enclosure is always checked.
+    """
+    rep, split = analysis.report, analysis.split
+    gap, s = rep.gap, split.norm_sum
+    gap_ok = gap_condition(split, gap)
+    angle = rep.measured_angle
+    favourable = rep.geometry == "favourable"
+    rows = (
+        ("favourable_bound", gap_ok and favourable, angle, rep.favourable_bound, angle_tol),
+        ("generic_bound", s < 2 * critical_strength() * gap, angle, rep.generic_bound, angle_tol),
+        ("half_arcsin_bound", s <= 2.0 * gap / math.pi, angle, rep.half_arcsin_bound, angle_tol),
+        ("sin2theta_bound", gap_ok, rep.sin2theta_measured, rep.sin2theta_bound, angle_tol),
+        ("integral_bound", gap_ok, angle, rep.integral_bound, angle_tol),
+        ("gap_lower_bound", gap_ok, rep.gap_lower_bound, rep.measured_gap, GAP_SLACK),
+        ("sin2theta_chain", gap_ok, math.sin(2.0 * angle) if gap_ok else None,
+         rep.sin2theta_measured, SIN_CHAIN_SLACK),
+    )
+    applicable, violations = [], []
+    for name, applies, left, right, slack in rows:
+        if applies:
+            applicable.append(name)
+            if left > right + slack:
+                violations.append((name, left - right))
+    applicable.append("enclosure")
+    if not rep.enclosure_ok:
+        violations.append(("enclosure", rep.enclosure_excess))
+    return tuple(applicable), tuple(violations)
+
+
+def _beyond_gap_stream(count):
+    """Both layouts at strengths up to 2.5 d, mostly past the gap condition."""
+    rng = np.random.default_rng(2026_08_11)
+    for index in range(count):
+        interlaced = index % 2 == 1
+        n = int(rng.integers(4, 11))
+        yield random_instance(
+            n=n,
+            d_target=float(rng.uniform(0.5, 2.0)),
+            component_split=int(rng.integers(2, n - 1)) if interlaced else int(rng.integers(1, n)),
+            scale=float(rng.uniform(0.3, 2.5)),
+            seed=int(rng.integers(0, 2**63)),
+            interlaced=interlaced,
+        )
+
+
+@pytest.mark.parametrize("angle_tol", [1e-9, -1e-3, -10.0])
+def test_checks_apply_exactly_under_their_hypotheses(favourable_suite, generic_suite, angle_tol):
+    instances = [a.instance for suite in (favourable_suite, generic_suite) for a in suite[0]]
+    instances += list(_beyond_gap_stream(200))
+    outside = 0
+    for inst in instances:
+        analysis = analyze_instance(inst, angle_tol=angle_tol)
+        rep = analysis.report
+        assert (rep.applicable, rep.violations) == _reference_checks(analysis, angle_tol)
+        gap_ok = gap_condition(analysis.split, rep.gap)
+        assert gap_ok == (rep.measured_angle is not None)
+        outside += not gap_ok
+    assert outside >= 50
 
 
 def test_path_steps_agree_with_dense_projectors(path_suite):

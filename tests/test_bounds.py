@@ -86,6 +86,9 @@ class TestPiecewiseAngleBound:
             piecewise_angle_bound(-1e-12)
         with pytest.raises(DomainError):
             piecewise_angle_bound(critical_strength() + 1e-9)
+        for branch in (0, 5):
+            with pytest.raises(DomainError, match=f"got {branch}"):
+                branch_formula(branch, 0.1)
 
     def test_adjacent_branches_agree_at_boundaries(self):
         for x, lower, upper in (

@@ -73,11 +73,12 @@ class TestAnalyze:
         code = main(["analyze", write_problem(tmp_path, inst)])
         out = capsys.readouterr().out
         assert code == 0
-        rep = parse_report(out)["report"]
-        assert not rep["gap_condition"]
-        assert not rep["favourable_applicable"]
-        assert not rep["generic_applicable"]
+        doc = parse_report(out)
+        rep = doc["report"]
+        assert rep["favourable_bound"] is None
+        assert rep["generic_bound"] is None
         assert rep["measured_angle"] is None
+        assert doc["singular_values"] is None
         assert rep["enclosure_ok"] is True
 
     def test_negative_tolerance_forces_violations(self, tmp_path, capsys):
@@ -242,9 +243,9 @@ class TestProblemParsing:
         inst, _ = sharp_example_2x2(0.3, 0.2)
         assert main(["analyze", write_problem(tmp_path, inst)]) == 0
         text = capsys.readouterr().out
-        assert parse_report(text)["format_version"] == 3
+        assert parse_report(text)["format_version"] == 4
         with pytest.raises(ParseError, match="format_version"):
-            parse_report(text.replace('"format_version": 3,', f'"format_version": {version},', 1))
+            parse_report(text.replace('"format_version": 4,', f'"format_version": {version},', 1))
 
     # 1e400 overflows to inf in json.loads; a 401-digit integer has no float
     @pytest.mark.parametrize("part", ["real", "imag"])

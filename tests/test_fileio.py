@@ -168,25 +168,32 @@ class TestAgainstReference:
 
 def test_report_keys_are_the_published_format():
     inst = random_instance(n=6, d_target=1.0, component_split=2, scale=0.5, seed=3)
-    report = report_payload(analyze_instance(inst), __version__, "sha256:" + "0" * 64)["report"]
-    assert list(report) == [
+    doc = report_payload(analyze_instance(inst), __version__, "sha256:" + "0" * 64)
+    assert list(doc) == [
+        "format_version",
+        "tool_version",
+        "input_digest",
+        "label",
+        "geometry",
+        "report",
+        "component_indices",
+        "rest_indices",
+        "singular_values",
+    ]
+    assert doc["format_version"] == 4
+    assert list(doc["report"]) == [
         "measured_angle",
-        "favourable_applicable",
         "favourable_bound",
-        "generic_applicable",
         "generic_bound",
-        "half_arcsin_applicable",
         "half_arcsin_bound",
         "sin2theta_measured",
         "sin2theta_bound",
-        "integral_applicable",
         "integral_bound",
         "integral_below_threshold",
         "gap",
         "norm_plus",
         "norm_minus",
         "norm_v",
-        "gap_condition",
         "measured_gap",
         "gap_lower_bound",
         "enclosure_ok",

@@ -25,6 +25,7 @@ from specsub import (
 )
 from specsub.fileio import REPORT_FORMAT_VERSION, report_payload
 from specsub.harness import BOUND_CHECKS, Instance
+from specsub.spectral import EnclosureCheck
 
 
 def partition_for(values, intervals):
@@ -108,11 +109,13 @@ class TestMeasureAngles:
         inst = random_instance(n=7, d_target=1.0, component_split=2, scale=0.8, seed=12)
         analysis = analyze_instance(inst)
         doc = report_payload(analysis, "0", "sha256:" + "0" * 64)
-        assert doc["format_version"] == REPORT_FORMAT_VERSION == 3
-        sines = doc["angles"]["singular_values"]
+        assert doc["format_version"] == REPORT_FORMAT_VERSION == 4
+        sines = doc["singular_values"]
         assert sines == analysis.angles.singular_values.tolist()
         assert len(sines) == 2
-        assert math.asin(sines[0]) == pytest.approx(doc["angles"]["max_angle"], abs=1e-15)
+        assert math.asin(sines[0]) == pytest.approx(doc["report"]["measured_angle"], abs=1e-15)
+        assert doc["component_indices"] == analysis.partition.component_indices
+        assert doc["rest_indices"] == analysis.partition.rest_indices
 
 
 def _random_hermitian(rng, n):
@@ -170,6 +173,11 @@ class TestSharpExample:
             sharp_example_2x2(-0.1, 0.2)
         with pytest.raises(DomainError):
             sharp_example_2x2(1.0, 0.0)
+        for bad in ("0.1", None):
+            with pytest.raises(DomainError):
+                sharp_example_2x2(bad, 0.2)
+            with pytest.raises(DomainError):
+                sharp_example_2x2(0.2, bad)
 
     def test_semidefinite_edge(self):
         inst, expected = sharp_example_2x2(0.0, 0.5)
@@ -252,6 +260,11 @@ class TestRandomInstance:
             random_instance(
                 n=4, d_target=1.0, component_split=1, scale=0.5, seed=0, interlaced=True
             )
+        for bad in ("1", None):
+            with pytest.raises(InvalidSpec):
+                random_instance(n=4, d_target=bad, component_split=2, scale=0.5, seed=0)
+            with pytest.raises(InvalidSpec):
+                random_instance(n=4, d_target=1.0, component_split=2, scale=bad, seed=0)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_scale_and_gap_rejected(self, bad):
@@ -291,24 +304,24 @@ class TestVerifyInstance:
         rep = verify_instance(inst)
         assert rep.measured_angle == pytest.approx(0.0, abs=1e-12)
         assert rep.violations == ()
-        assert rep.favourable_applicable
-        assert rep.generic_applicable
-        assert rep.half_arcsin_applicable
+        assert rep.favourable_bound is not None
+        assert rep.generic_bound is not None
+        assert rep.half_arcsin_bound is not None
 
     def test_sharpness_equality(self):
         inst, _ = sharp_example_2x2(0.3, 0.2)
         rep = verify_instance(inst)
-        assert rep.favourable_applicable
+        assert rep.favourable_bound is not None
         assert abs(rep.favourable_bound - rep.measured_angle) <= 1e-12
         assert rep.violations == ()
 
     def test_gap_condition_false_still_reports(self):
         inst = random_instance(n=6, d_target=1.0, component_split=2, scale=1.5, seed=4)
         rep = verify_instance(inst)
-        assert not rep.gap_condition
+        assert rep.norm_plus + rep.norm_minus >= rep.gap
         assert rep.measured_angle is None
-        assert not rep.favourable_applicable
-        assert not rep.generic_applicable
+        assert rep.favourable_bound is None
+        assert rep.generic_bound is None
         assert rep.enclosure_ok
         assert rep.violations == ()
 
@@ -318,6 +331,17 @@ class TestVerifyInstance:
         assert verify_instance(inst).applicable == table
         inst = random_instance(n=6, d_target=1.0, component_split=2, scale=1.5, seed=4)
         assert verify_instance(inst).applicable == ("enclosure",)
+
+    @pytest.mark.parametrize("ok, excess, expected", [
+        (False, 0.5, (("enclosure", 0.5),)),
+        (True, 1e-12, ()),  # an excess within the enclosure's own tolerance
+    ])
+    def test_enclosure_fails_by_its_own_rule(self, monkeypatch, ok, excess, expected):
+        monkeypatch.setattr(
+            specsub.harness, "spectral_enclosure_check", lambda *args: EnclosureCheck(ok, excess)
+        )
+        inst, _ = sharp_example_2x2(0.3, 0.2)
+        assert verify_instance(inst).violations == expected
 
     @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf])
     def test_non_finite_angle_tolerance_rejected(self, tol):
@@ -357,7 +381,7 @@ class TestVerifyInstance:
                 seed=int(rng.integers(0, 2**32)),
             )
             rep = verify_instance(inst)
-            if not (rep.favourable_applicable and rep.half_arcsin_applicable):
+            if rep.favourable_bound is None or rep.half_arcsin_bound is None:
                 continue
             assert rep.measured_angle <= rep.favourable_bound + 1e-9
             assert rep.favourable_bound <= rep.half_arcsin_bound + 1e-9
@@ -403,8 +427,10 @@ class TestPathScan:
         inst = random_instance(n=6, d_target=1.0, component_split=2, scale=0.7, seed=8)
         analysis = analyze_instance(inst)
         points = path_scan(inst, steps=10)
-        assert points[0].separation.component_indices == analysis.partition.component_indices
-        assert points[-1].separation.component_indices == analysis.perturbed.component_indices
+        rep = analysis.report
+        assert points[0].separation.measured_gap == pytest.approx(rep.gap, abs=1e-12)
+        assert points[-1].separation.measured_gap == rep.measured_gap
+        assert points[-1].separation.gap_lower_bound == rep.gap_lower_bound
 
     def test_gap_condition_required(self):
         inst = random_instance(n=6, d_target=1.0, component_split=2, scale=1.2, seed=9)
