@@ -9,7 +9,6 @@ the perturbation), and verifies every bound on concrete instances.
 __version__ = "0.1.0"
 
 from .bounds import (
-    IntegralBound,
     critical_strength,
     favourable_angle_bound,
     first_branch_point,

@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 import operator
 from functools import lru_cache
-from typing import NamedTuple
 
 import numpy as np
 
@@ -228,22 +227,15 @@ def path_step_bound(
     return 0.5 * math.pi * (t - s) * norm_v / denom
 
 
-class IntegralBound(NamedTuple):
-    value: float
-    below_threshold: bool
-
-
-def integral_angle_bound(norm_plus: float, norm_minus: float, gap: float) -> IntegralBound:
+def integral_angle_bound(norm_plus: float, norm_minus: float, gap: float) -> float:
     """Logarithmic bound (pi/4) log(gap / (gap - ||V+|| - ||V-||)).
 
-    Also reports whether the strength ratio stays within 2 sinh(1)/e, the
-    regime in which this bound is strictly below pi/2.
+    Strictly below pi/2 while (||V+|| + ||V-||)/gap <= integral_threshold().
     """
     s = _require_norms(norm_plus, norm_minus, gap)
     if s >= gap:
         raise GapConditionViolated(f"||V+|| + ||V-|| = {s!r} must stay below gap {gap!r}")
-    value = 0.25 * math.pi * math.log(gap / (gap - s))
-    return IntegralBound(value=value, below_threshold=s / gap <= integral_threshold())
+    return 0.25 * math.pi * math.log(gap / (gap - s))
 
 
 # The step cap in the log variable u = -log(1 - lam) of the partition search.

@@ -8,6 +8,7 @@ standard output, diagnostics to standard error.  Exit codes: 0 clean,
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import math
 import os
@@ -17,7 +18,7 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from . import __version__, bounds, fileio
+from . import bounds, fileio
 from .errors import SpecsubError
 from .harness import (
     BOUND_CHECKS,
@@ -50,6 +51,8 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+# one per process: each is a cycle of ~200 objects left to the cyclic collector
+@functools.lru_cache(maxsize=1)
 def _build_parser() -> _Parser:
     parser = _Parser(
         prog="specsub",
@@ -88,8 +91,7 @@ def _cmd_analyze(args) -> int:
         raise SpecsubError(f"tol must be finite, got {args.tol!r}")
     inst = fileio.load_problem(args.path)
     analysis = analyze_instance(inst, angle_tol=args.tol)
-    digest = fileio.problem_digest(inst)
-    print(fileio.dumps(fileio.report_payload(analysis, __version__, digest)))
+    print(fileio.dumps(fileio.report_payload(analysis)))
     return EXIT_VIOLATION if analysis.report.violations else EXIT_OK
 
 
@@ -136,10 +138,7 @@ def _fuzz_one(
         interlaced=interlaced,
     )
     analysis = analyze_instance(inst)
-    text = None
-    if want_report:
-        digest = fileio.problem_digest(inst)
-        text = fileio.dumps(fileio.report_payload(analysis, __version__, digest))
+    text = fileio.dumps(fileio.report_payload(analysis)) if want_report else None
     return index, analysis.report.applicable, analysis.report.violations, text
 
 
@@ -258,13 +257,12 @@ def _cmd_kappa(_args) -> int:
 def _cmd_sharp(args) -> int:
     inst, expected = sharp_example_2x2(args.vplus, args.vminus)
     analysis = analyze_instance(inst)
-    digest = fileio.problem_digest(inst)
     measured = analysis.report.measured_angle
     fav = analysis.report.favourable_bound
     print(f"measured_angle = {measured!r}", file=sys.stderr)
     print(f"favourable_bound = {fav!r}", file=sys.stderr)
     print(f"expected_angle = {expected!r}", file=sys.stderr)
-    print(fileio.dumps(fileio.report_payload(analysis, __version__, digest)))
+    print(fileio.dumps(fileio.report_payload(analysis)))
     if analysis.report.violations:
         return EXIT_VIOLATION
     if measured is None or fav is None or abs(measured - fav) > 1e-11:

@@ -18,11 +18,12 @@ from typing import Any
 
 import numpy as np
 
+from . import __version__
 from .errors import ParseError
 from .harness import Analysis, BoundReport, Instance
 
 PROBLEM_FORMAT_VERSION = 1
-REPORT_FORMAT_VERSION = 4
+REPORT_FORMAT_VERSION = 5
 
 _FLOAT_ONLY = frozenset((float,))
 
@@ -255,7 +256,7 @@ _REPORT_FIELDS = tuple(
 )
 
 
-def report_payload(analysis: Analysis, tool_version: str, input_digest: str) -> dict:
+def report_payload(analysis: Analysis) -> dict:
     """Assemble the report document for one analyzed instance."""
     rep = analysis.report
     report = {name: getattr(rep, name) for name in _REPORT_FIELDS}
@@ -263,8 +264,8 @@ def report_payload(analysis: Analysis, tool_version: str, input_digest: str) -> 
     angles = analysis.angles
     return {
         "format_version": REPORT_FORMAT_VERSION,
-        "tool_version": tool_version,
-        "input_digest": input_digest,
+        "tool_version": __version__,
+        "input_digest": problem_digest(analysis.instance),
         "label": analysis.instance.label,
         "geometry": rep.geometry,
         "report": report,

@@ -1,17 +1,19 @@
 """Instance generation, subspace-angle measurement, and bound verification.
 
 verify_instance evaluates every applicable bound against the measured
-angles and records violations as data; it never raises on a violation.
-A numerical failure still raises ConvergenceFailure (eigensolver) or
-EnclosureViolation (an eigenvalue of A + tV outside its Weyl interval; the
-perturbed component is paired by index, so its rank cannot change), and one
-in any instance ends a fuzz campaign with exit 1.
+angles and records violations as data, among them an eigenvalue of A + V
+outside its Weyl interval (`enclosure`); it never raises on a violation.
+path_scan raises EnclosureViolation for one instead.  An eigensolver failure
+raises ConvergenceFailure, and one in any instance ends a fuzz campaign
+with exit 1.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from types import SimpleNamespace
@@ -23,6 +25,7 @@ from . import bounds
 from .errors import (
     DimensionMismatch,
     DomainError,
+    EnclosureViolation,
     GapConditionViolated,
     InvalidSpec,
 )
@@ -89,15 +92,14 @@ def measure_angles(rest: np.ndarray, comp: np.ndarray) -> AngleMeasurement:
 
 
 def geometry_kind(partition: SpectralPartition) -> GeometryKind:
-    """Favourable when the convex hull of one component contains none of the other."""
-    w = partition.eigenvalues.tolist()
-    comp = [w[k] for k in partition.component_indices]
-    rest = [w[k] for k in partition.rest_indices]
-    comp_lo, comp_hi, rest_lo, rest_hi = min(comp), max(comp), min(rest), max(rest)
-    rest_in_comp_hull = any(comp_lo <= x <= comp_hi for x in rest)
-    comp_in_rest_hull = any(rest_lo <= x <= rest_hi for x in comp)
-    if not rest_in_comp_hull or not comp_in_rest_hull:
-        return GeometryKind.FAVOURABLE
+    """Favourable when the convex hull of one side contains none of the other side.
+
+    Eigenvalues ascend and equal ones share a side, so that holds exactly
+    when one side's indices are consecutive.
+    """
+    for idx in (partition.component_indices, partition.rest_indices):
+        if idx[-1] - idx[0] == len(idx) - 1:
+            return GeometryKind.FAVOURABLE
     return GeometryKind.GENERIC
 
 
@@ -118,13 +120,10 @@ def sharp_example_2x2(v_plus: float, v_minus: float) -> tuple[Instance, float]:
     A = diag(1/2, -1/2), the perturbation has spectrum {-v_minus, v_plus},
     and the measured maximal angle equals (1/2) arcsin(v_plus + v_minus),
     which is returned as the expected angle.  Values outside [0, 1) or
-    summing to 1 or more, and non-numbers, raise DomainError.
+    summing to 1 or more, and anything but real numbers, raise DomainError.
     """
-    try:
-        valid = 0.0 <= v_plus < 1.0 and 0.0 <= v_minus < 1.0
-    except TypeError:  # not a number
-        valid = False
-    if not valid:
+    reals = isinstance(v_plus, numbers.Real) and isinstance(v_minus, numbers.Real)
+    if not (reals and 0.0 <= v_plus < 1.0 and 0.0 <= v_minus < 1.0):
         raise DomainError(f"need 0 <= v_plus, v_minus < 1, got ({v_plus!r}, {v_minus!r})")
     v = v_plus + v_minus
     if v >= 1.0:
@@ -180,18 +179,15 @@ def random_instance(
     scale * d_target.  With `interlaced`, each side is split into two
     clusters arranged alternately, so neither convex hull misses the other.
     Deterministic per seed.  Non-integer n, component_split or seed, and
-    non-numeric d_target or scale, raise InvalidSpec.
+    a d_target or scale that is not a real number, raise InvalidSpec.
     """
     n = _integer("n", n)
     component_split = _integer("component_split", component_split)
     seed = _integer("seed", seed)
     if n < 2 or not 1 <= component_split < n:
         raise InvalidSpec(f"need n >= 2 and 1 <= component_split < n, got ({n}, {component_split})")
-    try:
-        valid = 0.0 < d_target < math.inf and 0.0 <= scale < math.inf and seed >= 0
-    except TypeError:  # not a number
-        valid = False
-    if not valid:
+    reals = isinstance(d_target, numbers.Real) and isinstance(scale, numbers.Real)
+    if not (reals and 0.0 < d_target < math.inf and 0.0 <= scale < math.inf and seed >= 0):
         raise InvalidSpec(
             f"need finite d_target > 0, scale >= 0 and seed >= 0, "
             f"got ({d_target!r}, {scale!r}, {seed!r})"
@@ -272,7 +268,7 @@ class BoundReport:
     `violations` holds (name, slack) for each failure.
     """
 
-    # 19 fields: keep the count off 20.  CPython 3.11's tuple free list hands
+    # 18 fields: keep the count off 20.  CPython 3.11's tuple free list hands
     # out only tuples of fewer than 20 items but takes back 20-item ones, so a
     # 20-keyword call per instance would leave a traced tuple parked there for
     # each of up to 2000 instances, and campaign memory would grow with count.
@@ -283,7 +279,6 @@ class BoundReport:
     sin2theta_measured: Optional[float]
     sin2theta_bound: float
     integral_bound: Optional[float]
-    integral_below_threshold: Optional[bool]
     gap: float
     norm_plus: float
     norm_minus: float
@@ -348,6 +343,26 @@ class Analysis:
     report: BoundReport
 
 
+@functools.lru_cache(maxsize=4)
+def _above_diagonal(n: int) -> np.ndarray:
+    mask = np.triu(np.ones((n, n), dtype=bool), 1)
+    mask.flags.writeable = False  # one mask serves every caller
+    return mask
+
+
+def _hermitian_sum(a: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """A + V as the eigensolver reads it: the sum's lower triangle and real diagonal.
+
+    Asymmetries of A and V that pass their own checks cannot add up to a failing sum.
+    """
+    h = a + v
+    upper = _above_diagonal(h.shape[0])
+    h[upper] = h.T[upper].conj()
+    if h.dtype.kind == "c":
+        h.imag.flat[:: h.shape[0] + 1] = 0.0
+    return h
+
+
 def _setup(
     inst: Instance,
 ) -> tuple[np.ndarray, SpectralDecomposition, PerturbationSplit, SpectralPartition]:
@@ -372,7 +387,7 @@ def analyze_instance(inst: Instance, angle_tol: float = 1e-9) -> Analysis:
         raise DomainError(f"angle_tol must be finite, got {angle_tol!r}")
     a, decomp_a, split, partition = _setup(inst)
     geometry = geometry_kind(partition)
-    decomp_av = eigh(a + split.v)
+    decomp_av = eigh(_hermitian_sum(a, split.v))
     enclosure = spectral_enclosure_check(decomp_a, decomp_av, split)
 
     gap = partition.gap
@@ -404,8 +419,7 @@ def analyze_instance(inst: Instance, angle_tol: float = 1e-9) -> Analysis:
         half_arcsin_bound=half_bound,
         sin2theta_measured=angles.sin2theta_norm if angles is not None else None,
         sin2theta_bound=bounds.sin2theta_bound(plus, minus, gap, favourable),
-        integral_bound=integral.value if integral is not None else None,
-        integral_below_threshold=integral.below_threshold if integral is not None else None,
+        integral_bound=integral,
         gap=gap,
         norm_plus=plus,
         norm_minus=minus,
@@ -470,7 +484,6 @@ def path_scan(inst: Instance, steps: int) -> list[PathPoint]:
     if steps < 2:
         raise InvalidSpec(f"steps must be at least 2, got {steps!r}")
     a, decomp_a, split, partition = _setup(inst)
-    v = split.v
     if not gap_condition(split, partition.gap):
         raise GapConditionViolated(
             f"||V+|| + ||V-|| = {split.norm_sum!r} must stay below gap {partition.gap!r}"
@@ -479,7 +492,10 @@ def path_scan(inst: Instance, steps: int) -> list[PathPoint]:
     prev_rest: Optional[np.ndarray] = None
     for t in np.linspace(0.0, 1.0, steps + 1):
         t = float(t)
-        dec_t = eigh(a + t * v)
+        dec_t = eigh(_hermitian_sum(a, t * split.v))
+        ok, excess = spectral_enclosure_check(decomp_a, dec_t, split, t)
+        if not ok:
+            raise EnclosureViolation(f"Weyl interval exceeded by {excess:.3e} at t = {t!r}")
         sep = perturbed_component_at_t(dec_t, partition, split, t)
         basis = dec_t.eigenvectors[:, partition.component_indices]
         if prev_rest is None:

@@ -47,7 +47,8 @@ def eigh(h, name: str = "matrix") -> SpectralDecomposition:
     """Eigendecomposition of a Hermitian matrix.
 
     The input is validated by require_hermitian, which names it `name` in
-    errors.  The result is checked: eigenvector Gram defect at most 1e-10 and
+    errors.  The result is checked, a NaN failing each check: finite
+    eigenvalues (finite entries can overflow), Gram defect at most 1e-10 and
     column residuals ||H u_k - w_k u_k|| at most 1e-10 * (1 + ||H||).
     Deterministic for a fixed input on a fixed build of the solver.
     """
@@ -56,6 +57,8 @@ def eigh(h, name: str = "matrix") -> SpectralDecomposition:
         w, u = np.linalg.eigh(arr)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(f"eigensolver failed: {exc}") from exc
+    if not np.isfinite(w).all():  # before ||H|| scales a tolerance
+        raise ConvergenceFailure("eigensolver returned a non-finite eigenvalue")
     gram = u.conj().T @ u
     gram.flat[:: arr.shape[0] + 1] -= 1.0
     gram_defect = float(abs(gram).max())
@@ -63,7 +66,7 @@ def eigh(h, name: str = "matrix") -> SpectralDecomposition:
     # column 2-norms, computed as np.linalg.norm(r, axis=0) does
     r = arr @ u - u * w
     residual = float(np.sqrt((r.conj() * r).real.sum(axis=0)).max())
-    if gram_defect > DECOMPOSITION_RTOL or residual > DECOMPOSITION_RTOL * (1.0 + norm_h):
+    if not (gram_defect <= DECOMPOSITION_RTOL and residual <= DECOMPOSITION_RTOL * (1.0 + norm_h)):
         raise ConvergenceFailure(
             f"decomposition failed verification: gram defect {gram_defect:.3e}, "
             f"residual {residual:.3e}"
@@ -96,13 +99,16 @@ def sign_split(v, name: str = "matrix") -> PerturbationSplit:
     and norm_minus are the spectral norms of the positive and negative parts
     (0 for an empty part).  Eigenvalues with |eigenvalue| <= 1e-12 * (1 + ||V||)
     belong to neither part; they contribute the zero operator either way.  The
-    input is validated by require_hermitian, which names it `name` in errors.
+    input is validated by require_hermitian, which names it `name` in errors,
+    and a non-finite eigenvalue raises ConvergenceFailure.
     """
     arr = require_hermitian(v, name=name)
     try:
         w = np.linalg.eigvalsh(arr)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(f"eigensolver failed: {exc}") from exc
+    if not np.isfinite(w).all():
+        raise ConvergenceFailure("eigensolver returned a non-finite eigenvalue")
     norm_v = float(abs(w).max())
     zero_tol = HERMITICITY_RTOL * (1.0 + norm_v)
     return PerturbationSplit(

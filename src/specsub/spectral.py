@@ -13,7 +13,6 @@ from .errors import (
     DimensionMismatch,
     DomainError,
     EmptyComponent,
-    EnclosureViolation,
     GapConditionViolated,
     InvalidInterval,
 )
@@ -23,24 +22,6 @@ BOUNDARY_RTOL = 1e-12
 ENCLOSURE_RTOL = 1e-9
 
 Interval = tuple[float, float]
-
-
-def _weyl_excess(
-    w: np.ndarray, mus: np.ndarray, split: PerturbationSplit, t: float
-) -> tuple[int, float, float]:
-    """(j, excess, tol): the largest excess of mus[j] over [w[j] - t||V-||, w[j] + t||V+||].
-
-    By Weyl's monotonicity, A - tV- <= A + tV <= A + tV+, the j-th ascending
-    eigenvalue mu_j of A + tV lies in that interval around lam_j = w[j], so
-    the excess is <= 0 up to rounding; above tol = 1e-9 * (1 + ||A|| + ||V||)
-    it signals a numerical failure.  Spectra of different lengths raise
-    DimensionMismatch.
-    """
-    if w.shape != mus.shape:
-        raise DimensionMismatch(f"{mus.size} perturbed eigenvalues for {w.size} unperturbed")
-    excess = np.maximum((w - t * split.norm_minus) - mus, mus - (w + t * split.norm_plus))
-    j = int(excess.argmax())
-    return j, float(excess[j]), ENCLOSURE_RTOL * (1.0 + float(np.abs(w).max()) + split.norm_v)
 
 
 @dataclass(frozen=True)
@@ -172,10 +153,9 @@ def perturbed_component_at_t(
     The j-th ascending eigenvalue mu_j of A + tV lies in
     [lam_j - t||V-||, lam_j + t||V+||] (Weyl), and under t(||V+|| + ||V-||) < gap
     these intervals keep the component apart from the rest, so the perturbed
-    component holds the unperturbed indices and its rank cannot change.  A
-    mu_j outside its interval beyond 1e-9 * (1 + ||A|| + ||V||) is a numerical
-    failure and raises EnclosureViolation; spectra of different lengths
-    raise DimensionMismatch.
+    component holds the unperturbed indices and its rank cannot change; the
+    enclosure itself is spectral_enclosure_check's.  Spectra of different
+    lengths raise DimensionMismatch.
     """
     if not 0.0 <= t <= 1.0:
         raise DomainError(f"t must be in [0, 1], got {t!r}")
@@ -184,12 +164,10 @@ def perturbed_component_at_t(
             f"t*(||V+|| + ||V-||) = {t * split.norm_sum!r} does not stay below "
             f"the gap {partition.gap!r}"
         )
-    w, mus = partition.eigenvalues, decomp_perturbed.eigenvalues
-    j, excess, tol = _weyl_excess(w, mus, split, t)
-    if excess > tol:
-        raise EnclosureViolation(
-            f"perturbed eigenvalue mu_{j} = {float(mus[j])!r} lies {excess:.3e} outside its "
-            f"Weyl interval around lam_{j} = {float(w[j])!r} (tolerance {tol:.3e})"
+    mus = decomp_perturbed.eigenvalues
+    if mus.shape != partition.eigenvalues.shape:
+        raise DimensionMismatch(
+            f"{mus.size} perturbed eigenvalues for {partition.eigenvalues.size} unperturbed"
         )
     return PerturbedSeparation(
         gap_lower_bound=perturbed_gap_lower_bound(split, partition.gap, t),
@@ -206,16 +184,25 @@ def spectral_enclosure_check(
     decomp_a: SpectralDecomposition,
     decomp_perturbed: SpectralDecomposition,
     split: PerturbationSplit,
+    t: float = 1.0,
 ) -> EnclosureCheck:
-    """Check spec(A+V) against spec(A) + [-||V-||, ||V+||], index by index.
+    """Check spec(A + tV) against spec(A) + t[-||V-||, ||V+||], index by index.
 
-    Returns whether each perturbed eigenvalue mu_j lies inside
-    [lam_j - ||V-||, lam_j + ||V+||] within 1e-9 * (1 + ||A|| + ||V||),
-    together with the largest excess (0.0 when all lie inside).  A False
-    result is data, not an error; spectra of different lengths raise
-    DimensionMismatch.
+    By Weyl's monotonicity, A - tV- <= A + tV <= A + tV+, the j-th ascending
+    eigenvalue mu_j of A + tV lies in [lam_j - t||V-||, lam_j + t||V+||].
+    Returns whether every excess stays within 1e-9 * (1 + ||A|| + ||V||) and
+    the largest excess (0.0 when all lie inside); False is data, not an error.
+    Spectra of different lengths raise DimensionMismatch; t outside [0, 1]
+    raises DomainError.
     """
-    _, excess, tol = _weyl_excess(decomp_a.eigenvalues, decomp_perturbed.eigenvalues, split, 1.0)
+    if not 0.0 <= t <= 1.0:
+        raise DomainError(f"t must be in [0, 1], got {t!r}")
+    w, mus = decomp_a.eigenvalues, decomp_perturbed.eigenvalues
+    if w.shape != mus.shape:
+        raise DimensionMismatch(f"{mus.size} perturbed eigenvalues for {w.size} unperturbed")
+    lo, hi = w - t * split.norm_minus, w + t * split.norm_plus
+    excess = float(np.maximum(lo - mus, mus - hi).max())
+    tol = ENCLOSURE_RTOL * (1.0 + float(np.abs(w).max()) + split.norm_v)
     return EnclosureCheck(ok=excess <= tol, max_excess=max(0.0, excess))
 
 

@@ -14,11 +14,14 @@ import pytest
 from specsub import (
     analyze_instance,
     critical_strength,
+    eigh,
     first_branch_point,
     gap_condition,
+    geometry_kind,
     kappa,
     kappa_bracket,
     partition_infimum_bound,
+    partition_spectrum,
     path_scan,
     piecewise_angle_bound,
     random_instance,
@@ -309,6 +312,44 @@ def test_angles_agree_with_dense_projectors(favourable_suite, generic_suite):
             assert abs(analysis.angles.sin2theta_norm - s2t) <= 1e-12
             checked += 1
     assert checked == 2000
+
+
+def _value_scan_geometry(partition):
+    """The value scans geometry_kind replaced: whether either side's hull misses the other."""
+    w = partition.eigenvalues.tolist()
+    comp = [w[k] for k in partition.component_indices]
+    rest = [w[k] for k in partition.rest_indices]
+    rest_in_comp_hull = any(min(comp) <= x <= max(comp) for x in rest)
+    comp_in_rest_hull = any(min(rest) <= x <= max(rest) for x in comp)
+    return "generic" if rest_in_comp_hull and comp_in_rest_hull else "favourable"
+
+
+def test_geometry_index_rule_matches_value_scans(favourable_suite, generic_suite):
+    kinds = [
+        (analysis.report.geometry, _value_scan_geometry(analysis.partition))
+        for suite in (favourable_suite, generic_suite)
+        for analysis in suite[0]
+    ]
+    assert all(kind == reference for kind, reference in kinds)
+    assert sorted(set(kinds)) == [("favourable",) * 2, ("generic",) * 2]
+
+
+def test_geometry_index_rule_matches_value_scans_with_ties():
+    # repeated eigenvalues, selected by value, so equal ones share a side
+    rng = np.random.default_rng(2026_08_12)
+    kinds = set()
+    for _ in range(2000):
+        values = rng.integers(0, 5, size=int(rng.integers(2, 10))).astype(float)
+        distinct = np.unique(values)
+        chosen = distinct[rng.random(distinct.size) < 0.5]
+        if chosen.size in (0, distinct.size):
+            continue
+        dec = eigh(np.diag(values))
+        part = partition_spectrum(dec, [(x - 0.25, x + 0.25) for x in chosen])
+        kind = geometry_kind(part).value
+        assert kind == _value_scan_geometry(part)
+        kinds.add(kind)
+    assert kinds == {"favourable", "generic"}
 
 
 def _reference_checks(analysis, angle_tol):

@@ -266,20 +266,15 @@ def test_non_finite_arguments_rejected(fn, args, position, bad):
 
 class TestIntegralBound:
     def test_zero(self):
-        result = integral_angle_bound(0.0, 0.0, 1.0)
-        assert result.value == 0.0 and result.below_threshold
+        assert integral_angle_bound(0.0, 0.0, 1.0) == 0.0
 
     def test_boundary_reaches_half_pi(self):
         # at s/gap = 1 - exp(-2) the logarithm equals 2
         s = integral_threshold()
-        result = integral_angle_bound(s, 0.0, 1.0)
-        assert result.value == pytest.approx(math.pi / 2.0, abs=1e-12)
-        assert result.below_threshold
+        assert integral_angle_bound(s, 0.0, 1.0) == pytest.approx(math.pi / 2.0, abs=1e-12)
 
-    def test_beyond_threshold_is_flagged(self):
-        result = integral_angle_bound(0.9, 0.0, 1.0)
-        assert result.value > math.pi / 2.0
-        assert not result.below_threshold
+    def test_beyond_threshold_exceeds_half_pi(self):
+        assert integral_angle_bound(0.9, 0.0, 1.0) > math.pi / 2.0
 
     def test_gap_condition(self):
         with pytest.raises(GapConditionViolated):

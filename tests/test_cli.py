@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import specsub.cli
+import specsub.harness
 from specsub import __version__, analyze_instance, random_instance, sharp_example_2x2
 from specsub.bounds import critical_strength, first_branch_point, kappa, second_branch_point
 from specsub.cli import main
@@ -22,6 +23,7 @@ from specsub.fileio import (
 )
 from specsub.errors import ConvergenceFailure, ParseError
 from specsub.harness import BOUND_CHECKS, Instance
+from specsub.linalg import SpectralDecomposition
 
 
 def write_problem(tmp_path, inst, name="problem.json"):
@@ -131,6 +133,19 @@ class TestAnalyze:
         assert main(["analyze", str(path)]) == 1
         assert "Hermitian" in capsys.readouterr().err
 
+    def test_overflowing_spectrum_is_input_error(self, tmp_path, capsys):
+        # finite entries whose eigenvalue 2e308 overflows: one error line, and
+        # pytest turns any numpy warning into a failure
+        inst = Instance(
+            a=np.array([[1e308, 1e308], [1e308, 1e308]]), v=np.zeros((2, 2)),
+            component_intervals=((-1.0, 1.0),), seed=0, label="overflow",
+        )
+        assert main(["analyze", write_problem(tmp_path, inst)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "non-finite eigenvalue" in captured.err
+
     def test_usage_error_exit_code(self, capsys):
         assert main(["analyze"]) == 1
         assert main(["no-such-command"]) == 1
@@ -145,7 +160,7 @@ class TestReportRoundTrip:
         doc = parse_report(first)
         inst = load_problem(path)
         analysis = analyze_instance(inst)
-        second = dumps(report_payload(analysis, __version__, problem_digest(inst))) + "\n"
+        second = dumps(report_payload(analysis)) + "\n"
         assert second == first
         assert parse_report(second) == doc
 
@@ -243,9 +258,9 @@ class TestProblemParsing:
         inst, _ = sharp_example_2x2(0.3, 0.2)
         assert main(["analyze", write_problem(tmp_path, inst)]) == 0
         text = capsys.readouterr().out
-        assert parse_report(text)["format_version"] == 4
+        assert parse_report(text)["format_version"] == 5
         with pytest.raises(ParseError, match="format_version"):
-            parse_report(text.replace('"format_version": 4,', f'"format_version": {version},', 1))
+            parse_report(text.replace('"format_version": 5,', f'"format_version": {version},', 1))
 
     # 1e400 overflows to inf in json.loads; a 401-digit integer has no float
     @pytest.mark.parametrize("part", ["real", "imag"])
@@ -487,6 +502,32 @@ class TestFuzzCommand:
             assert fuzzed.count(label) == 1
             assert replayed == fuzzed.replace(label, f'"label": {dumps(path)},')
 
+    def test_enclosure_failure_is_a_violation(self, monkeypatch, tmp_path, capsys):
+        # every decomposition of A + V reports its eigenvalues 0.4 too high:
+        # the campaign runs to its summary and exits 2
+        real = specsub.harness.eigh
+
+        def shifted(h, name="matrix"):
+            dec = real(h, name=name)
+            if name == "a":
+                return dec
+            return SpectralDecomposition(dec.eigenvalues + 0.4, dec.eigenvectors)
+
+        monkeypatch.setattr(specsub.harness, "eigh", shifted)
+        assert main(fuzz_args(20, tmp_path / "reports")) == 2
+        summary = json.loads(capsys.readouterr().out)
+        enclosure = summary["per_bound"]["enclosure"]
+        assert summary["checked"] == 20
+        assert 0 < enclosure["violations"] == summary["violations"]
+        assert enclosure["max_slack"] == summary["max_slack"] > 0.0
+        failed = 0
+        for name in os.listdir(tmp_path / "reports"):
+            report = parse_report((tmp_path / "reports" / name).read_text("utf-8"))["report"]
+            flagged = [{"name": "enclosure", "slack": report["enclosure_excess"]}]
+            assert report["violations"] == ([] if report["enclosure_ok"] else flagged)
+            failed += not report["enclosure_ok"]
+        assert failed == enclosure["violations"]
+
     def test_invalid_parameters(self, capsys):
         assert main(["fuzz", "--n", "1", "--count", "5", "--scale", "0.5", "--seed", "1"]) == 1
         assert main(["fuzz", "--n", "4", "--count", "0", "--scale", "0.5", "--seed", "1"]) == 1
@@ -556,6 +597,16 @@ class TestFuzzStreaming:
         capsys.readouterr()
         assert len(os.listdir(tmp_path / "large")) == 400
         assert large <= 1.2 * small, (small, large)
+
+    def test_runs_leave_no_cyclic_garbage(self, capsys):
+        # garbage left for the cyclic collector would make the traced peak of
+        # a run depend on when the collector last ran
+        main(fuzz_args(3))
+        gc.collect()
+        main(fuzz_args(3))
+        main(["kappa"])
+        capsys.readouterr()
+        assert gc.collect() == 0
 
     def test_pool_is_fed_fixed_windows_in_order(self, monkeypatch, capsys):
         pools = []

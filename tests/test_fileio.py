@@ -108,7 +108,7 @@ class TestAgainstReference:
             problem = problem_payload(inst)
             text = dumps(problem)
             assert text == reference_dumps(problem)
-            report = report_payload(analyze_instance(inst), __version__, "sha256:" + "0" * 64)
+            report = report_payload(analyze_instance(inst))
             assert dumps(report) == reference_dumps(report)
             checked += 1
         assert checked == 100
@@ -168,7 +168,7 @@ class TestAgainstReference:
 
 def test_report_keys_are_the_published_format():
     inst = random_instance(n=6, d_target=1.0, component_split=2, scale=0.5, seed=3)
-    doc = report_payload(analyze_instance(inst), __version__, "sha256:" + "0" * 64)
+    doc = report_payload(analyze_instance(inst))
     assert list(doc) == [
         "format_version",
         "tool_version",
@@ -180,7 +180,11 @@ def test_report_keys_are_the_published_format():
         "rest_indices",
         "singular_values",
     ]
-    assert doc["format_version"] == 4
+    assert doc["format_version"] == 5
+    # the two values the analysis determines: the package's version and the
+    # digest of the analyzed problem
+    assert doc["tool_version"] == __version__
+    assert doc["input_digest"] == problem_digest(inst)
     assert list(doc["report"]) == [
         "measured_angle",
         "favourable_bound",
@@ -189,7 +193,6 @@ def test_report_keys_are_the_published_format():
         "sin2theta_measured",
         "sin2theta_bound",
         "integral_bound",
-        "integral_below_threshold",
         "gap",
         "norm_plus",
         "norm_minus",

@@ -1,5 +1,8 @@
+import dataclasses
 import math
 import sys
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,6 +12,7 @@ import specsub.linalg
 from specsub import (
     DimensionMismatch,
     DomainError,
+    EnclosureViolation,
     GapConditionViolated,
     GeometryKind,
     InvalidSpec,
@@ -25,6 +29,7 @@ from specsub import (
 )
 from specsub.fileio import REPORT_FORMAT_VERSION, report_payload
 from specsub.harness import BOUND_CHECKS, Instance
+from specsub.linalg import SpectralDecomposition
 from specsub.spectral import EnclosureCheck
 
 
@@ -108,14 +113,27 @@ class TestMeasureAngles:
     def test_report_carries_the_sines(self):
         inst = random_instance(n=7, d_target=1.0, component_split=2, scale=0.8, seed=12)
         analysis = analyze_instance(inst)
-        doc = report_payload(analysis, "0", "sha256:" + "0" * 64)
-        assert doc["format_version"] == REPORT_FORMAT_VERSION == 4
+        doc = report_payload(analysis)
+        assert doc["format_version"] == REPORT_FORMAT_VERSION == 5
         sines = doc["singular_values"]
         assert sines == analysis.angles.singular_values.tolist()
         assert len(sines) == 2
         assert math.asin(sines[0]) == pytest.approx(doc["report"]["measured_angle"], abs=1e-15)
         assert doc["component_indices"] == analysis.partition.component_indices
         assert doc["rest_indices"] == analysis.partition.rest_indices
+
+
+def shift_perturbed_spectrum(monkeypatch, shift):
+    """Make harness's decompositions of A + tV report eigenvalues moved by `shift`."""
+    real = specsub.harness.eigh
+
+    def shifted(h, name="matrix"):
+        dec = real(h, name=name)
+        if name == "a":
+            return dec
+        return SpectralDecomposition(dec.eigenvalues + shift, dec.eigenvectors)
+
+    monkeypatch.setattr(specsub.harness, "eigh", shifted)
 
 
 def _random_hermitian(rng, n):
@@ -173,11 +191,15 @@ class TestSharpExample:
             sharp_example_2x2(-0.1, 0.2)
         with pytest.raises(DomainError):
             sharp_example_2x2(1.0, 0.0)
-        for bad in ("0.1", None):
+        for bad in ("0.1", None, Decimal("0.3")):
             with pytest.raises(DomainError):
                 sharp_example_2x2(bad, 0.2)
             with pytest.raises(DomainError):
                 sharp_example_2x2(0.2, bad)
+
+    def test_fractions_and_numpy_floats_accepted(self):
+        reference = sharp_example_2x2(0.3, 0.2)[0].v
+        assert np.array_equal(sharp_example_2x2(Fraction(3, 10), np.float64(0.2))[0].v, reference)
 
     def test_semidefinite_edge(self):
         inst, expected = sharp_example_2x2(0.0, 0.5)
@@ -260,7 +282,7 @@ class TestRandomInstance:
             random_instance(
                 n=4, d_target=1.0, component_split=1, scale=0.5, seed=0, interlaced=True
             )
-        for bad in ("1", None):
+        for bad in ("1", None, Decimal("0.5")):
             with pytest.raises(InvalidSpec):
                 random_instance(n=4, d_target=bad, component_split=2, scale=0.5, seed=0)
             with pytest.raises(InvalidSpec):
@@ -276,6 +298,12 @@ class TestRandomInstance:
     def test_negative_seed_rejected(self):
         with pytest.raises(InvalidSpec, match="seed >= 0"):
             random_instance(n=4, d_target=1.0, component_split=2, scale=0.5, seed=-1)
+
+    def test_fractions_and_numpy_floats_accepted(self):
+        args = dict(n=4, component_split=2, seed=0)
+        reference = random_instance(d_target=1.0, scale=0.5, **args)
+        inst = random_instance(d_target=np.float32(1.0), scale=Fraction(1, 2), **args)
+        assert np.array_equal(inst.v, reference.v)
 
 
 class TestIntegerArguments:
@@ -342,6 +370,55 @@ class TestVerifyInstance:
         )
         inst, _ = sharp_example_2x2(0.3, 0.2)
         assert verify_instance(inst).violations == expected
+
+    def test_enclosure_failure_is_data_under_the_gap_condition(self, monkeypatch):
+        # spec(A + V) = {(0.1 -+ sqrt(0.75))/2} moved up by 0.4: the lower
+        # eigenvalue leaves [-0.5 - 0.2, -0.5 + 0.3]; a uniform shift moves no
+        # eigenvector and no gap, so no other check fails
+        shift_perturbed_spectrum(monkeypatch, 0.4)
+        inst, _ = sharp_example_2x2(0.3, 0.2)
+        rep = verify_instance(inst)
+        assert rep.measured_angle is not None
+        ((name, slack),) = rep.violations
+        assert name == "enclosure" and not rep.enclosure_ok
+        assert slack == rep.enclosure_excess
+        assert slack == pytest.approx(0.6 + 0.5 * (0.1 - math.sqrt(0.75)), abs=1e-12)
+
+    def test_path_scan_raises_on_an_enclosure_failure(self, monkeypatch):
+        shift_perturbed_spectrum(monkeypatch, 0.4)
+        inst, _ = sharp_example_2x2(0.3, 0.2)
+        with pytest.raises(EnclosureViolation, match=r"exceeded by 4\.000e-01 at t = 0\.0"):
+            path_scan(inst, steps=4)
+
+    def test_sum_of_near_hermitian_inputs_is_accepted(self):
+        # each input's asymmetry passes its own check; added up they would
+        # fail the check of A + V (3.3e-12 against 1.5e-12)
+        inst = Instance(
+            a=np.array([[0.0, 0.0], [1.9e-12, 1.0]]),
+            v=np.array([[0.5, 0.0], [1.4e-12, -0.5]]),
+            component_intervals=((-0.25, 0.25),),
+            seed=0, label="near-hermitian",
+        )
+        assert verify_instance(inst).violations == ()
+        # along the path, under the gap condition: A + V/2 would fail by
+        # 2.575e-12 against 1.8e-12
+        inst = dataclasses.replace(inst, v=np.array([[0.4, 0.0], [1.35e-12, -0.4]]))
+        assert verify_instance(inst).violations == ()
+        assert len(path_scan(inst, steps=2)) == 3
+
+    def test_sum_keeps_the_eigenpairs_the_solver_reads(self):
+        # the eigensolver reads the lower triangle and a real diagonal only
+        rng = np.random.default_rng(47)
+        for n in (2, 8, 32):
+            for _ in range(20):
+                a, v = _random_hermitian(rng, n), _random_hermitian(rng, n)
+                a += 1e-13 * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+                for m, p in ((a, v), (a.real, v), (a.real, v.real)):
+                    w, u = np.linalg.eigh(m + p)
+                    h = specsub.harness._hermitian_sum(m, p)
+                    assert np.array_equal(h, h.conj().T)
+                    w2, u2 = np.linalg.eigh(h)
+                    assert np.array_equal(w, w2) and np.array_equal(u, u2)
 
     @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf])
     def test_non_finite_angle_tolerance_rejected(self, tol):
@@ -453,7 +530,8 @@ class TestPathScan:
 
 
 class TestLayerCounts:
-    """One analysis: three validations, two eigendecompositions, one eigenvalue-only solve."""
+    """One analysis: three validations, two eigendecompositions, one eigenvalue-only solve,
+    and one Weyl check of each perturbed spectrum."""
 
     @staticmethod
     def _count(monkeypatch, counts, holder, name):
@@ -479,6 +557,18 @@ class TestLayerCounts:
 
         analyze_instance(inst)
         assert counts == {"require_hermitian": 3, "eigh": 2, "eigvalsh": 1}
+
+    def test_one_weyl_pass_per_perturbed_spectrum(self, monkeypatch):
+        # the gap condition holds, so the analysis also pairs the component
+        inst = random_instance(n=8, d_target=1.0, component_split=3, scale=0.9, seed=12)
+        counts = {"spectral_enclosure_check": 0, "perturbed_component_at_t": 0}
+        for name in counts:
+            self._count(monkeypatch, counts, specsub.harness, name)
+        analyze_instance(inst)
+        assert counts == {"spectral_enclosure_check": 1, "perturbed_component_at_t": 1}
+        points = path_scan(inst, steps=5)
+        assert counts == {"spectral_enclosure_check": 7, "perturbed_component_at_t": 7}
+        assert len(points) == 6
 
 
 class TestSharpnessGrid:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from specsub import (
+    ConvergenceFailure,
     NonHermitianInput,
     eigh,
     require_hermitian,
@@ -87,6 +88,25 @@ class TestEigh:
         assert np.array_equal(d1.eigenvalues, d2.eigenvalues)
         assert np.array_equal(d1.eigenvectors, d2.eigenvectors)
 
+    def test_overflowing_spectrum_rejected(self):
+        # finite entries, eigenvalues 0 and 2e308 = inf; pytest turns the
+        # overflow warning of a residual taken with inf into an error
+        with pytest.raises(ConvergenceFailure, match="non-finite eigenvalue"):
+            eigh([[1e308, 1e308], [1e308, 1e308]])
+
+    @pytest.mark.parametrize("part", ["eigenvalues", "eigenvectors"])
+    def test_nan_from_the_solver_rejected(self, monkeypatch, part):
+        real = np.linalg.eigh
+
+        def poisoned(arr):
+            w, u = real(arr)
+            (w if part == "eigenvalues" else u)[0] = np.nan
+            return w, u
+
+        monkeypatch.setattr(np.linalg, "eigh", poisoned)
+        with pytest.raises(ConvergenceFailure):
+            eigh(np.diag([1.0, 2.0]))
+
 
 class TestOperatorNorm:
     def test_zero(self):
@@ -132,6 +152,17 @@ class TestSignSplit:
     def test_zero_matrix(self):
         split = sign_split(np.zeros((3, 3)))
         assert split.norm_plus == split.norm_minus == split.norm_v == 0.0
+
+    def test_overflowing_spectrum_rejected(self):
+        # an infinite ||V|| would make the zero tolerance infinite and drop
+        # both parts
+        with pytest.raises(ConvergenceFailure, match="non-finite eigenvalue"):
+            sign_split([[1e308, 1e308], [1e308, 1e308]])
+
+    def test_nan_from_the_solver_rejected(self, monkeypatch):
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda arr: np.array([np.nan, 1.0]))
+        with pytest.raises(ConvergenceFailure):
+            sign_split(np.diag([1.0, 2.0]))
 
     def test_invariants_on_random_matrices(self):
         # the three norms against the 2-norms of V, V+ and V- built from eigh,

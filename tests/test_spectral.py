@@ -9,7 +9,6 @@ from specsub import (
     DimensionMismatch,
     DomainError,
     EmptyComponent,
-    EnclosureViolation,
     GapConditionViolated,
     InvalidInterval,
     analyze_instance,
@@ -111,26 +110,31 @@ class TestPerturbedComponent:
         with pytest.raises(GapConditionViolated):
             perturbed_component_at_t(dec, part, split, 1.0)
 
-    def test_enclosure_violation_raised_for_foreign_decomposition(self):
-        # feeding a decomposition that is not spec(A + V) must trip the
-        # numerical-failure guard
+    def test_enclosure_fails_for_foreign_decomposition(self):
+        # a decomposition that is not spec(A + V) fails the enclosure check
         a = np.diag([0.0, 10.0])
-        part = partition_spectrum(eigh(a), [(-1.0, 1.0)])
         split = sign_split(np.diag([0.1, -0.1]))
         foreign = eigh(np.diag([100.0, 200.0]))
-        with pytest.raises(EnclosureViolation):
-            perturbed_component_at_t(foreign, part, split, 1.0)
+        assert spectral_enclosure_check(eigh(a), foreign, split).ok is False
 
-    def test_foreign_eigenvalue_outside_its_weyl_interval_raised(self):
+    def test_foreign_eigenvalue_outside_its_weyl_interval_fails(self):
         # both foreign eigenvalues lie in the enlarged component [-0.1, 0.1],
-        # but mu_1 = 0.05 is paired with lam_1 = 10 and lies far outside
+        # but mu_1 = 0.05 is paired with lam_1 = 10 and lies 9.85 outside
         # [10 - 0.1, 10 + 0.1]
         a = np.diag([0.0, 10.0])
-        part = partition_spectrum(eigh(a), [(-1.0, 1.0)])
         split = sign_split(np.diag([0.1, -0.1]))
         foreign = eigh(np.diag([0.0, 0.05]))
-        with pytest.raises(EnclosureViolation, match="mu_1 = 0.05 .* lam_1 = 10.0"):
-            perturbed_component_at_t(foreign, part, split, 1.0)
+        check = spectral_enclosure_check(eigh(a), foreign, split)
+        assert check.ok is False
+        assert check.max_excess == pytest.approx(9.85, abs=1e-14)
+
+    def test_pairing_leaves_the_enclosure_to_its_check(self):
+        # the foreign spectrum above still has two gaps to report
+        part = partition_spectrum(eigh(np.diag([0.0, 10.0])), [(-1.0, 1.0)])
+        split = sign_split(np.diag([0.1, -0.1]))
+        sep = perturbed_component_at_t(eigh(np.diag([0.0, 0.05])), part, split, 1.0)
+        assert sep.measured_gap == 0.05
+        assert sep.gap_lower_bound == pytest.approx(9.8, abs=1e-14)
 
     def test_spectra_of_different_lengths_rejected(self):
         part = partition_spectrum(eigh(np.diag([0.0, 10.0])), [(-1.0, 1.0)])
@@ -221,6 +225,21 @@ class TestEnclosureCheck:
         v = np.diag([1.0, -2.0])
         check = spectral_enclosure_check(eigh(a), eigh(a + v), sign_split(v))
         assert check.ok
+
+    def test_intervals_scale_with_t(self):
+        # spec(A + V/2) = {-1, 0.5} lies in spec(A) + [-2, 1]/2, and -1 lies
+        # 0.5 outside spec(A) + [-2, 1]/4
+        a = np.zeros((2, 2))
+        v = np.diag([1.0, -2.0])
+        dec_a, dec_half, split = eigh(a), eigh(a + 0.5 * v), sign_split(v)
+        assert spectral_enclosure_check(dec_a, dec_half, split, 0.5) == (True, 0.0)
+        assert spectral_enclosure_check(dec_a, dec_half, split, 0.25) == (False, 0.5)
+
+    @pytest.mark.parametrize("t", [-0.5, 1.5, np.nan])
+    def test_t_outside_unit_interval_rejected(self, t):
+        dec = eigh(np.diag([0.0, 1.0]))
+        with pytest.raises(DomainError):
+            spectral_enclosure_check(dec, dec, sign_split(np.zeros((2, 2))), t)
 
     def test_random_instances(self):
         rng = np.random.default_rng(21)
@@ -372,6 +391,7 @@ class TestAgainstMergedUnion:
             part = partition_spectrum(dec_a, inst.component_intervals)
             for t in (0.0, 0.5, 1.0):
                 dec_t = eigh(inst.a + t * inst.v)
+                assert spectral_enclosure_check(dec_a, dec_t, split, t).ok
                 perturbed_component_at_t(dec_t, part, split, t)
                 assert (part.component_indices, part.rest_indices) == self.ref_assignment(
                     dec_t.eigenvalues, part, split, t
@@ -394,6 +414,7 @@ class TestAgainstMergedUnion:
             part = partition_spectrum(dec_a, inst.component_intervals)
             for t in (0.0, 0.5, 1.0):
                 dec_t = eigh(inst.a + t * inst.v)
+                assert spectral_enclosure_check(dec_a, dec_t, split, t).ok
                 perturbed_component_at_t(dec_t, part, split, t)
                 assert (part.component_indices, part.rest_indices) == self.ref_assignment(
                     dec_t.eigenvalues, part, split, t
