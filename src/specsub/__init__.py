@@ -64,15 +64,11 @@ from .linalg import (
     sign_split,
 )
 from .spectral import (
-    EnclosureCheck,
-    PerturbedSeparation,
+    PerturbedSpectrum,
     SpectralPartition,
-    gap_condition,
     partition_spectrum,
     perturbed_component_at_t,
-    perturbed_gap_lower_bound,
     resolvent_interval,
-    spectral_enclosure_check,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

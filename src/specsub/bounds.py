@@ -8,6 +8,7 @@ the perturbation, `gap` is the unperturbed spectral separation.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from functools import lru_cache
 
@@ -147,7 +148,15 @@ def piecewise_angle_bound(x: float) -> float:
     return piecewise_angle_bound_with_branch(x)[0]
 
 
+def _require_reals(*values) -> None:
+    for x in values:
+        # the exact-type test first: an ABC check costs about a microsecond
+        if type(x) is not float and not isinstance(x, numbers.Real):
+            raise DomainError(f"arguments must be real numbers, got {values!r}")
+
+
 def _require_norms(norm_plus: float, norm_minus: float, gap: float) -> float:
+    _require_reals(norm_plus, norm_minus, gap)
     if not (0.0 <= norm_plus < math.inf and 0.0 <= norm_minus < math.inf):
         raise DomainError(f"part norms must be finite and >= 0, got {norm_plus!r}, {norm_minus!r}")
     if not 0.0 < gap < math.inf:
@@ -189,7 +198,7 @@ def half_arcsin_angle_bound(norm_plus: float, norm_minus: float, gap: float) -> 
     bound's first branch.
     """
     s = _require_norms(norm_plus, norm_minus, gap)
-    if s > (2.0 * gap / math.pi) * (1.0 + 1e-12):
+    if s > 2.0 * gap / math.pi:
         raise DomainError(f"||V+|| + ||V-|| = {s!r} exceeds 2*gap/pi = {2.0 * gap / math.pi!r}")
     return 0.5 * math.asin(_clip1(0.5 * math.pi * s / gap))
 
@@ -214,6 +223,7 @@ def path_step_bound(
 
     Evaluates (pi/2) |t - s| ||V|| / (gap - t(||V+|| + ||V-||)).
     """
+    _require_reals(s, t, norm_v)
     if not 0.0 <= s <= t <= 1.0:
         raise DomainError(f"need 0 <= s <= t <= 1, got s={s!r}, t={t!r}")
     if not 0.0 <= norm_v < math.inf:
@@ -242,8 +252,10 @@ def integral_angle_bound(norm_plus: float, norm_minus: float, gap: float) -> flo
 _U_CAP = -math.log1p(-STEP_CAP)
 
 # Points per bracket in the partition search; each round narrows the bracket
-# around the best point to two grid cells, a factor (_GRID - 1) / 2.
+# around the best point to two grid cells, a factor (_GRID - 1) / 2, until no
+# bracket is wider than _BRACKET_TOL.
 _GRID = 17
+_BRACKET_TOL = 1e-10
 
 
 def _step_cost(u: np.ndarray) -> np.ndarray:
@@ -251,7 +263,7 @@ def _step_cost(u: np.ndarray) -> np.ndarray:
     return 0.5 * np.arcsin(np.minimum(1.0, -0.5 * math.pi * np.expm1(-u)))
 
 
-def partition_infimum_bound(x: float, n_max: int = 64, tol: float = 1e-10) -> float:
+def partition_infimum_bound(x: float, n_max: int = 64) -> float:
     """Minimize the accumulated step bound over partitions of the homotopy path.
 
     Searches min over n <= n_max of (1/2) sum_j arcsin(pi lam_j / 2) subject to
@@ -271,7 +283,7 @@ def partition_infimum_bound(x: float, n_max: int = 64, tol: float = 1e-10) -> fl
     the smaller value.  For each n the search takes the all-equal vector and
     the family "one step of a, n - 1 steps of (L - a)/(n - 1)", with a on a
     grid over its feasible bracket that zooms in on the best point until the
-    bracket is narrower than `tol`.
+    bracket is narrower than 1e-10.
 
     Equals piecewise_angle_bound(x/2) in exact arithmetic; kept free of the
     closed-form branches so it can serve as an independent cross-check.
@@ -286,8 +298,6 @@ def partition_infimum_bound(x: float, n_max: int = 64, tol: float = 1e-10) -> fl
         raise DomainError(f"n_max must be an integer, got {n_max!r}") from None
     if n_max < 1:
         raise DomainError(f"n_max must be at least 1, got {n_max!r}")
-    if not 0.0 < tol < math.inf:
-        raise DomainError(f"tol must be finite and positive, got {tol!r}")
     if x == 0.0:
         return 0.0
     total = -math.log1p(-x)
@@ -309,7 +319,7 @@ def partition_infimum_bound(x: float, n_max: int = 64, tol: float = 1e-10) -> fl
         cost = _step_cost(a) + rest * _step_cost((total - a) / rest)
         best = min(best, float(cost.min()))
         width = hi - lo
-        if width.max() <= tol:
+        if width.max() <= _BRACKET_TOL:
             return best
         centre = np.take_along_axis(a, cost.argmin(axis=1)[:, None], axis=1)
         cell = width / (_GRID - 1)

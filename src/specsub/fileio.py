@@ -27,8 +27,8 @@ REPORT_FORMAT_VERSION = 5
 
 _FLOAT_ONLY = frozenset((float,))
 
-# the indent of every document specsub writes
-_INDENT = 2
+# the indent step of every document specsub writes
+_INDENT = "  "
 
 
 def format_float(x: float) -> str:
@@ -41,26 +41,26 @@ def format_float(x: float) -> str:
     return text
 
 
-def dumps(obj: Any, indent: int = _INDENT) -> str:
-    """Deterministic JSON text with 17-significant-digit floats."""
+def dumps(obj: Any) -> str:
+    """Deterministic JSON text with 17-significant-digit floats, indented by two spaces."""
     pieces: list[str] = []
-    _emit(obj, pieces.append, "", " " * indent)
+    _emit(obj, pieces.append, "")
     return "".join(pieces)
 
 
-def _emit(obj: Any, write, pad: str, step: str) -> None:
+def _emit(obj: Any, write, pad: str) -> None:
     # Exact types first: payloads are built from plain floats, dicts, lists
     # and float64 arrays.
     kind = type(obj)
     if kind is float:
         write(format_float(obj))
     elif kind is dict:
-        _emit_dict(obj, write, pad, step)
+        _emit_dict(obj, write, pad)
     elif kind is list:
-        _emit_list(obj, write, pad, step)
+        _emit_list(obj, write, pad)
     elif kind is np.ndarray and obj.ndim:
         # problem matrices: print as the nested lists of their values
-        _emit(obj.tolist(), write, pad, step)
+        _emit(obj.tolist(), write, pad)
     elif obj is None:
         write("null")
     elif isinstance(obj, bool):
@@ -72,31 +72,31 @@ def _emit(obj: Any, write, pad: str, step: str) -> None:
     elif isinstance(obj, str):
         write(encode_basestring_ascii(obj))
     elif isinstance(obj, dict):
-        _emit_dict(obj, write, pad, step)
+        _emit_dict(obj, write, pad)
     elif isinstance(obj, (list, tuple, np.ndarray)):
-        _emit_list(list(obj), write, pad, step)
+        _emit_list(list(obj), write, pad)
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def _emit_dict(obj: dict, write, pad: str, step: str) -> None:
+def _emit_dict(obj: dict, write, pad: str) -> None:
     if not obj:
         write("{}")
         return
-    inner = pad + step
+    inner = pad + _INDENT
     sep = "{\n" + inner
     for key, value in obj.items():
         write(sep + encode_basestring_ascii(str(key)) + ": ")
-        _emit(value, write, inner, step)
+        _emit(value, write, inner)
         sep = ",\n" + inner
     write("\n" + pad + "}")
 
 
-def _emit_list(seq: list, write, pad: str, step: str) -> None:
+def _emit_list(seq: list, write, pad: str) -> None:
     if not seq:
         write("[]")
         return
-    inner = pad + step
+    inner = pad + _INDENT
     if _FLOAT_ONLY.issuperset(map(type, seq)):
         # matrix rows and singular values: format and join in one step
         write("[\n" + inner + _float_row(seq, ",\n" + inner) + "\n" + pad + "]")
@@ -104,7 +104,7 @@ def _emit_list(seq: list, write, pad: str, step: str) -> None:
     sep = "[\n" + inner
     for value in seq:
         write(sep)
-        _emit(value, write, inner, step)
+        _emit(value, write, inner)
         sep = ",\n" + inner
     write("\n" + pad + "]")
 

@@ -31,12 +31,10 @@ from .errors import (
 )
 from .linalg import PerturbationSplit, SpectralDecomposition, eigh, sign_split
 from .spectral import (
-    PerturbedSeparation,
+    PerturbedSpectrum,
     SpectralPartition,
-    gap_condition,
     partition_spectrum,
     perturbed_component_at_t,
-    spectral_enclosure_check,
 )
 
 GAP_SLACK = 1e-10
@@ -308,8 +306,8 @@ class BoundCheck(NamedTuple):
 
 
 # Every check made on an instance, in the order of fuzz summaries and of report
-# violations.  The enclosure keeps the EnclosureCheck.ok rule, whose tolerance
-# scales with ||A|| and ||V||: its excess counts only when that rule fails.
+# violations.  The enclosure keeps perturbed_component_at_t's rule, whose
+# tolerance scales with ||A|| and ||V||: its excess counts only when that rule fails.
 _read = operator.attrgetter
 BOUND_CHECKS: tuple[BoundCheck, ...] = (
     BoundCheck("favourable_bound", _read("measured_angle"), _read("favourable_bound"), None),
@@ -388,7 +386,7 @@ def analyze_instance(inst: Instance, angle_tol: float = 1e-9) -> Analysis:
     a, decomp_a, split, partition = _setup(inst)
     geometry = geometry_kind(partition)
     decomp_av = eigh(_hermitian_sum(a, split.v))
-    enclosure = spectral_enclosure_check(decomp_a, decomp_av, split)
+    perturbed = perturbed_component_at_t(decomp_av, partition, split, 1.0)
 
     gap = partition.gap
     plus, minus, s = split.norm_plus, split.norm_minus, split.norm_sum
@@ -396,9 +394,8 @@ def analyze_instance(inst: Instance, angle_tol: float = 1e-9) -> Analysis:
 
     # a bound outside its hypotheses stays None, and so does every measurement
     # that needs the gap condition
-    sep = angles = integral = fav_bound = gen_bound = half_bound = None
-    if gap_condition(split, gap):
-        sep = perturbed_component_at_t(decomp_av, partition, split, 1.0)
+    angles = integral = fav_bound = gen_bound = half_bound = None
+    if perturbed.measured_gap is not None:  # the gap condition
         angles = measure_angles(
             decomp_a.eigenvectors[:, partition.rest_indices],
             decomp_av.eigenvectors[:, partition.component_indices],
@@ -425,10 +422,10 @@ def analyze_instance(inst: Instance, angle_tol: float = 1e-9) -> Analysis:
         norm_minus=minus,
         norm_v=split.norm_v,
         geometry=geometry.value,
-        measured_gap=sep.measured_gap if sep is not None else None,
-        gap_lower_bound=sep.gap_lower_bound if sep is not None else None,
-        enclosure_ok=enclosure.ok,
-        enclosure_excess=enclosure.max_excess,
+        measured_gap=perturbed.measured_gap,
+        gap_lower_bound=perturbed.gap_lower_bound,
+        enclosure_ok=perturbed.enclosure_ok,
+        enclosure_excess=perturbed.enclosure_excess,
     )
     applicable: list[str] = []
     violations: list[Violation] = []
@@ -461,15 +458,17 @@ def verify_instance(inst: Instance, angle_tol: float = 1e-9) -> BoundReport:
 class PathPoint:
     """One stop of a homotopy scan: separation, component basis, and step data.
 
-    `basis` holds the n x k orthonormal eigenvector columns of the perturbed
-    component at t.  step_delta is the operator-norm change of the component's
-    spectral projector since the previous grid point, the largest principal-angle
-    sine between the two subspaces (0 at t=0), and step_bound the
-    corresponding guaranteed ceiling.
+    `separation` is the spectrum of A + tV against the partition of A; the
+    path's gap condition keeps both of its gaps present.  `basis` holds the
+    n x k orthonormal eigenvector columns of the perturbed component at t.
+    step_delta is the operator-norm change of the component's spectral
+    projector since the previous grid point, the largest principal-angle sine
+    between the two subspaces (0 at t=0), and step_bound the corresponding
+    guaranteed ceiling.
     """
 
     t: float
-    separation: PerturbedSeparation
+    separation: PerturbedSpectrum
     basis: np.ndarray
     step_delta: float
     step_bound: float
@@ -483,8 +482,8 @@ def path_scan(inst: Instance, steps: int) -> list[PathPoint]:
     steps = _integer("steps", steps)
     if steps < 2:
         raise InvalidSpec(f"steps must be at least 2, got {steps!r}")
-    a, decomp_a, split, partition = _setup(inst)
-    if not gap_condition(split, partition.gap):
+    a, _, split, partition = _setup(inst)
+    if not split.norm_sum < partition.gap:
         raise GapConditionViolated(
             f"||V+|| + ||V-|| = {split.norm_sum!r} must stay below gap {partition.gap!r}"
         )
@@ -493,10 +492,11 @@ def path_scan(inst: Instance, steps: int) -> list[PathPoint]:
     for t in np.linspace(0.0, 1.0, steps + 1):
         t = float(t)
         dec_t = eigh(_hermitian_sum(a, t * split.v))
-        ok, excess = spectral_enclosure_check(decomp_a, dec_t, split, t)
-        if not ok:
-            raise EnclosureViolation(f"Weyl interval exceeded by {excess:.3e} at t = {t!r}")
         sep = perturbed_component_at_t(dec_t, partition, split, t)
+        if not sep.enclosure_ok:
+            raise EnclosureViolation(
+                f"Weyl interval exceeded by {sep.enclosure_excess:.3e} at t = {t!r}"
+            )
         basis = dec_t.eigenvectors[:, partition.component_indices]
         if prev_rest is None:
             delta, ceiling = 0.0, 0.0

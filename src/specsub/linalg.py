@@ -7,7 +7,9 @@ tolerance 1e-12 * (1 + max|entry|) before touching it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+
 import numpy as np
 
 from .errors import ConvergenceFailure, NonHermitianInput
@@ -24,10 +26,16 @@ def require_hermitian(a, name: str = "matrix") -> np.ndarray:
     if arr.dtype.kind not in "iufc":
         raise NonHermitianInput(f"{name} must be numeric, got dtype {arr.dtype}")
     arr = arr.astype(np.complex128 if np.iscomplexobj(arr) else np.float64, copy=False)
-    if not np.isfinite(arr).all():
-        raise NonHermitianInput(f"{name} contains non-finite entries")
-    tol = HERMITICITY_RTOL * (1.0 + float(abs(arr).max()))
-    defect = float(abs(arr - arr.conj().T).max())
+    # a NaN or inf entry makes the scale NaN or inf, and so can a finite |z|
+    # near the float range; the asymmetry can overflow to inf, failing below
+    with np.errstate(over="ignore", invalid="ignore"):
+        scale = float(abs(arr).max())
+        defect = float(abs(arr - arr.conj().T).max())
+    if not scale < math.inf:
+        if not np.isfinite(arr).all():
+            raise NonHermitianInput(f"{name} contains non-finite entries")
+        raise NonHermitianInput(f"{name} has an entry whose modulus overflows")
+    tol = HERMITICITY_RTOL * (1.0 + scale)
     if defect > tol:
         raise NonHermitianInput(
             f"{name} is not Hermitian: max asymmetry {defect:.3e} exceeds {tol:.3e}"
@@ -49,7 +57,8 @@ def eigh(h, name: str = "matrix") -> SpectralDecomposition:
     The input is validated by require_hermitian, which names it `name` in
     errors.  The result is checked, a NaN failing each check: finite
     eigenvalues (finite entries can overflow), Gram defect at most 1e-10 and
-    column residuals ||H u_k - w_k u_k|| at most 1e-10 * (1 + ||H||).
+    column residuals ||H u_k - w_k u_k|| at most 1e-10 * (1 + ||H||), taken
+    from H / (1 + ||H||) so that no square overflows.
     Deterministic for a fixed input on a fixed build of the solver.
     """
     arr = require_hermitian(h, name=name)
@@ -62,14 +71,14 @@ def eigh(h, name: str = "matrix") -> SpectralDecomposition:
     gram = u.conj().T @ u
     gram.flat[:: arr.shape[0] + 1] -= 1.0
     gram_defect = float(abs(gram).max())
-    norm_h = float(abs(w).max())
+    unit = 1.0 + float(abs(w).max())
     # column 2-norms, computed as np.linalg.norm(r, axis=0) does
-    r = arr @ u - u * w
+    r = (arr / unit) @ u - u * (w / unit)
     residual = float(np.sqrt((r.conj() * r).real.sum(axis=0)).max())
-    if not (gram_defect <= DECOMPOSITION_RTOL and residual <= DECOMPOSITION_RTOL * (1.0 + norm_h)):
+    if not (gram_defect <= DECOMPOSITION_RTOL and residual <= DECOMPOSITION_RTOL):
         raise ConvergenceFailure(
             f"decomposition failed verification: gram defect {gram_defect:.3e}, "
-            f"residual {residual:.3e}"
+            f"residual {residual:.3e} relative to 1 + ||H||"
         )
     return SpectralDecomposition(eigenvalues=w, eigenvectors=u)
 

@@ -1,4 +1,4 @@
-"""Spectral partitions, perturbed components, and eigenvalue enclosures."""
+"""Spectral partitions and the perturbed spectrum against them."""
 
 from __future__ import annotations
 
@@ -13,7 +13,6 @@ from .errors import (
     DimensionMismatch,
     DomainError,
     EmptyComponent,
-    GapConditionViolated,
     InvalidInterval,
 )
 from .linalg import PerturbationSplit, SpectralDecomposition
@@ -114,32 +113,16 @@ def _class_gap(values: list[float], members: Sequence[int]) -> float:
     )
 
 
-def gap_condition(split: PerturbationSplit, gap: float) -> bool:
-    """True when ||V+|| + ||V-|| < gap, so the perturbed spectrum stays separated."""
-    return split.norm_sum < gap
+class PerturbedSpectrum(NamedTuple):
+    """The spectrum of A + tV against the partition of A, field for field as reported.
 
-
-def perturbed_gap_lower_bound(split: PerturbationSplit, gap: float, t: float = 1.0) -> float:
-    """Guaranteed separation of the perturbed components: gap - t(||V+|| + ||V-||).
-
-    Raises DomainError unless 0 <= t <= 1 and the gap is finite and positive.
-    """
-    if not 0.0 <= t <= 1.0:
-        raise DomainError(f"t must be in [0, 1], got {t!r}")
-    if not 0.0 < gap < math.inf:
-        raise DomainError(f"gap must be finite and positive, got {gap!r}")
-    return gap - t * split.norm_sum
-
-
-@dataclass(frozen=True)
-class PerturbedSeparation:
-    """Guaranteed and measured gap between the perturbed component of A + tV and the rest.
-
-    The perturbed component holds the partition's own indices (Weyl pairing).
+    The two gaps are None outside the gap condition t(||V+|| + ||V-||) < gap.
     """
 
-    gap_lower_bound: float
-    measured_gap: float
+    enclosure_ok: bool
+    enclosure_excess: float
+    measured_gap: Optional[float]
+    gap_lower_bound: Optional[float]
 
 
 def perturbed_component_at_t(
@@ -147,63 +130,32 @@ def perturbed_component_at_t(
     partition: SpectralPartition,
     split: PerturbationSplit,
     t: float,
-) -> PerturbedSeparation:
-    """Pair the eigenvalues of A + tV with the partition of A by index.
-
-    The j-th ascending eigenvalue mu_j of A + tV lies in
-    [lam_j - t||V-||, lam_j + t||V+||] (Weyl), and under t(||V+|| + ||V-||) < gap
-    these intervals keep the component apart from the rest, so the perturbed
-    component holds the unperturbed indices and its rank cannot change; the
-    enclosure itself is spectral_enclosure_check's.  Spectra of different
-    lengths raise DimensionMismatch.
-    """
-    if not 0.0 <= t <= 1.0:
-        raise DomainError(f"t must be in [0, 1], got {t!r}")
-    if t * split.norm_sum >= partition.gap:
-        raise GapConditionViolated(
-            f"t*(||V+|| + ||V-||) = {t * split.norm_sum!r} does not stay below "
-            f"the gap {partition.gap!r}"
-        )
-    mus = decomp_perturbed.eigenvalues
-    if mus.shape != partition.eigenvalues.shape:
-        raise DimensionMismatch(
-            f"{mus.size} perturbed eigenvalues for {partition.eigenvalues.size} unperturbed"
-        )
-    return PerturbedSeparation(
-        gap_lower_bound=perturbed_gap_lower_bound(split, partition.gap, t),
-        measured_gap=_class_gap(mus.tolist(), partition.component_indices),
-    )
-
-
-class EnclosureCheck(NamedTuple):
-    ok: bool
-    max_excess: float
-
-
-def spectral_enclosure_check(
-    decomp_a: SpectralDecomposition,
-    decomp_perturbed: SpectralDecomposition,
-    split: PerturbationSplit,
-    t: float = 1.0,
-) -> EnclosureCheck:
-    """Check spec(A + tV) against spec(A) + t[-||V-||, ||V+||], index by index.
+) -> PerturbedSpectrum:
+    """Check the eigenvalues of A + tV against the partition of A, index by index.
 
     By Weyl's monotonicity, A - tV- <= A + tV <= A + tV+, the j-th ascending
-    eigenvalue mu_j of A + tV lies in [lam_j - t||V-||, lam_j + t||V+||].
-    Returns whether every excess stays within 1e-9 * (1 + ||A|| + ||V||) and
-    the largest excess (0.0 when all lie inside); False is data, not an error.
-    Spectra of different lengths raise DimensionMismatch; t outside [0, 1]
-    raises DomainError.
+    eigenvalue mu_j of A + tV lies in [lam_j - t||V-||, lam_j + t||V+||].  The
+    enclosure holds when every excess stays within 1e-9 * (1 + ||A|| + ||V||),
+    and the largest excess is reported (0.0 when all lie inside); a failure
+    is data, not an error.  Under t(||V+|| + ||V-||) < gap these intervals keep
+    the component apart from the rest, so the perturbed component holds the
+    partition's own indices: its measured gap to the rest is reported next to
+    the guaranteed gap - t(||V+|| + ||V-||).  t outside [0, 1] raises
+    DomainError and spectra of different lengths raise DimensionMismatch.
     """
     if not 0.0 <= t <= 1.0:
         raise DomainError(f"t must be in [0, 1], got {t!r}")
-    w, mus = decomp_a.eigenvalues, decomp_perturbed.eigenvalues
+    w, mus = partition.eigenvalues, decomp_perturbed.eigenvalues
     if w.shape != mus.shape:
         raise DimensionMismatch(f"{mus.size} perturbed eigenvalues for {w.size} unperturbed")
     lo, hi = w - t * split.norm_minus, w + t * split.norm_plus
     excess = float(np.maximum(lo - mus, mus - hi).max())
     tol = ENCLOSURE_RTOL * (1.0 + float(np.abs(w).max()) + split.norm_v)
-    return EnclosureCheck(ok=excess <= tol, max_excess=max(0.0, excess))
+    measured_gap = gap_lower_bound = None
+    if t * split.norm_sum < partition.gap:
+        measured_gap = _class_gap(mus.tolist(), partition.component_indices)
+        gap_lower_bound = partition.gap - t * split.norm_sum
+    return PerturbedSpectrum(excess <= tol, max(0.0, excess), measured_gap, gap_lower_bound)
 
 
 def resolvent_interval(

@@ -16,24 +16,31 @@ from specsub import (
     critical_strength,
     eigh,
     first_branch_point,
-    gap_condition,
     geometry_kind,
     kappa,
     kappa_bracket,
     partition_infimum_bound,
     partition_spectrum,
     path_scan,
+    perturbed_component_at_t,
     piecewise_angle_bound,
     random_instance,
     resolvent_interval,
     second_branch_point,
     sharp_example_2x2,
+    sign_split,
     verify_instance,
 )
 from specsub.bounds import branch_formula
-from specsub.errors import NonHermitianInput
-from specsub.harness import GAP_SLACK, SIN_CHAIN_SLACK
+from specsub.errors import (
+    DimensionMismatch,
+    DomainError,
+    GapConditionViolated,
+    NonHermitianInput,
+)
+from specsub.harness import GAP_SLACK, SIN_CHAIN_SLACK, _hermitian_sum
 from specsub.linalg import require_hermitian
+from specsub.spectral import _class_gap
 
 
 @contextlib.contextmanager
@@ -174,7 +181,7 @@ def test_criterion_4_partition_infimum_matches_closed_form(capsys):
         grid = np.linspace(0.0, 2.0 * critical_strength(), 50)
         worst = 0.0
         for x in grid:
-            searched = partition_infimum_bound(float(x), n_max=64, tol=1e-10)
+            searched = partition_infimum_bound(float(x), n_max=64)
             closed = piecewise_angle_bound(float(x) / 2.0)
             worst = max(worst, abs(searched - closed))
         elapsed = time.perf_counter() - start
@@ -362,7 +369,7 @@ def _reference_checks(analysis, angle_tol):
     """
     rep, split = analysis.report, analysis.split
     gap, s = rep.gap, split.norm_sum
-    gap_ok = gap_condition(split, gap)
+    gap_ok = s < gap
     angle = rep.measured_angle
     favourable = rep.geometry == "favourable"
     rows = (
@@ -412,10 +419,75 @@ def test_checks_apply_exactly_under_their_hypotheses(favourable_suite, generic_s
         analysis = analyze_instance(inst, angle_tol=angle_tol)
         rep = analysis.report
         assert (rep.applicable, rep.violations) == _reference_checks(analysis, angle_tol)
-        gap_ok = gap_condition(analysis.split, rep.gap)
+        gap_ok = analysis.split.norm_sum < rep.gap
         assert gap_ok == (rep.measured_angle is not None)
         outside += not gap_ok
     assert outside >= 50
+
+
+def _reference_enclosure_check(decomp_a, decomp_perturbed, split, t=1.0):
+    """The enclosure check as a function of its own, before it joined the gaps' call."""
+    if not 0.0 <= t <= 1.0:
+        raise DomainError(f"t must be in [0, 1], got {t!r}")
+    w, mus = decomp_a.eigenvalues, decomp_perturbed.eigenvalues
+    if w.shape != mus.shape:
+        raise DimensionMismatch(f"{mus.size} perturbed eigenvalues for {w.size} unperturbed")
+    lo, hi = w - t * split.norm_minus, w + t * split.norm_plus
+    excess = float(np.maximum(lo - mus, mus - hi).max())
+    tol = 1e-9 * (1.0 + float(np.abs(w).max()) + split.norm_v)
+    return excess <= tol, max(0.0, excess)
+
+
+def _reference_component_at_t(decomp_perturbed, partition, split, t):
+    """(gap_lower_bound, measured_gap) as computed before they joined the enclosure's call."""
+    if not 0.0 <= t <= 1.0:
+        raise DomainError(f"t must be in [0, 1], got {t!r}")
+    if t * split.norm_sum >= partition.gap:
+        raise GapConditionViolated("gap condition fails")
+    mus = decomp_perturbed.eigenvalues
+    if mus.shape != partition.eigenvalues.shape:
+        raise DimensionMismatch("spectra of different lengths")
+    gap = partition.gap
+    if not 0.0 < gap < math.inf:
+        raise DomainError(f"gap must be finite and positive, got {gap!r}")
+    return gap - t * split.norm_sum, _class_gap(mus.tolist(), partition.component_indices)
+
+
+def _reference_perturbed_spectrum(decomp_a, decomp_perturbed, partition, split, t):
+    ok, excess = _reference_enclosure_check(decomp_a, decomp_perturbed, split, t)
+    try:
+        lower, measured = _reference_component_at_t(decomp_perturbed, partition, split, t)
+    except GapConditionViolated:
+        lower = measured = None
+    return ok, excess, measured, lower
+
+
+def test_perturbed_spectrum_matches_the_separate_calls(favourable_suite, generic_suite, path_suite):
+    # every field bit for bit, at three points of each analysis's path (the
+    # beyond-gap stream mostly outside the gap condition) and at every point
+    # of the criterion-10 scans
+    beyond = [analyze_instance(inst) for inst in _beyond_gap_stream(200)]
+    for analysis in favourable_suite[0] + generic_suite[0] + beyond:
+        a, split, part = np.asarray(analysis.instance.a), analysis.split, analysis.partition
+        for t in (0.0, 0.5, 1.0):
+            dec_t = (
+                analysis.decomp_perturbed if t == 1.0 else eigh(_hermitian_sum(a, t * split.v))
+            )
+            expected = _reference_perturbed_spectrum(analysis.decomp_a, dec_t, part, split, t)
+            assert tuple(perturbed_component_at_t(dec_t, part, split, t)) == expected
+        rep = analysis.report
+        assert expected == (
+            rep.enclosure_ok, rep.enclosure_excess, rep.measured_gap, rep.gap_lower_bound
+        )
+    scans = path_suite[0]
+    for (_, inst), (_, points) in zip(_path_stream(len(scans)), scans):
+        a, split = np.asarray(inst.a), sign_split(inst.v)
+        dec_a = eigh(inst.a)
+        part = partition_spectrum(dec_a, inst.component_intervals)
+        for p in points:
+            dec_t = eigh(_hermitian_sum(a, p.t * split.v))
+            expected = _reference_perturbed_spectrum(dec_a, dec_t, part, split, p.t)
+            assert tuple(p.separation) == expected
 
 
 def test_path_steps_agree_with_dense_projectors(path_suite):

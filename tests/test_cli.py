@@ -146,6 +146,18 @@ class TestAnalyze:
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         assert "non-finite eigenvalue" in captured.err
 
+    def test_overflowing_asymmetry_is_input_error(self, tmp_path, capsys):
+        # the asymmetry 2e308 overflows: one error line, no numpy warning
+        inst = Instance(
+            a=np.array([[0.0, 1e308], [-1e308, 0.0]]), v=np.zeros((2, 2)),
+            component_intervals=((-1.0, 1.0),), seed=0, label="overflow",
+        )
+        assert main(["analyze", write_problem(tmp_path, inst)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "not Hermitian" in captured.err
+
     def test_usage_error_exit_code(self, capsys):
         assert main(["analyze"]) == 1
         assert main(["no-such-command"]) == 1

@@ -14,9 +14,9 @@ from specsub.fileio import dumps, parse_problem, problem_digest, problem_payload
 from specsub.harness import Instance
 
 
-def reference_dumps(obj, indent=2):
+def reference_dumps(obj):
     pieces = []
-    _reference_emit(obj, pieces, 0, indent)
+    _reference_emit(obj, pieces, 0)
     return "".join(pieces)
 
 
@@ -29,9 +29,9 @@ def _reference_format_float(x):
     return text
 
 
-def _reference_emit(obj, out, level, indent):
-    pad = " " * (indent * (level + 1))
-    close_pad = " " * (indent * level)
+def _reference_emit(obj, out, level):
+    pad = "  " * (level + 1)
+    close_pad = "  " * level
     if obj is None:
         out.append("null")
     elif isinstance(obj, bool):
@@ -49,7 +49,7 @@ def _reference_emit(obj, out, level, indent):
         out.append("{\n")
         for i, (key, value) in enumerate(obj.items()):
             out.append(f"{pad}{json.dumps(str(key))}: ")
-            _reference_emit(value, out, level + 1, indent)
+            _reference_emit(value, out, level + 1)
             out.append(",\n" if i + 1 < len(obj) else "\n")
         out.append(close_pad + "}")
     elif isinstance(obj, (list, tuple, np.ndarray)):
@@ -60,21 +60,21 @@ def _reference_emit(obj, out, level, indent):
         out.append("[\n")
         for i, value in enumerate(seq):
             out.append(pad)
-            _reference_emit(value, out, level + 1, indent)
+            _reference_emit(value, out, level + 1)
             out.append(",\n" if i + 1 < len(seq) else "\n")
         out.append(close_pad + "]")
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def assert_same_output(obj, indent=2):
+def assert_same_output(obj):
     try:
-        expected = reference_dumps(obj, indent)
+        expected = reference_dumps(obj)
     except (TypeError, ValueError) as exc:
         with pytest.raises(type(exc)):
-            dumps(obj, indent)
+            dumps(obj)
     else:
-        assert dumps(obj, indent) == expected
+        assert dumps(obj) == expected
 
 
 def fuzz_instances(n, count):
@@ -145,10 +145,6 @@ class TestAgainstReference:
     def test_special_values(self, value):
         assert_same_output(value)
         assert_same_output({"nested": [value, {"k": value}]})
-
-    @pytest.mark.parametrize("indent", [0, 1, 4])
-    def test_indent(self, indent):
-        assert_same_output({"a": [1.0, 2.0, [3.0]], "b": {"c": None}}, indent)
 
     @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, np.float64("nan")])
     def test_non_finite_raises_value_error(self, value):

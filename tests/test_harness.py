@@ -30,7 +30,6 @@ from specsub import (
 from specsub.fileio import REPORT_FORMAT_VERSION, report_payload
 from specsub.harness import BOUND_CHECKS, Instance
 from specsub.linalg import SpectralDecomposition
-from specsub.spectral import EnclosureCheck
 
 
 def partition_for(values, intervals):
@@ -365,8 +364,11 @@ class TestVerifyInstance:
         (True, 1e-12, ()),  # an excess within the enclosure's own tolerance
     ])
     def test_enclosure_fails_by_its_own_rule(self, monkeypatch, ok, excess, expected):
+        real = specsub.harness.perturbed_component_at_t
         monkeypatch.setattr(
-            specsub.harness, "spectral_enclosure_check", lambda *args: EnclosureCheck(ok, excess)
+            specsub.harness,
+            "perturbed_component_at_t",
+            lambda *args: real(*args)._replace(enclosure_ok=ok, enclosure_excess=excess),
         )
         inst, _ = sharp_example_2x2(0.3, 0.2)
         assert verify_instance(inst).violations == expected
@@ -508,6 +510,9 @@ class TestPathScan:
         assert points[0].separation.measured_gap == pytest.approx(rep.gap, abs=1e-12)
         assert points[-1].separation.measured_gap == rep.measured_gap
         assert points[-1].separation.gap_lower_bound == rep.gap_lower_bound
+        assert points[-1].separation == (
+            rep.enclosure_ok, rep.enclosure_excess, rep.measured_gap, rep.gap_lower_bound
+        )
 
     def test_gap_condition_required(self):
         inst = random_instance(n=6, d_target=1.0, component_split=2, scale=1.2, seed=9)
@@ -531,7 +536,7 @@ class TestPathScan:
 
 class TestLayerCounts:
     """One analysis: three validations, two eigendecompositions, one eigenvalue-only solve,
-    and one Weyl check of each perturbed spectrum."""
+    and one call for each perturbed spectrum."""
 
     @staticmethod
     def _count(monkeypatch, counts, holder, name):
@@ -558,17 +563,19 @@ class TestLayerCounts:
         analyze_instance(inst)
         assert counts == {"require_hermitian": 3, "eigh": 2, "eigvalsh": 1}
 
-    def test_one_weyl_pass_per_perturbed_spectrum(self, monkeypatch):
-        # the gap condition holds, so the analysis also pairs the component
-        inst = random_instance(n=8, d_target=1.0, component_split=3, scale=0.9, seed=12)
-        counts = {"spectral_enclosure_check": 0, "perturbed_component_at_t": 0}
-        for name in counts:
-            self._count(monkeypatch, counts, specsub.harness, name)
+    @pytest.mark.parametrize("scale", [0.9, 1.5])
+    def test_one_call_per_perturbed_spectrum(self, monkeypatch, scale):
+        # one call per analysis on either side of the gap condition, and one
+        # per path point
+        inst = random_instance(n=8, d_target=1.0, component_split=3, scale=scale, seed=12)
+        counts = {"perturbed_component_at_t": 0}
+        self._count(monkeypatch, counts, specsub.harness, "perturbed_component_at_t")
         analyze_instance(inst)
-        assert counts == {"spectral_enclosure_check": 1, "perturbed_component_at_t": 1}
-        points = path_scan(inst, steps=5)
-        assert counts == {"spectral_enclosure_check": 7, "perturbed_component_at_t": 7}
-        assert len(points) == 6
+        assert counts == {"perturbed_component_at_t": 1}
+        if scale < 1.0:
+            points = path_scan(inst, steps=5)
+            assert counts == {"perturbed_component_at_t": 7}
+            assert len(points) == 6
 
 
 class TestSharpnessGrid:

@@ -48,6 +48,24 @@ class TestRequireHermitian:
         a = np.array([[1.0, 0.5], [0.5 + 1e-14, 1.0]])
         require_hermitian(a)
 
+    @pytest.mark.parametrize(
+        "a, message",
+        [
+            # the asymmetry 2e308 overflows; pytest turns a numpy overflow
+            # warning into a failure
+            ([[0.0, 1e308], [-1e308, 0.0]], "not Hermitian"),
+            ([[0.0, 1e308j], [1e308j, 0.0]], "not Hermitian"),
+            # |1.5e308 + 1.5e308j| overflows: no tolerance can be formed
+            ([[1.5e308 + 1.5e308j, 0.0], [0.0, 0.0]], "modulus overflows"),
+        ],
+    )
+    def test_overflowing_entries_rejected_without_a_warning(self, a, message):
+        with pytest.raises(NonHermitianInput, match=message):
+            require_hermitian(a)
+
+    def test_large_hermitian_entries_accepted(self):
+        assert require_hermitian([[1e308, -1e308], [-1e308, 1e308]]).dtype == np.float64
+
 
 class TestEigh:
     def test_diagonal(self):
@@ -87,6 +105,29 @@ class TestEigh:
         d1, d2 = eigh(h), eigh(h.copy())
         assert np.array_equal(d1.eigenvalues, d2.eigenvalues)
         assert np.array_equal(d1.eigenvectors, d2.eigenvectors)
+
+    @pytest.mark.parametrize("scale", [1e-200, 1e150, 1e200, 1e300])
+    def test_large_and_small_norms_pass_verification(self, scale):
+        # the residual used to be squared unscaled and overflowed past 1e154
+        h = random_hermitian(np.random.default_rng(48), 8).real
+        dec = eigh(scale * h)
+        np.testing.assert_allclose(dec.eigenvalues, scale * eigh(h).eigenvalues, rtol=1e-12)
+
+    @pytest.mark.parametrize("scale", [1.0, 1e200])
+    def test_corrupted_eigenvector_rejected_at_any_scale(self, monkeypatch, scale):
+        # mixing two eigenvectors keeps the basis orthonormal, so only the
+        # residual can catch it
+        real = np.linalg.eigh
+
+        def mixed(arr):
+            w, u = real(arr)
+            u[:, :2] = u[:, :2] @ (np.array([[1.0, 1.0], [-1.0, 1.0]]) / np.sqrt(2.0))
+            return w, u
+
+        h = random_hermitian(np.random.default_rng(48), 8).real
+        monkeypatch.setattr(np.linalg, "eigh", mixed)
+        with pytest.raises(ConvergenceFailure, match="residual"):
+            eigh(scale * h)
 
     def test_overflowing_spectrum_rejected(self):
         # finite entries, eigenvalues 0 and 2e308 = inf; pytest turns the

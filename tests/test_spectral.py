@@ -9,20 +9,21 @@ from specsub import (
     DimensionMismatch,
     DomainError,
     EmptyComponent,
-    GapConditionViolated,
     InvalidInterval,
     analyze_instance,
     eigh,
-    gap_condition,
     partition_spectrum,
     perturbed_component_at_t,
-    perturbed_gap_lower_bound,
     random_instance,
     resolvent_interval,
     sharp_example_2x2,
     sign_split,
-    spectral_enclosure_check,
 )
+
+
+def partition_for(values, intervals):
+    """The partition of diag(values) by `intervals`."""
+    return partition_spectrum(eigh(np.diag(values)), intervals)
 
 
 class TestPartitionSpectrum:
@@ -103,36 +104,32 @@ class TestPerturbedComponent:
         assert eigh(a + v).eigenvalues[idx] == pytest.approx(0.5, abs=1e-14)
         assert sep.measured_gap == pytest.approx(9.0, abs=1e-14)
 
-    def test_gap_condition_required(self):
+    def test_gaps_absent_outside_the_gap_condition(self):
+        # ||V+|| + ||V-|| = 4 against the gap 1: the enclosure is still checked
         dec = eigh(np.diag([0.0, 1.0]))
         part = partition_spectrum(dec, [(-0.5, 0.5)])
         split = sign_split(np.diag([2.0, -2.0]))
-        with pytest.raises(GapConditionViolated):
-            perturbed_component_at_t(dec, part, split, 1.0)
+        assert perturbed_component_at_t(dec, part, split, 1.0) == (True, 0.0, None, None)
+        # t(||V+|| + ||V-||) = 1/4 stays below the gap
+        assert perturbed_component_at_t(dec, part, split, 0.0625) == (True, 0.0, 1.0, 0.75)
 
     def test_enclosure_fails_for_foreign_decomposition(self):
         # a decomposition that is not spec(A + V) fails the enclosure check
-        a = np.diag([0.0, 10.0])
+        part = partition_for([0.0, 10.0], [(-1.0, 1.0)])
         split = sign_split(np.diag([0.1, -0.1]))
         foreign = eigh(np.diag([100.0, 200.0]))
-        assert spectral_enclosure_check(eigh(a), foreign, split).ok is False
+        assert perturbed_component_at_t(foreign, part, split, 1.0).enclosure_ok is False
 
     def test_foreign_eigenvalue_outside_its_weyl_interval_fails(self):
         # both foreign eigenvalues lie in the enlarged component [-0.1, 0.1],
         # but mu_1 = 0.05 is paired with lam_1 = 10 and lies 9.85 outside
-        # [10 - 0.1, 10 + 0.1]
-        a = np.diag([0.0, 10.0])
-        split = sign_split(np.diag([0.1, -0.1]))
-        foreign = eigh(np.diag([0.0, 0.05]))
-        check = spectral_enclosure_check(eigh(a), foreign, split)
-        assert check.ok is False
-        assert check.max_excess == pytest.approx(9.85, abs=1e-14)
-
-    def test_pairing_leaves_the_enclosure_to_its_check(self):
-        # the foreign spectrum above still has two gaps to report
-        part = partition_spectrum(eigh(np.diag([0.0, 10.0])), [(-1.0, 1.0)])
+        # [10 - 0.1, 10 + 0.1]; the failed enclosure is data, and both gaps
+        # are still reported
+        part = partition_for([0.0, 10.0], [(-1.0, 1.0)])
         split = sign_split(np.diag([0.1, -0.1]))
         sep = perturbed_component_at_t(eigh(np.diag([0.0, 0.05])), part, split, 1.0)
+        assert sep.enclosure_ok is False
+        assert sep.enclosure_excess == pytest.approx(9.85, abs=1e-14)
         assert sep.measured_gap == 0.05
         assert sep.gap_lower_bound == pytest.approx(9.8, abs=1e-14)
 
@@ -157,11 +154,12 @@ class TestPerturbedComponentAtT:
         assert sep.gap_lower_bound == pytest.approx(part.gap)
 
     def test_t_one_matches_full_perturbation(self):
+        # each field is the report field of the same name
         inst, part, split = self._setup()
         dec_av = eigh(inst.a + inst.v)
         sep = perturbed_component_at_t(dec_av, part, split, 1.0)
         rep = analyze_instance(inst).report
-        assert (sep.gap_lower_bound, sep.measured_gap) == (rep.gap_lower_bound, rep.measured_gap)
+        assert sep._asdict() == {name: getattr(rep, name) for name in sep._fields}
 
     def test_halfway_assignment_tracks_eigendecomposition(self):
         # at t = 1/2 the larger eigenvalue of A + tV belongs to the scaled
@@ -175,73 +173,64 @@ class TestPerturbedComponentAtT:
         assert float(dec_t.eigenvalues[idx]) == pytest.approx(top, abs=0)
         assert 0.5 - t * 0.2 - 1e-12 <= top <= 0.5 + t * 0.3 + 1e-12
 
-    def test_t_outside_unit_interval_rejected(self):
+    @pytest.mark.parametrize("t", [-5.0, -1e-300, -0.5, 1.5, 2.0, np.nextafter(1.0, 2.0), np.nan])
+    def test_t_outside_unit_interval_rejected(self, t):
         inst, part, split = self._setup()
         with pytest.raises(DomainError):
-            perturbed_component_at_t(eigh(inst.a), part, split, 1.5)
+            perturbed_component_at_t(eigh(inst.a), part, split, t)
 
-
-class TestPerturbedGapLowerBound:
-    def test_full_and_partial_perturbation(self):
-        split = sign_split(np.diag([0.2, -0.1]))
-        assert perturbed_gap_lower_bound(split, 1.0) == pytest.approx(0.7, abs=1e-15)
-        assert perturbed_gap_lower_bound(split, 1.0, 0.5) == pytest.approx(0.85, abs=1e-15)
-        assert perturbed_gap_lower_bound(split, 1.0, 0.0) == 1.0
-
-    @pytest.mark.parametrize(
-        "gap, t",
-        [
-            (1.0, -5.0),
-            (1.0, -1e-300),
-            (1.0, 2.0),
-            (1.0, np.nextafter(1.0, 2.0)),
-            (1.0, np.nan),
-            (np.inf, 1.0),
-            (np.nan, 1.0),
-            (0.0, 0.5),
-            (-1.0, 0.5),
-        ],
-    )
-    def test_out_of_domain_arguments_rejected(self, gap, t):
-        with pytest.raises(DomainError):
-            perturbed_gap_lower_bound(sign_split(np.diag([0.2, -0.1])), gap, t)
+    def test_gap_lower_bound_at_t(self):
+        # gap - t(||V+|| + ||V-||) with gap 1 and ||V+|| + ||V-|| = 0.3; the
+        # commuting V attains it
+        part = partition_for([0.0, 1.0], [(-0.5, 0.5)])
+        v = np.diag([0.2, -0.1])
+        split = sign_split(v)
+        for t, expected in ((1.0, 0.7), (0.5, 0.85), (0.0, 1.0)):
+            dec_t = eigh(np.diag([0.0, 1.0]) + t * v)
+            sep = perturbed_component_at_t(dec_t, part, split, t)
+            assert sep.gap_lower_bound == pytest.approx(expected, abs=1e-15)
+            assert sep.measured_gap == pytest.approx(expected, abs=1e-15)
 
 
 class TestEnclosureCheck:
     def test_zero_perturbation(self):
         dec = eigh(np.diag([0.0, 1.0]))
-        split = sign_split(np.zeros((2, 2)))
-        ok, excess = spectral_enclosure_check(dec, dec, split)
-        assert ok and excess == 0.0
+        part = partition_spectrum(dec, [(-0.5, 0.5)])
+        sep = perturbed_component_at_t(dec, part, sign_split(np.zeros((2, 2))), 1.0)
+        assert sep.enclosure_ok and sep.enclosure_excess == 0.0
 
-    def test_spectra_of_different_lengths_rejected(self):
+    def test_shorter_perturbed_spectrum_rejected(self):
         with pytest.raises(DimensionMismatch):
-            spectral_enclosure_check(
-                eigh(np.eye(2)), eigh(np.eye(3)), sign_split(np.zeros((2, 2)))
+            perturbed_component_at_t(
+                eigh(np.eye(1)),
+                partition_for([0.0, 1.0], [(-0.5, 0.5)]),
+                sign_split(np.zeros((2, 2))),
+                1.0,
             )
 
     def test_diagonal_example(self):
-        a = np.zeros((2, 2))
+        # spec(A + V) = {1, 3} against [0 - 2, 0 + 1] and [5 - 2, 5 + 1]:
+        # both sit on an interval's end
+        a = np.diag([0.0, 5.0])
         v = np.diag([1.0, -2.0])
-        check = spectral_enclosure_check(eigh(a), eigh(a + v), sign_split(v))
-        assert check.ok
+        sep = perturbed_component_at_t(
+            eigh(a + v), partition_for([0.0, 5.0], [(-1.0, 1.0)]), sign_split(v), 1.0
+        )
+        assert sep.enclosure_ok and sep.enclosure_excess == 0.0
 
     def test_intervals_scale_with_t(self):
-        # spec(A + V/2) = {-1, 0.5} lies in spec(A) + [-2, 1]/2, and -1 lies
-        # 0.5 outside spec(A) + [-2, 1]/4
-        a = np.zeros((2, 2))
+        # spec(A + V/2) = {0.5, 9} lies in spec(A) + [-2, 1]/2 = {[-1, 0.5],
+        # [9, 10.5]}, and 9 lies 0.5 below 10 + [-2, 1]/4
+        a = np.diag([0.0, 10.0])
         v = np.diag([1.0, -2.0])
-        dec_a, dec_half, split = eigh(a), eigh(a + 0.5 * v), sign_split(v)
-        assert spectral_enclosure_check(dec_a, dec_half, split, 0.5) == (True, 0.0)
-        assert spectral_enclosure_check(dec_a, dec_half, split, 0.25) == (False, 0.5)
-
-    @pytest.mark.parametrize("t", [-0.5, 1.5, np.nan])
-    def test_t_outside_unit_interval_rejected(self, t):
-        dec = eigh(np.diag([0.0, 1.0]))
-        with pytest.raises(DomainError):
-            spectral_enclosure_check(dec, dec, sign_split(np.zeros((2, 2))), t)
+        part, split = partition_for([0.0, 10.0], [(-1.0, 1.0)]), sign_split(v)
+        dec_half = eigh(a + 0.5 * v)
+        assert perturbed_component_at_t(dec_half, part, split, 0.5)[:2] == (True, 0.0)
+        assert perturbed_component_at_t(dec_half, part, split, 0.25)[:2] == (False, 0.5)
 
     def test_random_instances(self):
+        # Gaussian A and V of like size, mostly outside the gap condition; the
+        # component is the lowest eigenvalue of A
         rng = np.random.default_rng(21)
         for _ in range(200):
             n = int(rng.integers(2, 13))
@@ -249,8 +238,11 @@ class TestEnclosureCheck:
             a = 0.5 * (g + g.conj().T)
             g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
             v = 0.5 * (g + g.conj().T)
-            check = spectral_enclosure_check(eigh(a), eigh(a + v), sign_split(v))
-            assert check.ok, f"excess {check.max_excess}"
+            dec_a = eigh(a)
+            low, next_up = dec_a.eigenvalues[:2]
+            part = partition_spectrum(dec_a, [(low - 1.0, 0.5 * (low + next_up))])
+            sep = perturbed_component_at_t(eigh(a + v), part, sign_split(v), 1.0)
+            assert sep.enclosure_ok, f"excess {sep.enclosure_excess}"
 
 
 class TestResolventInterval:
@@ -302,10 +294,16 @@ class TestResolventInterval:
 
 class TestGapCondition:
     def test_basic(self):
+        # the gaps are present exactly when t(||V+|| + ||V-||) = 0.5t < gap
         split = sign_split(np.diag([0.3, -0.2]))
-        assert gap_condition(split, 1.0)
-        assert not gap_condition(split, 0.5)
-        assert not gap_condition(split, 0.4)
+        for gap, t, present in (
+            (1.0, 1.0, True), (0.5, 1.0, False), (0.4, 1.0, False), (0.5, 0.5, True),
+        ):
+            dec = eigh(np.diag([0.0, gap]))
+            part = partition_spectrum(dec, [(-0.1 * gap, 0.1 * gap)])
+            sep = perturbed_component_at_t(dec, part, split, t)
+            assert (sep.measured_gap is not None) is present
+            assert (sep.gap_lower_bound is not None) is present
 
 
 class TestAgainstMergedUnion:
@@ -391,15 +389,15 @@ class TestAgainstMergedUnion:
             part = partition_spectrum(dec_a, inst.component_intervals)
             for t in (0.0, 0.5, 1.0):
                 dec_t = eigh(inst.a + t * inst.v)
-                assert spectral_enclosure_check(dec_a, dec_t, split, t).ok
-                perturbed_component_at_t(dec_t, part, split, t)
+                sep = perturbed_component_at_t(dec_t, part, split, t)
+                assert sep.enclosure_ok and sep.measured_gap is not None
                 assert (part.component_indices, part.rest_indices) == self.ref_assignment(
                     dec_t.eigenvalues, part, split, t
                 )
             dec_av = eigh(inst.a + inst.v)
             union = self.ref_enlarge(dec_a.eigenvalues, split.norm_minus, split.norm_plus)
             excess = max(self.ref_distance(union, float(m)) for m in dec_av.eigenvalues)
-            assert spectral_enclosure_check(dec_a, dec_av, split).max_excess == excess
+            assert perturbed_component_at_t(dec_av, part, split, 1.0).enclosure_excess == excess
 
     def test_null_directions_of_a(self):
         # with mu_j = lam_j exactly, rounding can put mu_j just past its own
@@ -414,16 +412,16 @@ class TestAgainstMergedUnion:
             part = partition_spectrum(dec_a, inst.component_intervals)
             for t in (0.0, 0.5, 1.0):
                 dec_t = eigh(inst.a + t * inst.v)
-                assert spectral_enclosure_check(dec_a, dec_t, split, t).ok
-                perturbed_component_at_t(dec_t, part, split, t)
+                sep = perturbed_component_at_t(dec_t, part, split, t)
+                assert sep.enclosure_ok and sep.measured_gap is not None
                 assert (part.component_indices, part.rest_indices) == self.ref_assignment(
                     dec_t.eigenvalues, part, split, t
                 )
             dec_av = eigh(inst.a + inst.v)
             union = self.ref_enlarge(dec_a.eigenvalues, split.norm_minus, split.norm_plus)
             excess = max(self.ref_distance(union, float(m)) for m in dec_av.eigenvalues)
-            check = spectral_enclosure_check(dec_a, dec_av, split)
-            assert check.ok and excess <= check.max_excess
+            sep = perturbed_component_at_t(dec_av, part, split, 1.0)
+            assert sep.enclosure_ok and excess <= sep.enclosure_excess
 
 
 class TestClassGap:
