@@ -148,11 +148,18 @@ def piecewise_angle_bound(x: float) -> float:
     return piecewise_angle_bound_with_branch(x)[0]
 
 
-def _require_reals(*values) -> None:
+def _reals(*values) -> bool:
+    """Whether every value is a real number (`numbers.Real`)."""
     for x in values:
         # the exact-type test first: an ABC check costs about a microsecond
         if type(x) is not float and not isinstance(x, numbers.Real):
-            raise DomainError(f"arguments must be real numbers, got {values!r}")
+            return False
+    return True
+
+
+def _require_reals(*values) -> None:
+    if not _reals(*values):
+        raise DomainError(f"arguments must be real numbers, got {values!r}")
 
 
 def _require_norms(norm_plus: float, norm_minus: float, gap: float) -> float:

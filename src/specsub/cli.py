@@ -13,7 +13,6 @@ import itertools
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
@@ -126,7 +125,11 @@ def _instance_params(seed: int, index: int, n: int):
 def _fuzz_one(
     task: tuple,
 ) -> tuple[int, tuple[str, ...], tuple[Violation, ...], Optional[str]]:
-    """Analyze one fuzz instance: its applicable checks, violations and report text."""
+    """Analyze one fuzz instance: its applicable checks, violations and report text.
+
+    The analysis, with both eigendecompositions, is dropped before the report
+    text is made, so only the instance in hand is held at a time.
+    """
     index, seed, n, scale, want_report = task
     inst_seed, split, interlaced = _instance_params(seed, index, n)
     inst = random_instance(
@@ -138,8 +141,11 @@ def _fuzz_one(
         interlaced=interlaced,
     )
     analysis = analyze_instance(inst)
-    text = fileio.dumps(fileio.report_payload(analysis)) if want_report else None
-    return index, analysis.report.applicable, analysis.report.violations, text
+    report = analysis.report
+    payload = fileio.report_payload(analysis) if want_report else None
+    del inst, analysis
+    text = fileio.dumps(payload) if want_report else None
+    return index, report.applicable, report.violations, text
 
 
 def _fuzz_results(tasks: Iterator[tuple], workers: int) -> Iterator[tuple]:
@@ -152,6 +158,9 @@ def _fuzz_results(tasks: Iterator[tuple], workers: int) -> Iterator[tuple]:
     if workers == 1:
         yield from map(_fuzz_one, tasks)
         return
+    # imported here: --jobs 1 needs neither it nor multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     size = _WINDOW_CHUNKS * workers * _CHUNKSIZE
     windows = iter(lambda: list(itertools.islice(tasks, size)), [])
     with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -196,7 +205,8 @@ def _cmd_fuzz(args) -> int:
     workers = min(args.jobs, args.count, os.cpu_count() or 1)
 
     # each result is tallied and its report written as it arrives, so a
-    # campaign holds one instance (or two pool windows) whatever its count
+    # campaign holds one instance (or two pool windows) whatever its count;
+    # a serial run holds one analysis and then one report text, never both
     per_bound = {
         check.name: {"applicable": 0, "violations": 0, "max_slack": 0.0}
         for check in BOUND_CHECKS
@@ -227,6 +237,7 @@ def _cmd_fuzz(args) -> int:
                 path = os.path.join(args.out, f"instance-{index:06d}.json")
                 reports.append(os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666))
                 _write_all(reports[-1], (text + "\n").encode())
+            del text  # not held while the next instance is analyzed
     finally:
         _close_all(reports)
     summary = {

@@ -13,7 +13,6 @@ from __future__ import annotations
 import enum
 import functools
 import math
-import numbers
 import operator
 from dataclasses import dataclass
 from types import SimpleNamespace
@@ -120,8 +119,7 @@ def sharp_example_2x2(v_plus: float, v_minus: float) -> tuple[Instance, float]:
     which is returned as the expected angle.  Values outside [0, 1) or
     summing to 1 or more, and anything but real numbers, raise DomainError.
     """
-    reals = isinstance(v_plus, numbers.Real) and isinstance(v_minus, numbers.Real)
-    if not (reals and 0.0 <= v_plus < 1.0 and 0.0 <= v_minus < 1.0):
+    if not (bounds._reals(v_plus, v_minus) and 0.0 <= v_plus < 1.0 and 0.0 <= v_minus < 1.0):
         raise DomainError(f"need 0 <= v_plus, v_minus < 1, got ({v_plus!r}, {v_minus!r})")
     v = v_plus + v_minus
     if v >= 1.0:
@@ -184,7 +182,7 @@ def random_instance(
     seed = _integer("seed", seed)
     if n < 2 or not 1 <= component_split < n:
         raise InvalidSpec(f"need n >= 2 and 1 <= component_split < n, got ({n}, {component_split})")
-    reals = isinstance(d_target, numbers.Real) and isinstance(scale, numbers.Real)
+    reals = bounds._reals(d_target, scale)
     if not (reals and 0.0 < d_target < math.inf and 0.0 <= scale < math.inf and seed >= 0):
         raise InvalidSpec(
             f"need finite d_target > 0, scale >= 0 and seed >= 0, "
@@ -240,8 +238,8 @@ def random_instance(
             strength = max(float(w0[-1]), 0.0) + max(-float(w0[0]), 0.0)
             if strength > 0.0:
                 break
+        # entry and mirror entry scale alike, so v stays exactly Hermitian
         v = v0 * (scale * d / strength)
-        v = 0.5 * (v + v.conj().T)
     return Instance(
         a=a,
         v=v,

@@ -69,8 +69,9 @@ def eigh(h, name: str = "matrix") -> SpectralDecomposition:
     if not np.isfinite(w).all():  # before ||H|| scales a tolerance
         raise ConvergenceFailure("eigensolver returned a non-finite eigenvalue")
     gram = u.conj().T @ u
-    gram.flat[:: arr.shape[0] + 1] -= 1.0
+    gram.reshape(-1)[:: arr.shape[0] + 1] -= 1.0  # a view: .flat traces a buffer
     gram_defect = float(abs(gram).max())
+    del gram  # not held while the residual is built
     unit = 1.0 + float(abs(w).max())
     # column 2-norms, computed as np.linalg.norm(r, axis=0) does
     r = (arr / unit) @ u - u * (w / unit)

@@ -409,12 +409,22 @@ class TestPartitionInfimum:
             assert grid_min - searched <= 1e-5, x
 
 
-def test_import_does_not_load_scipy():
+def _run_fresh(code):
+    """Run `code` in a fresh interpreter that imports this checkout's specsub."""
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    subprocess.run(
-        [sys.executable, "-c", "import specsub, sys; assert 'scipy' not in sys.modules"],
-        env=env,
-        check=True,
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
+def test_import_does_not_load_scipy():
+    _run_fresh("import specsub, sys; assert 'scipy' not in sys.modules")
+
+
+def test_cli_import_does_not_load_the_process_pool():
+    # only a pooled fuzz run (--jobs above 1) imports them
+    _run_fresh(
+        "import specsub.cli, sys; "
+        "loaded = {'multiprocessing', 'concurrent.futures.process'} & set(sys.modules); "
+        "assert not loaded, loaded"
     )

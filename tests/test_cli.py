@@ -1,8 +1,10 @@
+import concurrent.futures
 import gc
 import json
 import math
 import os
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -461,7 +463,7 @@ class TestFuzzCommand:
             def map(self, fn, tasks, chunksize=1):
                 return map(fn, tasks)
 
-        monkeypatch.setattr(specsub.cli, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
         monkeypatch.setattr(specsub.cli.os, "cpu_count", lambda: cpus)
         args = ["fuzz", "--n", "4", "--count", str(count), "--scale", "0.5", "--seed", "2"]
         assert main(args + ["--jobs", str(jobs)]) == 0
@@ -599,7 +601,7 @@ class TestFuzzStreaming:
     def test_memory_is_flat_in_count(self, monkeypatch, tmp_path, capsys, pooled):
         if pooled:
             # windows of 4 * 2 * 2 = 16 tasks, so 50 instances already fill two
-            monkeypatch.setattr(specsub.cli, "ProcessPoolExecutor", EagerPool)
+            monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", EagerPool)
             monkeypatch.setattr(specsub.cli.os, "cpu_count", lambda: 2)
             monkeypatch.setattr(specsub.cli, "_CHUNKSIZE", 2)
         jobs = ["--jobs", "2"] if pooled else []
@@ -609,6 +611,51 @@ class TestFuzzStreaming:
         capsys.readouterr()
         assert len(os.listdir(tmp_path / "large")) == 400
         assert large <= 1.2 * small, (small, large)
+
+    def test_analysis_is_dropped_before_the_report_text(self, monkeypatch, tmp_path, capsys):
+        analyses = []
+        held_at_dumps = []
+        real_analyze, real_dumps = specsub.cli.analyze_instance, specsub.cli.fileio.dumps
+
+        def analyze(inst):
+            analysis = real_analyze(inst)
+            analyses.append(weakref.ref(analysis))
+            return analysis
+
+        def dumps(obj):
+            held_at_dumps.append(sum(ref() is not None for ref in analyses))
+            return real_dumps(obj)
+
+        monkeypatch.setattr(specsub.cli, "analyze_instance", analyze)
+        monkeypatch.setattr(specsub.cli.fileio, "dumps", dumps)
+        assert main(fuzz_args(4, tmp_path)) == 0
+        capsys.readouterr()
+        # four report texts, then the summary
+        assert len(analyses) == 4
+        assert held_at_dumps == [0] * 5
+
+    def test_report_text_is_dropped_before_the_next_instance(self, monkeypatch, tmp_path, capsys):
+        class Text(str):  # a str subclass, as str itself takes no weakref
+            pass
+
+        texts = []
+        held_at_next = []
+        real_results = specsub.cli._fuzz_results
+
+        def results(tasks, workers):
+            for index, applicable, violations, text in real_results(tasks, workers):
+                held_at_next.append(sum(ref() is not None for ref in texts))
+                text = Text(text)
+                texts.append(weakref.ref(text))
+                yield index, applicable, violations, text
+                del text  # so that only the fuzz loop can hold it
+
+        monkeypatch.setattr(specsub.cli, "_fuzz_results", results)
+        assert main(fuzz_args(4, tmp_path)) == 0
+        capsys.readouterr()
+        assert len(texts) == 4
+        assert held_at_next == [0] * 4
+        assert all((tmp_path / f"instance-{i:06d}.json").stat().st_size for i in range(4))
 
     def test_runs_leave_no_cyclic_garbage(self, capsys):
         # garbage left for the cyclic collector would make the traced peak of
@@ -644,7 +691,7 @@ class TestFuzzStreaming:
 
                 return drain()
 
-        monkeypatch.setattr(specsub.cli, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr(specsub.cli.os, "cpu_count", lambda: 2)
         count = 600
         assert main(fuzz_args(count, n=4) + ["--jobs", "2"]) == 0

@@ -1,6 +1,8 @@
 import dataclasses
+import gc
 import math
 import sys
+import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
 
@@ -243,6 +245,13 @@ class TestRandomInstance:
         inst = random_instance(n=5, d_target=1.0, component_split=2, scale=0.0, seed=1)
         assert np.all(inst.v == 0.0)
 
+    def test_near_overflow_scale_keeps_v_finite(self):
+        # V is drawn exactly Hermitian and scaled as it is; symmetrizing it
+        # again doubled entries near 9e307 to inf
+        inst = random_instance(n=2, d_target=1.0, component_split=1, scale=1.79e308, seed=3)
+        assert np.isfinite(inst.v).all() and abs(inst.v).max() > 9e307
+        assert sign_split(inst.v).norm_sum == pytest.approx(1.79e308, rel=1e-15)
+
     def test_scale_controls_gap_condition(self):
         for scale, expected in ((0.9, True), (1.1, False)):
             inst = random_instance(
@@ -405,6 +414,19 @@ class TestVerifyInstance:
         # along the path, under the gap condition: A + V/2 would fail by
         # 2.575e-12 against 1.8e-12
         inst = dataclasses.replace(inst, v=np.array([[0.4, 0.0], [1.35e-12, -0.4]]))
+        assert verify_instance(inst).violations == ()
+        assert len(path_scan(inst, steps=2)) == 3
+
+    @pytest.mark.parametrize("layout", [np.ascontiguousarray, np.asfortranarray])
+    def test_imaginary_diagonals_of_the_sum_are_dropped_in_either_layout(self, layout):
+        # the diagonal asymmetries pass on A (2.8e-12 against 4e-12) and on V
+        # (1.4e-12 against 1.5e-12), but their sum's 4.2e-12 would fail
+        inst = Instance(
+            a=layout(np.diag([1.0 + 1.4e-12j, 3.0])),
+            v=layout(np.diag([-0.5 + 0.7e-12j, 0.0])),
+            component_intervals=((0.0, 2.0),),
+            seed=0, label="imaginary-diagonal",
+        )
         assert verify_instance(inst).violations == ()
         assert len(path_scan(inst, steps=2)) == 3
 
@@ -593,3 +615,138 @@ class TestSharpnessGrid:
                 assert abs(rep.measured_angle - expected) <= 1e-11
                 checked += 1
         assert checked > 100
+
+
+# random_instance as it was when it symmetrized the scaled V once more: the
+# reference its results must equal bit for bit.
+
+
+def _former_random_instance(n, d_target, component_split, scale, seed, interlaced=False):
+    k, m = component_split, n - component_split
+    rng = np.random.default_rng(seed)
+    d = float(d_target)
+    if interlaced:
+        width = 0.25 * d
+        k1 = int(rng.integers(1, k))
+        m1 = int(rng.integers(1, m))
+        comp_lo = np.concatenate([rng.uniform(-width, 0.0, size=k1 - 1), [0.0]])
+        rest_lo = np.concatenate([[d], d + rng.uniform(0.0, width, size=m1 - 1)])
+        comp_hi_start = d + width + d * (1.05 + rng.uniform(0.0, 1.0))
+        comp_hi = comp_hi_start + rng.uniform(0.0, width, size=k - k1)
+        rest_hi_start = comp_hi_start + width + d * (1.05 + rng.uniform(0.0, 1.0))
+        rest_hi = rest_hi_start + rng.uniform(0.0, width, size=m - m1)
+        comp_vals = np.concatenate([comp_lo, comp_hi])
+        rest_vals = np.concatenate([rest_lo, rest_hi])
+        margin = 0.45 * d
+        intervals = (
+            (float(-width - margin), float(margin)),
+            (float(comp_hi_start - margin), float(comp_hi_start + width + margin)),
+        )
+    else:
+        w_comp = d * rng.uniform(0.3, 1.5)
+        w_rest = d * rng.uniform(0.3, 1.5)
+        comp_vals = np.concatenate([rng.uniform(-w_comp, 0.0, size=k - 1), [0.0]])
+        rest_vals = np.concatenate([[d], d + rng.uniform(0.0, w_rest, size=m - 1)])
+        margin = 0.45 * d
+        intervals = ((float(-w_comp - margin), float(margin)),)
+    shift = d * rng.uniform(-2.0, 2.0)
+    comp_vals = comp_vals + shift
+    rest_vals = rest_vals + shift
+    intervals = tuple([(lo + shift, hi + shift) for lo, hi in intervals])
+    z = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / math.sqrt(2.0)
+    q, r = np.linalg.qr(z)
+    diag = np.diagonal(r).copy()
+    diag[diag == 0.0] = 1.0
+    q = q * (diag / np.abs(diag))
+    vals = np.concatenate([comp_vals, rest_vals])
+    a = (q * vals) @ q.conj().T
+    a = 0.5 * (a + a.conj().T)
+    if scale == 0.0:
+        v = np.zeros((n, n), dtype=complex)
+    else:
+        while True:
+            g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            v0 = 0.5 * (g + g.conj().T)
+            w0 = np.linalg.eigvalsh(v0)
+            strength = max(float(w0[-1]), 0.0) + max(-float(w0[0]), 0.0)
+            if strength > 0.0:
+                break
+        v = v0 * (scale * d / strength)
+        v = 0.5 * (v + v.conj().T)
+    return a, v, intervals
+
+
+def _bits(m):
+    return m.dtype, m.shape, m.flags.c_contiguous, m.tobytes()
+
+
+def _oracle_cases():
+    """200 instance specs at each of n = 2, 3, 8 and 32: both layouts where
+    there is room for them, scale 0 and 0.99."""
+    rng = np.random.default_rng(2026_10_19)
+    for n in (2, 3, 8, 32):
+        layouts = (False, True) if n >= 4 else (False,)
+        for interlaced in layouts:
+            for scale in (0.0, 0.99):
+                for _ in range(100 // len(layouts)):
+                    split = int(rng.integers(2, n - 1) if interlaced else rng.integers(1, n))
+                    yield dict(
+                        n=n,
+                        d_target=float(rng.uniform(0.5, 2.0)),
+                        component_split=split,
+                        scale=scale,
+                        seed=int(rng.integers(0, 2**63)),
+                        interlaced=interlaced,
+                    )
+
+
+def test_random_instance_equals_its_former_arithmetic():
+    cases = list(_oracle_cases())
+    assert len(cases) == 800
+    for case in cases:
+        inst = random_instance(**case)
+        a, v, intervals = _former_random_instance(**case)
+        assert _bits(inst.a) == _bits(a) and _bits(inst.v) == _bits(v), case
+        assert inst.component_intervals == intervals
+
+
+_N = 256
+
+
+@pytest.fixture(scope="module")
+def instance_n256():
+    return random_instance(n=_N, d_target=1.0, component_split=100, scale=0.9, seed=3)
+
+
+def _working_set(fn, *args):
+    """Traced peak of fn(*args) in complex n x n matrices at n = 256, after one warm-up call."""
+    fn(*args)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        fn(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / (16 * _N * _N)
+
+
+# Each figure is what the function traced at n = 256 above its inputs; before
+# eigh freed its Gram matrix and random_instance stopped symmetrizing V twice
+# they were 4.1, 7.1 and 6.1.
+@pytest.mark.parametrize(
+    "name, limit",
+    [
+        ("eigh", 3.16),
+        ("random_instance", 5.15),
+        ("analyze_instance", 5.16),
+    ],
+)
+def test_working_set_at_n256(instance_n256, name, limit):
+    calls = {
+        "eigh": (eigh, instance_n256.a),
+        "random_instance": (random_instance, _N, 1.0, 100, 0.9, 3),
+        "analyze_instance": (analyze_instance, instance_n256),
+    }
+    fn, *args = calls[name]
+    assert _working_set(fn, *args) <= limit
