@@ -73,11 +73,13 @@ _BRANCHES = {1: _branch1, 2: _branch2, 3: _branch3, 4: _branch4}
 def branch_formula(branch: int, x: float) -> float:
     """Evaluate one branch formula regardless of where x falls; used for continuity checks.
 
-    A branch other than 1, 2, 3 or 4 raises DomainError.
+    A branch other than 1, 2, 3 or 4, or an x that is not a real number, raises
+    DomainError.
     """
     formula = _BRANCHES.get(branch)
     if formula is None:
         raise DomainError(f"branch must be 1, 2, 3 or 4, got {branch!r}")
+    _require_reals(x)
     return formula(x)
 
 
@@ -126,9 +128,10 @@ def integral_threshold() -> float:
 def piecewise_angle_bound_with_branch(x: float) -> tuple[float, int]:
     """Piecewise optimal angle bound together with the branch that produced it.
 
-    Domain [0, critical_strength()].  At an exact branch point the lower
-    branch is evaluated; the adjacent formulas agree there.
+    Domain [0, critical_strength()], real numbers only.  At an exact branch
+    point the lower branch is evaluated; the adjacent formulas agree there.
     """
+    _require_reals(x)
     x = float(x)
     if not 0.0 <= x <= critical_strength():
         raise DomainError(
@@ -294,8 +297,10 @@ def partition_infimum_bound(x: float, n_max: int = 64) -> float:
 
     Equals piecewise_angle_bound(x/2) in exact arithmetic; kept free of the
     closed-form branches so it can serve as an independent cross-check.
-    Deterministic: repeated calls return the same float.
+    Deterministic: repeated calls return the same float.  An x that is not a
+    real number raises DomainError.
     """
+    _require_reals(x)
     x = float(x)
     if not 0.0 <= x <= 2.0 * critical_strength():
         raise DomainError(f"x={x!r} outside [0, {2.0 * critical_strength()!r}]")

@@ -86,8 +86,6 @@ def _build_parser() -> _Parser:
 
 
 def _cmd_analyze(args) -> int:
-    if not math.isfinite(args.tol):
-        raise SpecsubError(f"tol must be finite, got {args.tol!r}")
     inst = fileio.load_problem(args.path)
     analysis = analyze_instance(inst, angle_tol=args.tol)
     print(fileio.dumps(fileio.report_payload(analysis)))
@@ -212,8 +210,6 @@ def _cmd_fuzz(args) -> int:
         for check in BOUND_CHECKS
     }
     checked = 0
-    total_violations = 0
-    max_slack = 0.0
     # a report is written in full as it arrives, but its file is closed with
     # up to _OPEN_REPORTS others: closing a file can start its writeback (ext4
     # does so for a file truncated to empty, as when a campaign rewrites the
@@ -226,11 +222,8 @@ def _cmd_fuzz(args) -> int:
             for name in applicable:
                 per_bound[name]["applicable"] += 1
             for name, slack in violations:
-                slack = float(slack)
-                total_violations += 1
                 per_bound[name]["violations"] += 1
-                per_bound[name]["max_slack"] = max(per_bound[name]["max_slack"], slack)
-                max_slack = max(max_slack, slack)
+                per_bound[name]["max_slack"] = max(per_bound[name]["max_slack"], float(slack))
             if text is not None:
                 if len(reports) == _OPEN_REPORTS:
                     _close_all(reports)
@@ -240,6 +233,7 @@ def _cmd_fuzz(args) -> int:
             del text  # not held while the next instance is analyzed
     finally:
         _close_all(reports)
+    total_violations = sum(tally["violations"] for tally in per_bound.values())
     summary = {
         "format_version": 1,
         "n": args.n,
@@ -248,7 +242,7 @@ def _cmd_fuzz(args) -> int:
         "seed": args.seed,
         "checked": checked,
         "violations": total_violations,
-        "max_slack": max_slack,
+        "max_slack": max(tally["max_slack"] for tally in per_bound.values()),
         "per_bound": per_bound,
     }
     print(fileio.dumps(summary))

@@ -11,7 +11,6 @@ with exit 1.
 from __future__ import annotations
 
 import enum
-import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -28,7 +27,9 @@ from .errors import (
     GapConditionViolated,
     InvalidSpec,
 )
-from .linalg import PerturbationSplit, SpectralDecomposition, eigh, sign_split
+from .linalg import (
+    PerturbationSplit, SpectralDecomposition, decompose, require_hermitian, sign_split
+)
 from .spectral import (
     PerturbedSpectrum,
     SpectralPartition,
@@ -339,35 +340,18 @@ class Analysis:
     report: BoundReport
 
 
-@functools.lru_cache(maxsize=4)
-def _above_diagonal(n: int) -> np.ndarray:
-    mask = np.triu(np.ones((n, n), dtype=bool), 1)
-    mask.flags.writeable = False  # one mask serves every caller
-    return mask
-
-
-def _hermitian_sum(a: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """A + V as the eigensolver reads it: the sum's lower triangle and real diagonal.
-
-    Asymmetries of A and V that pass their own checks cannot add up to a failing sum.
-    """
-    h = a + v
-    upper = _above_diagonal(h.shape[0])
-    h[upper] = h.T[upper].conj()
-    if h.dtype.kind == "c":
-        h.imag.flat[:: h.shape[0] + 1] = 0.0
-    return h
-
-
 def _setup(
     inst: Instance,
 ) -> tuple[np.ndarray, SpectralDecomposition, PerturbationSplit, SpectralPartition]:
-    """Validate and decompose an instance: A, eigh(A), the split of V, the partition."""
-    decomp_a = eigh(inst.a, name="a")
+    """Validate A and V once: A, its decomposition, the split of V, the partition.
+
+    A + tV formed from the validated pair is exactly Hermitian and needs no check.
+    """
+    a = require_hermitian(inst.a, name="a")
     split = sign_split(inst.v, name="v")
-    a = np.asarray(inst.a)
     if a.shape != split.v.shape:
         raise DimensionMismatch(f"a has shape {a.shape} but v has shape {split.v.shape}")
+    decomp_a = decompose(a)
     return a, decomp_a, split, partition_spectrum(decomp_a, inst.component_intervals)
 
 
@@ -383,7 +367,7 @@ def analyze_instance(inst: Instance, angle_tol: float = 1e-9) -> Analysis:
         raise DomainError(f"angle_tol must be finite, got {angle_tol!r}")
     a, decomp_a, split, partition = _setup(inst)
     geometry = geometry_kind(partition)
-    decomp_av = eigh(_hermitian_sum(a, split.v))
+    decomp_av = decompose(a + split.v)
     perturbed = perturbed_component_at_t(decomp_av, partition, split, 1.0)
 
     gap = partition.gap
@@ -489,7 +473,7 @@ def path_scan(inst: Instance, steps: int) -> list[PathPoint]:
     prev_rest: Optional[np.ndarray] = None
     for t in np.linspace(0.0, 1.0, steps + 1):
         t = float(t)
-        dec_t = eigh(_hermitian_sum(a, t * split.v))
+        dec_t = decompose(a + t * split.v)
         sep = perturbed_component_at_t(dec_t, partition, split, t)
         if not sep.enclosure_ok:
             raise EnclosureViolation(

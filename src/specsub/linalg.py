@@ -1,8 +1,9 @@
 """Dense Hermitian linear algebra.
 
-Matrices are plain numpy arrays (real symmetric or complex Hermitian);
-every public operation validates its input against the Hermiticity
-tolerance 1e-12 * (1 + max|entry|) before touching it.
+Matrices are plain numpy arrays (real symmetric or complex Hermitian).
+require_hermitian validates an input once, against the tolerance
+1e-12 * (1 + max|entry|), and returns an exactly Hermitian matrix; decompose
+takes one, or a real combination of them (conjugate entries round alike).
 """
 
 from __future__ import annotations
@@ -19,7 +20,11 @@ DECOMPOSITION_RTOL = 1e-10
 
 
 def require_hermitian(a, name: str = "matrix") -> np.ndarray:
-    """Return `a` as a float64/complex128 array after checking it is Hermitian."""
+    """Check that `a` is Hermitian; return the float64/complex128 matrix the solvers read.
+
+    They read the lower triangle and a real diagonal.  An exactly Hermitian
+    input comes back without a copy, any other as its lower triangle mirrored.
+    """
     arr = np.asarray(a)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 1:
         raise NonHermitianInput(f"{name} must be a square matrix, got shape {arr.shape}")
@@ -40,7 +45,13 @@ def require_hermitian(a, name: str = "matrix") -> np.ndarray:
         raise NonHermitianInput(
             f"{name} is not Hermitian: max asymmetry {defect:.3e} exceeds {tol:.3e}"
         )
-    return arr
+    if defect == 0.0:
+        return arr
+    # selected, not computed, so every entry the solver reads keeps its bits
+    h = np.where(np.tri(arr.shape[0], dtype=bool), arr, arr.conj().T)
+    if h.dtype.kind == "c":
+        np.fill_diagonal(h.imag, 0.0)
+    return h
 
 
 @dataclass(frozen=True)
@@ -51,17 +62,21 @@ class SpectralDecomposition:
     eigenvectors: np.ndarray
 
 
-def eigh(h, name: str = "matrix") -> SpectralDecomposition:
-    """Eigendecomposition of a Hermitian matrix.
+def eigh(h) -> SpectralDecomposition:
+    """Eigendecomposition of a Hermitian matrix: decompose(require_hermitian(h))."""
+    return decompose(require_hermitian(h))
 
-    The input is validated by require_hermitian, which names it `name` in
-    errors.  The result is checked, a NaN failing each check: finite
+
+def decompose(arr: np.ndarray) -> SpectralDecomposition:
+    """Eigendecomposition of an exactly Hermitian float64/complex128 matrix, taken as it is.
+
+    `arr` is what require_hermitian returns, or a real combination of such
+    matrices.  The result is checked, a NaN failing each check: finite
     eigenvalues (finite entries can overflow), Gram defect at most 1e-10 and
     column residuals ||H u_k - w_k u_k|| at most 1e-10 * (1 + ||H||), taken
     from H / (1 + ||H||) so that no square overflows.
     Deterministic for a fixed input on a fixed build of the solver.
     """
-    arr = require_hermitian(h, name=name)
     try:
         w, u = np.linalg.eigh(arr)
     except np.linalg.LinAlgError as exc:

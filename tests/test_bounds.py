@@ -302,6 +302,28 @@ def test_only_real_numbers_accepted(fn, args, position):
     assert fn(*with_value(np.float32(args[position]))) == pytest.approx(expected, rel=1e-6)
 
 
+@pytest.mark.parametrize(
+    "fn",
+    [
+        piecewise_angle_bound,
+        piecewise_angle_bound_with_branch,
+        partition_infimum_bound,
+        lambda x: branch_formula(4, x),
+    ],
+    ids=["piecewise", "piecewise_with_branch", "partition_infimum", "branch_formula"],
+)
+def test_only_real_x_accepted(fn):
+    # these took x through float(), so "0.3" and Decimal("0.3") gave values
+    # and 0.3+0j a bare TypeError
+    for bad in (Decimal("0.3"), complex(0.3), "0.3", b"0.3"):
+        with pytest.raises(DomainError, match="real numbers"):
+            fn(bad)
+    expected = fn(0.3)
+    assert fn(Fraction(0.3)) == expected
+    assert fn(np.float64(0.3)) == expected
+    assert fn(np.float32(0.3)) == pytest.approx(expected, rel=1e-6)
+
+
 class TestIntegralBound:
     def test_zero(self):
         assert integral_angle_bound(0.0, 0.0, 1.0) == 0.0

@@ -519,15 +519,22 @@ class TestFuzzCommand:
     def test_enclosure_failure_is_a_violation(self, monkeypatch, tmp_path, capsys):
         # every decomposition of A + V reports its eigenvalues 0.4 too high:
         # the campaign runs to its summary and exits 2
-        real = specsub.harness.eigh
+        # (A's decomposition is the one of the matrix harness validated last)
+        validate, real = specsub.harness.require_hermitian, specsub.harness.decompose
+        validated = [None]
 
-        def shifted(h, name="matrix"):
-            dec = real(h, name=name)
-            if name == "a":
+        def recorded(a, name="matrix"):
+            validated[0] = validate(a, name=name)
+            return validated[0]
+
+        def shifted(h):
+            dec = real(h)
+            if h is validated[0]:
                 return dec
             return SpectralDecomposition(dec.eigenvalues + 0.4, dec.eigenvectors)
 
-        monkeypatch.setattr(specsub.harness, "eigh", shifted)
+        monkeypatch.setattr(specsub.harness, "require_hermitian", recorded)
+        monkeypatch.setattr(specsub.harness, "decompose", shifted)
         assert main(fuzz_args(20, tmp_path / "reports")) == 2
         summary = json.loads(capsys.readouterr().out)
         enclosure = summary["per_bound"]["enclosure"]

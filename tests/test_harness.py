@@ -125,16 +125,25 @@ class TestMeasureAngles:
 
 
 def shift_perturbed_spectrum(monkeypatch, shift):
-    """Make harness's decompositions of A + tV report eigenvalues moved by `shift`."""
-    real = specsub.harness.eigh
+    """Make harness's decompositions of A + tV report eigenvalues moved by `shift`.
 
-    def shifted(h, name="matrix"):
-        dec = real(h, name=name)
-        if name == "a":
+    A's decomposition is the one of the matrix that harness validated last.
+    """
+    validate, real = specsub.harness.require_hermitian, specsub.harness.decompose
+    validated = [None]
+
+    def recorded(a, name="matrix"):
+        validated[0] = validate(a, name=name)
+        return validated[0]
+
+    def shifted(h):
+        dec = real(h)
+        if h is validated[0]:
             return dec
         return SpectralDecomposition(dec.eigenvalues + shift, dec.eigenvectors)
 
-    monkeypatch.setattr(specsub.harness, "eigh", shifted)
+    monkeypatch.setattr(specsub.harness, "require_hermitian", recorded)
+    monkeypatch.setattr(specsub.harness, "decompose", shifted)
 
 
 def _random_hermitian(rng, n):
@@ -430,20 +439,6 @@ class TestVerifyInstance:
         assert verify_instance(inst).violations == ()
         assert len(path_scan(inst, steps=2)) == 3
 
-    def test_sum_keeps_the_eigenpairs_the_solver_reads(self):
-        # the eigensolver reads the lower triangle and a real diagonal only
-        rng = np.random.default_rng(47)
-        for n in (2, 8, 32):
-            for _ in range(20):
-                a, v = _random_hermitian(rng, n), _random_hermitian(rng, n)
-                a += 1e-13 * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
-                for m, p in ((a, v), (a.real, v), (a.real, v.real)):
-                    w, u = np.linalg.eigh(m + p)
-                    h = specsub.harness._hermitian_sum(m, p)
-                    assert np.array_equal(h, h.conj().T)
-                    w2, u2 = np.linalg.eigh(h)
-                    assert np.array_equal(w, w2) and np.array_equal(u, u2)
-
     @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf])
     def test_non_finite_angle_tolerance_rejected(self, tol):
         inst, _ = sharp_example_2x2(0.3, 0.2)
@@ -557,7 +552,7 @@ class TestPathScan:
 
 
 class TestLayerCounts:
-    """One analysis: three validations, two eigendecompositions, one eigenvalue-only solve,
+    """One analysis: two validations, two eigendecompositions, one eigenvalue-only solve,
     and one call for each perturbed spectrum."""
 
     @staticmethod
@@ -570,20 +565,32 @@ class TestLayerCounts:
 
         monkeypatch.setattr(holder, name, counted)
 
-    def test_analyze_instance_at_n8(self, monkeypatch):
-        inst = random_instance(n=8, d_target=1.0, component_split=3, scale=0.9, seed=12)
-        counts = {"require_hermitian": 0, "eigh": 0, "eigvalsh": 0}
+    def _count_validations(self, monkeypatch, counts):
         original = specsub.linalg.require_hermitian
         for module in list(sys.modules.values()):
             if getattr(module, "__name__", "").startswith("specsub") and (
                 getattr(module, "require_hermitian", None) is original
             ):
                 self._count(monkeypatch, counts, module, "require_hermitian")
+
+    def test_analyze_instance_at_n8(self, monkeypatch):
+        inst = random_instance(n=8, d_target=1.0, component_split=3, scale=0.9, seed=12)
+        counts = {"require_hermitian": 0, "eigh": 0, "eigvalsh": 0}
+        self._count_validations(monkeypatch, counts)
         self._count(monkeypatch, counts, np.linalg, "eigh")
         self._count(monkeypatch, counts, np.linalg, "eigvalsh")
 
         analyze_instance(inst)
-        assert counts == {"require_hermitian": 3, "eigh": 2, "eigvalsh": 1}
+        assert counts == {"require_hermitian": 2, "eigh": 2, "eigvalsh": 1}
+
+    @pytest.mark.parametrize("steps", [2, 5])
+    def test_path_scan_validates_each_input_once(self, monkeypatch, steps):
+        inst = random_instance(n=8, d_target=1.0, component_split=3, scale=0.9, seed=12)
+        counts = {"require_hermitian": 0, "eigh": 0}
+        self._count_validations(monkeypatch, counts)
+        self._count(monkeypatch, counts, np.linalg, "eigh")
+        path_scan(inst, steps=steps)
+        assert counts == {"require_hermitian": 2, "eigh": steps + 2}
 
     @pytest.mark.parametrize("scale", [0.9, 1.5])
     def test_one_call_per_perturbed_spectrum(self, monkeypatch, scale):

@@ -66,6 +66,38 @@ class TestRequireHermitian:
     def test_large_hermitian_entries_accepted(self):
         assert require_hermitian([[1e308, -1e308], [-1e308, 1e308]]).dtype == np.float64
 
+    @pytest.mark.parametrize("layout", [np.ascontiguousarray, np.asfortranarray])
+    def test_returns_the_matrix_the_solver_reads(self, layout):
+        # the solver reads the lower triangle and a real diagonal only, so the
+        # mirrored result decomposes bit for bit as the raw input does
+        rng = np.random.default_rng(47)
+        for n in (2, 8, 32):
+            for _ in range(10):
+                noise = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+                near = random_hermitian(rng, n) + 1e-13 * noise
+                for raw in (layout(near), layout(near.real)):
+                    h = require_hermitian(raw)
+                    assert np.array_equal(h, h.conj().T)
+                    w, u = np.linalg.eigh(raw)
+                    w2, u2 = np.linalg.eigh(h)
+                    assert np.array_equal(w, w2) and np.array_equal(u, u2)
+
+    def test_exactly_hermitian_input_is_not_copied(self):
+        rng = np.random.default_rng(49)
+        for h in (random_hermitian(rng, 6), random_hermitian(rng, 6).real):
+            assert np.shares_memory(require_hermitian(h), h)
+
+    def test_real_combinations_of_results_are_exactly_hermitian(self):
+        rng = np.random.default_rng(50)
+        for n in (2, 8, 32):
+            noise = 1e-13 * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+            a = require_hermitian(random_hermitian(rng, n) + noise)
+            for v in (random_hermitian(rng, n), random_hermitian(rng, n).real + noise.real):
+                v = require_hermitian(v)
+                for t in np.linspace(0.0, 1.0, 11):
+                    h = a + t * v
+                    assert np.array_equal(h, h.conj().T)
+
 
 class TestEigh:
     def test_diagonal(self):
@@ -128,6 +160,21 @@ class TestEigh:
         monkeypatch.setattr(np.linalg, "eigh", mixed)
         with pytest.raises(ConvergenceFailure, match="residual"):
             eigh(scale * h)
+
+    def test_asymmetry_within_tolerance_passes_verification_at_n512(self):
+        # the residual is taken against the matrix decomposed, the mirrored
+        # lower triangle; against the raw input it read 1.6e-10 here
+        n = 512
+        g = np.random.default_rng(0).standard_normal((n, n))
+        g[:, 0] = 1.0
+        q = np.linalg.qr(g)[0]
+        a = (q * np.linspace(-1.0, 1.0, n)) @ q.T
+        a = 0.5 * (a + a.T)
+        upper = np.triu(np.ones((n, n)), 1)
+        a += 0.49e-12 * (1.0 + abs(a).max()) * (upper - upper.T)
+        require_hermitian(a)
+        dec = eigh(a)
+        np.testing.assert_allclose(dec.eigenvalues, np.linspace(-1.0, 1.0, n), atol=1e-12)
 
     def test_overflowing_spectrum_rejected(self):
         # finite entries, eigenvalues 0 and 2e308 = inf; pytest turns the
