@@ -73,13 +73,15 @@ _BRANCHES = {1: _branch1, 2: _branch2, 3: _branch3, 4: _branch4}
 def branch_formula(branch: int, x: float) -> float:
     """Evaluate one branch formula regardless of where x falls; used for continuity checks.
 
-    A branch other than 1, 2, 3 or 4, or an x that is not a real number, raises
-    DomainError.
+    A branch other than 1, 2, 3 or 4, or an x that is not a finite real
+    number, raises DomainError.
     """
     formula = _BRANCHES.get(branch)
     if formula is None:
         raise DomainError(f"branch must be 1, 2, 3 or 4, got {branch!r}")
     _require_reals(x)
+    if not math.isfinite(x):
+        raise DomainError(f"x must be finite, got {x!r}")
     return formula(x)
 
 

@@ -6,7 +6,7 @@ class SpecsubError(Exception):
 
 
 class NonHermitianInput(SpecsubError):
-    """Input matrix fails the Hermiticity tolerance (or is not square)."""
+    """Input matrix fails the Hermiticity tolerance, is not square, or overflows."""
 
 
 class ConvergenceFailure(SpecsubError):

@@ -25,8 +25,6 @@ from .harness import Analysis, BoundReport, Instance
 PROBLEM_FORMAT_VERSION = 1
 REPORT_FORMAT_VERSION = 5
 
-_FLOAT_ONLY = frozenset((float,))
-
 # the indent step of every document specsub writes
 _INDENT = "  "
 
@@ -42,39 +40,30 @@ def format_float(x: float) -> str:
 
 
 def dumps(obj: Any) -> str:
-    """Deterministic JSON text with 17-significant-digit floats, indented by two spaces."""
+    """Deterministic JSON text indented by two spaces; every float is written by format_float."""
     pieces: list[str] = []
     _emit(obj, pieces.append, "")
     return "".join(pieces)
 
 
 def _emit(obj: Any, write, pad: str) -> None:
-    # Exact types first: payloads are built from plain floats, dicts, lists
-    # and float64 arrays.
-    kind = type(obj)
-    if kind is float:
+    # the common payload types first; bool before int, its base class
+    if isinstance(obj, (float, np.floating)):
         write(format_float(obj))
-    elif kind is dict:
+    elif isinstance(obj, dict):
         _emit_dict(obj, write, pad)
-    elif kind is list:
+    elif isinstance(obj, (list, tuple)):
         _emit_list(obj, write, pad)
-    elif kind is np.ndarray and obj.ndim:
-        # problem matrices: print as the nested lists of their values
-        _emit(obj.tolist(), write, pad)
+    elif isinstance(obj, str):
+        write(encode_basestring_ascii(obj))
     elif obj is None:
         write("null")
     elif isinstance(obj, bool):
         write("true" if obj else "false")
     elif isinstance(obj, (int, np.integer)):
         write(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
-        write(format_float(float(obj)))
-    elif isinstance(obj, str):
-        write(encode_basestring_ascii(obj))
-    elif isinstance(obj, dict):
-        _emit_dict(obj, write, pad)
-    elif isinstance(obj, (list, tuple, np.ndarray)):
-        _emit_list(list(obj), write, pad)
+    elif isinstance(obj, np.ndarray) and obj.ndim:  # problem matrices, as nested lists
+        _emit(obj.tolist(), write, pad)
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
 
@@ -92,40 +81,17 @@ def _emit_dict(obj: dict, write, pad: str) -> None:
     write("\n" + pad + "}")
 
 
-def _emit_list(seq: list, write, pad: str) -> None:
+def _emit_list(seq: list | tuple, write, pad: str) -> None:
     if not seq:
         write("[]")
         return
     inner = pad + _INDENT
-    if _FLOAT_ONLY.issuperset(map(type, seq)):
-        # matrix rows and singular values: format and join in one step
-        write("[\n" + inner + _float_row(seq, ",\n" + inner) + "\n" + pad + "]")
-        return
     sep = "[\n" + inner
     for value in seq:
         write(sep)
         _emit(value, write, inner)
         sep = ",\n" + inner
     write("\n" + pad + "]")
-
-
-def _float_row(seq: list, sep: str) -> str:
-    """format_float of every float in `seq`, joined by `sep`, in one % operation.
-
-    An integral value below 1e17 in magnitude prints as its integer digits
-    under %.17g, to which format_float adds ".0": that is %.1f.  Any other
-    finite value prints with a "." or an "e" under %.17g.  Non-finite values
-    print as inf or nan, so a text holding an "n" goes back to format_float,
-    which raises.
-    """
-    if any(map(float.is_integer, seq)):
-        fmt = sep.join(["%.1f" if x.is_integer() and -1e17 < x < 1e17 else "%.17g" for x in seq])
-    else:
-        fmt = sep.join(["%.17g"] * len(seq))
-    text = fmt % tuple(seq)
-    if "n" in text:
-        return sep.join(map(format_float, seq))
-    return text
 
 
 def _number_array(obj: Any, field: str, n: int) -> np.ndarray:

@@ -26,6 +26,7 @@ from .errors import (
     EnclosureViolation,
     GapConditionViolated,
     InvalidSpec,
+    NonHermitianInput,
 )
 from .linalg import (
     PerturbationSplit, SpectralDecomposition, decompose, require_hermitian, sign_split
@@ -352,6 +353,10 @@ def _setup(
     if a.shape != split.v.shape:
         raise DimensionMismatch(f"a has shape {a.shape} but v has shape {split.v.shape}")
     decomp_a = decompose(a)
+    w = decomp_a.eigenvalues
+    if max(-float(w[0]), float(w[-1])) + split.norm_v == math.inf:
+        # an entry of A + tV, 0 <= t <= 1, is at most ||A|| + ||V|| in modulus
+        raise NonHermitianInput("||a|| + ||v|| overflows, and so may the entries of a + v")
     return a, decomp_a, split, partition_spectrum(decomp_a, inst.component_intervals)
 
 
@@ -360,10 +365,10 @@ def analyze_instance(inst: Instance, angle_tol: float = 1e-9) -> Analysis:
 
     Hypotheses are evaluated and recorded, every check of BOUND_CHECKS that
     applies is compared against the measurement, and failures land in the
-    report's violation list instead of raising.  A non-finite `angle_tol`
-    raises DomainError: it would make every angle check pass or fail alike.
+    report's violation list instead of raising.  An `angle_tol` that is not a
+    finite real number raises DomainError.
     """
-    if not math.isfinite(angle_tol):
+    if not (bounds._reals(angle_tol) and math.isfinite(angle_tol)):
         raise DomainError(f"angle_tol must be finite, got {angle_tol!r}")
     a, decomp_a, split, partition = _setup(inst)
     geometry = geometry_kind(partition)

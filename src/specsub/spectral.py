@@ -8,6 +8,7 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
+from .bounds import _reals
 from .errors import (
     AmbiguousMembership,
     DimensionMismatch,
@@ -44,6 +45,12 @@ class SpectralPartition:
         return self.eigenvalues[list(self.rest_indices)]
 
 
+def _endpoint(x) -> float:
+    if not _reals(x):
+        raise InvalidInterval(f"interval endpoints must be real numbers, got {x!r}")
+    return float(x)
+
+
 def partition_spectrum(
     decomp: SpectralDecomposition, intervals: Sequence[Interval]
 ) -> SpectralPartition:
@@ -52,14 +59,14 @@ def partition_spectrum(
     Eigenvalues inside any interval form the component; the rest form the
     complement.  An eigenvalue within 1e-12 relative tolerance of an interval
     boundary raises AmbiguousMembership, and either side being empty raises
-    EmptyComponent; an interval that is not a pair of finite numbers
+    EmptyComponent; an interval that is not a pair of finite real numbers
     lo <= hi raises InvalidInterval.  The gap is the minimum distance
     between the two sides.
     """
     try:
-        ivs = [(float(lo), float(hi)) for lo, hi in intervals]
-    except (TypeError, ValueError) as exc:
-        raise InvalidInterval(f"selection intervals must be pairs of numbers: {exc}") from None
+        ivs = [(_endpoint(lo), _endpoint(hi)) for lo, hi in intervals]
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InvalidInterval(f"selection intervals must be pairs of real numbers: {exc}") from None
     if not ivs:
         raise EmptyComponent("no selection intervals given")
     for lo, hi in ivs:
@@ -170,7 +177,7 @@ def resolvent_interval(
     (a + ||V+||, b - ||V-||) when ||V+|| + ||V-|| < b - a.  When `spectrum`
     is supplied, the precondition (a, b) disjoint from it is verified.
     """
-    a, b = float(a), float(b)
+    a, b = _endpoint(a), _endpoint(b)
     if not a < b:
         raise InvalidInterval(f"need a < b, got a={a!r}, b={b!r}")
     if spectrum is not None:

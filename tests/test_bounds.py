@@ -324,6 +324,14 @@ def test_only_real_x_accepted(fn):
     assert fn(np.float32(0.3)) == pytest.approx(expected, rel=1e-6)
 
 
+@pytest.mark.parametrize("branch", [1, 2, 3, 4])
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+def test_branch_formula_rejects_non_finite_x(branch, x):
+    # the clip to [-1, 1] turned NaN into -1: branch 1 at NaN gave -pi/4
+    with pytest.raises(DomainError, match="finite"):
+        branch_formula(branch, x)
+
+
 class TestIntegralBound:
     def test_zero(self):
         assert integral_angle_bound(0.0, 0.0, 1.0) == 0.0

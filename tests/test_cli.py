@@ -160,6 +160,18 @@ class TestAnalyze:
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         assert "not Hermitian" in captured.err
 
+    def test_overflowing_sum_is_input_error(self, tmp_path, capsys):
+        # ||A|| + ||V|| = 2.5e308 overflows: one error line, no numpy warning
+        inst = Instance(
+            a=np.diag([1.5e308, 0.0]), v=np.diag([1e308, 0.0]),
+            component_intervals=((-0.5, 0.5),), seed=0, label="overflow",
+        )
+        assert main(["analyze", write_problem(tmp_path, inst)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "overflows" in captured.err
+
     def test_usage_error_exit_code(self, capsys):
         assert main(["analyze"]) == 1
         assert main(["no-such-command"]) == 1

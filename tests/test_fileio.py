@@ -207,7 +207,7 @@ ROW_VALUES = [
 
 
 class TestFloatRows:
-    """Float-only lists are formatted in one operation; the oracle formats each value."""
+    """Lists of floats print as the oracle prints them, one value at a time."""
 
     @pytest.mark.parametrize("value", ROW_VALUES)
     def test_each_value(self, value):

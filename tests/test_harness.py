@@ -18,6 +18,7 @@ from specsub import (
     GapConditionViolated,
     GeometryKind,
     InvalidSpec,
+    NonHermitianInput,
     analyze_instance,
     eigh,
     geometry_kind,
@@ -426,6 +427,21 @@ class TestVerifyInstance:
         assert verify_instance(inst).violations == ()
         assert len(path_scan(inst, steps=2)) == 3
 
+    def test_overflowing_sum_is_input_error(self):
+        # ||A|| + ||V|| = 2.5e308: forming A + tV warned of an overflow (an
+        # error under pytest) before the analysis or the scan failed
+        inst = Instance(
+            a=np.diag([1.5e308, 0.0]), v=np.diag([1e308, 0.0]),
+            component_intervals=((-0.5, 0.5),), seed=0, label="overflow",
+        )
+        with pytest.raises(NonHermitianInput, match="overflows"):
+            analyze_instance(inst)
+        with pytest.raises(NonHermitianInput, match="overflows"):
+            path_scan(inst, steps=2)
+        # a sum inside the float range is analyzed
+        inside = dataclasses.replace(inst, a=np.diag([8e307, 0.0]), v=np.diag([8e307, 0.0]))
+        assert verify_instance(inside).violations == ()
+
     @pytest.mark.parametrize("layout", [np.ascontiguousarray, np.asfortranarray])
     def test_imaginary_diagonals_of_the_sum_are_dropped_in_either_layout(self, layout):
         # the diagonal asymmetries pass on A (2.8e-12 against 4e-12) and on V
@@ -439,7 +455,11 @@ class TestVerifyInstance:
         assert verify_instance(inst).violations == ()
         assert len(path_scan(inst, steps=2)) == 3
 
-    @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "tol",
+        [math.nan, math.inf, -math.inf, "1e-9", b"1e-9", Decimal("1e-9"), 1e-9j],
+        ids=["nan", "inf", "-inf", "str", "bytes", "Decimal", "complex"],
+    )
     def test_non_finite_angle_tolerance_rejected(self, tol):
         inst, _ = sharp_example_2x2(0.3, 0.2)
         with pytest.raises(DomainError):

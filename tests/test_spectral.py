@@ -1,4 +1,6 @@
 import dataclasses
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -62,8 +64,13 @@ class TestPartitionSpectrum:
             partition_spectrum(dec, [(0.5, 0.2)])
 
     def test_non_numeric_interval_rejected(self):
-        with pytest.raises(InvalidInterval):
-            partition_spectrum(eigh(np.diag([0.0, 1.0])), [("a", 1)])
+        # strings, bytes and Decimal went through float() and were accepted
+        dec = eigh(np.diag([0.0, 1.0]))
+        for pair in [("a", 1), ("-0.5", "0.5"), (b"-0.5", b"0.5"),
+                     (Decimal("-0.5"), Decimal("0.5")), (-0.5, 0.5j), (10**400, 10**401)]:
+            with pytest.raises(InvalidInterval):
+                partition_spectrum(dec, [pair])
+        assert partition_spectrum(dec, [(Fraction(-1, 2), np.float32(0.5))]).component_indices == (0,)
 
     def test_multi_interval_selection(self):
         dec = eigh(np.diag([0.0, 1.5, 3.0, 4.5]))
@@ -257,8 +264,11 @@ class TestResolventInterval:
         assert resolvent_interval(0.0, 1.0, self._split(0.6, 0.5)) is None
 
     def test_invalid_interval(self):
-        with pytest.raises(InvalidInterval):
-            resolvent_interval(1.0, 0.0, self._split(0.1, 0.1))
+        split = self._split(0.1, 0.1)
+        for a, b in [(1.0, 0.0), ("0", "1"), (b"0", b"1"), (Decimal(0), Decimal(1)), (0.0, 1j)]:
+            with pytest.raises(InvalidInterval):
+                resolvent_interval(a, b, split)
+        assert resolvent_interval(Fraction(0), np.int64(1), split) == pytest.approx((0.1, 0.9))
 
     def test_spectrum_checked_when_supplied(self):
         with pytest.raises(InvalidInterval):
