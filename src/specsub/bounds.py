@@ -154,17 +154,26 @@ def piecewise_angle_bound(x: float) -> float:
 
 
 def _reals(*values) -> bool:
-    """Whether every value is a real number (`numbers.Real`)."""
+    """Whether every value is a real number (`numbers.Real`) that a float can hold.
+
+    An int or Fraction beyond the float range fails: its float() overflows.
+    """
     for x in values:
         # the exact-type test first: an ABC check costs about a microsecond
-        if type(x) is not float and not isinstance(x, numbers.Real):
+        if type(x) is float:
+            continue
+        if not isinstance(x, numbers.Real):
+            return False
+        try:
+            float(x)
+        except OverflowError:
             return False
     return True
 
 
 def _require_reals(*values) -> None:
     if not _reals(*values):
-        raise DomainError(f"arguments must be real numbers, got {values!r}")
+        raise DomainError(f"arguments must be real numbers in the float range, got {values!r}")
 
 
 def _require_norms(norm_plus: float, norm_minus: float, gap: float) -> float:
@@ -265,14 +274,26 @@ _U_CAP = -math.log1p(-STEP_CAP)
 
 # Points per bracket in the partition search; each round narrows the bracket
 # around the best point to two grid cells, a factor (_GRID - 1) / 2, until no
-# bracket is wider than _BRACKET_TOL.
+# bracket is wider than _BRACKET_TOL.  A bracket starts at most _U_CAP ~ 1.013
+# wide, so 12 narrowings (8**12 > 1.013e10) reach the tolerance, at the 13th
+# cost pass.  Rounding cannot stall a zoom before that: an ulp below 1.013 is
+# at most 2.2e-16, far below the 6e-12 of a cell while a bracket is wider than
+# the tolerance, so every round moves an end of that bracket.  _MAX_ROUNDS
+# only bounds the loop, with room to spare.
 _GRID = 17
 _BRACKET_TOL = 1e-10
+_MAX_ROUNDS = 64
+_T = np.linspace(0.0, 1.0, _GRID)
+_T.flags.writeable = False
 
 
-def _step_cost(u: np.ndarray) -> np.ndarray:
-    """Per-step bound (1/2) arcsin(pi lam / 2) of the step lam = 1 - exp(-u)."""
-    return 0.5 * np.arcsin(np.minimum(1.0, -0.5 * math.pi * np.expm1(-u)))
+def _step_cost(u: np.ndarray | float, out: np.ndarray | None = None) -> np.ndarray:
+    """Per-step bound (1/2) arcsin(pi lam / 2) of the step lam = 1 - exp(-u).
+
+    With `out`, every stage is written into it; `out` may be `u` itself.
+    """
+    lam = np.multiply(np.expm1(np.negative(u, out=out), out=out), -0.5 * math.pi, out=out)
+    return np.multiply(np.arcsin(np.minimum(lam, 1.0, out=out), out=out), 0.5, out=out)
 
 
 def partition_infimum_bound(x: float, n_max: int = 64) -> float:
@@ -295,12 +316,15 @@ def partition_infimum_bound(x: float, n_max: int = 64) -> float:
     the smaller value.  For each n the search takes the all-equal vector and
     the family "one step of a, n - 1 steps of (L - a)/(n - 1)", with a on a
     grid over its feasible bracket that zooms in on the best point until the
-    bracket is narrower than 1e-10.
+    bracket is narrower than 1e-10.  Each zoom shrinks the bracket eightfold,
+    so that takes at most 13 rounds, each one in-place cost pass over the
+    grids of every n.  The loop stops at 64 rounds with BracketFailure, which
+    rounding cannot bring about (see _GRID).
 
     Equals piecewise_angle_bound(x/2) in exact arithmetic; kept free of the
     closed-form branches so it can serve as an independent cross-check.
     Deterministic: repeated calls return the same float.  An x that is not a
-    real number raises DomainError.
+    real number in the float range raises DomainError.
     """
     _require_reals(x)
     x = float(x)
@@ -322,23 +346,35 @@ def partition_infimum_bound(x: float, n_max: int = 64) -> float:
     n = np.arange(1, n_max + 1, dtype=float)
     n = n[total <= n * _U_CAP]
     best = float(np.min(n * _step_cost(total / n)))
-    rest = n[n >= 2.0][:, None] - 1.0  # steps sharing the value (total - a) / rest
+    rest = n[n >= 2.0] - 1.0  # steps sharing the value (total - a) / rest
     if rest.size == 0:
         return best
-    lo = np.maximum(0.0, total - rest * _U_CAP)
+    lo = np.maximum(0.0, total - rest * _U_CAP)[:, None]
     hi = np.full_like(lo, min(_U_CAP, total))
-    t = np.linspace(0.0, 1.0, _GRID)
-    while True:
-        a = lo + (hi - lo) * t
-        cost = _step_cost(a) + rest * _step_cost((total - a) / rest)
-        best = min(best, float(cost.min()))
+    # numpy buffers every broadcast operand of a ufunc, so the grid's operands
+    # are spread to its full shape by copying: rest once, t and the bracket
+    # columns each round through b
+    rest = np.repeat(rest[:, None], _GRID, axis=1)
+    buf = np.empty((2,) + rest.shape)
+    a, b = buf
+    for _ in range(_MAX_ROUNDS):
         width = hi - lo
+        np.copyto(a, _T)
+        np.copyto(b, width)
+        a *= b
+        np.copyto(b, lo)
+        a += b  # a = lo + width * t
+        np.subtract(total, a, out=b)
+        b /= rest
+        _step_cost(buf, out=buf)
+        b *= rest
+        b += a  # cost of one step of a and rest steps of (total - a) / rest
+        best = min(best, float(b.min()))
         if width.max() <= _BRACKET_TOL:
             return best
-        centre = np.take_along_axis(a, cost.argmin(axis=1)[:, None], axis=1)
+        # the best point, rounded as its grid entry was
+        centre = lo + width * _T[b.argmin(axis=1)][:, None]
         cell = width / (_GRID - 1)
-        lo_next = np.maximum(lo, centre - cell)
-        hi_next = np.minimum(hi, centre + cell)
-        if np.array_equal(lo_next, lo) and np.array_equal(hi_next, hi):
-            return best  # the bracket has reached float resolution
-        lo, hi = lo_next, hi_next
+        lo = np.maximum(lo, centre - cell)
+        hi = np.minimum(hi, centre + cell)
+    raise BracketFailure(f"bracket still wider than {_BRACKET_TOL!r} after {_MAX_ROUNDS} rounds")

@@ -47,7 +47,7 @@ class SpectralPartition:
 
 def _endpoint(x) -> float:
     if not _reals(x):
-        raise InvalidInterval(f"interval endpoints must be real numbers, got {x!r}")
+        raise InvalidInterval(f"endpoints must be real numbers in the float range, got {x!r}")
     return float(x)
 
 
@@ -65,7 +65,7 @@ def partition_spectrum(
     """
     try:
         ivs = [(_endpoint(lo), _endpoint(hi)) for lo, hi in intervals]
-    except (TypeError, ValueError, OverflowError) as exc:
+    except (TypeError, ValueError) as exc:
         raise InvalidInterval(f"selection intervals must be pairs of real numbers: {exc}") from None
     if not ivs:
         raise EmptyComponent("no selection intervals given")

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
 
@@ -13,6 +14,9 @@ from specsub import (
     DomainError,
     GapConditionViolated,
     InfeasibleConstraint,
+    InvalidInterval,
+    InvalidSpec,
+    analyze_instance,
     critical_strength,
     favourable_angle_bound,
     first_branch_point,
@@ -26,10 +30,14 @@ from specsub import (
     path_step_bound,
     piecewise_angle_bound,
     piecewise_angle_bound_with_branch,
+    random_instance,
+    resolvent_interval,
     second_branch_point,
+    sharp_example_2x2,
+    sign_split,
     sin2theta_bound,
 )
-from specsub.bounds import _U_CAP, _step_cost, branch_formula
+from specsub.bounds import _GRID, _U_CAP, _step_cost, branch_formula
 
 
 class TestConstants:
@@ -332,6 +340,58 @@ def test_branch_formula_rejects_non_finite_x(branch, x):
         branch_formula(branch, x)
 
 
+_HUGE = 10**400  # a real number beyond the float range, whose float() overflows
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        pytest.param(lambda: branch_formula(1, _HUGE), DomainError, id="branch_formula"),
+        pytest.param(lambda: piecewise_angle_bound(_HUGE), DomainError, id="piecewise"),
+        pytest.param(lambda: partition_infimum_bound(-_HUGE), DomainError, id="partition_infimum"),
+        pytest.param(
+            lambda: favourable_angle_bound(_HUGE, 0.1, 1.0), DomainError, id="favourable"
+        ),
+        pytest.param(lambda: generic_angle_bound(0.1, 0.1, _HUGE), DomainError, id="generic"),
+        pytest.param(lambda: sin2theta_bound(0.1, _HUGE, 1.0), DomainError, id="sin2theta"),
+        pytest.param(
+            lambda: integral_angle_bound(0.1, 0.1, Fraction(_HUGE)),
+            DomainError,
+            id="integral-fraction",
+        ),
+        pytest.param(
+            lambda: integral_angle_bound(0.1, Fraction(_HUGE, 3), 1.0),
+            DomainError,
+            id="integral-fraction-sum",
+        ),
+        pytest.param(
+            lambda: path_step_bound(0.0, 0.5, _HUGE, 0.1, 0.1, 1.0), DomainError, id="path_step"
+        ),
+        pytest.param(
+            lambda: resolvent_interval(_HUGE, 10 * _HUGE, sign_split(np.diag([0.1, -0.1]))),
+            InvalidInterval,
+            id="resolvent_interval",
+        ),
+        pytest.param(
+            lambda: analyze_instance(sharp_example_2x2(0.3, 0.2)[0], angle_tol=_HUGE),
+            DomainError,
+            id="angle_tol",
+        ),
+        pytest.param(
+            lambda: random_instance(4, 1.0, 2, scale=_HUGE, seed=0), InvalidSpec, id="scale"
+        ),
+        pytest.param(
+            lambda: random_instance(4, _HUGE, 2, scale=0.5, seed=0), InvalidSpec, id="d_target"
+        ),
+    ],
+)
+def test_reals_beyond_the_float_range_rejected(call, error):
+    # each of these raised a bare OverflowError from float() or from an
+    # int + float sum
+    with pytest.raises(error):
+        call()
+
+
 class TestIntegralBound:
     def test_zero(self):
         assert integral_angle_bound(0.0, 0.0, 1.0) == 0.0
@@ -437,6 +497,95 @@ class TestPartitionInfimum:
             searched = partition_infimum_bound(x, n_max=3)
             assert grid_min >= searched - 1e-12, x
             assert grid_min - searched <= 1e-5, x
+
+
+def _reference_step_cost(u):
+    return 0.5 * np.arcsin(np.minimum(1.0, -0.5 * math.pi * np.expm1(-u)))
+
+
+def _reference_search(x, n_max):
+    """The partition search as it was before its zoom loop worked in place.
+
+    A copy kept as the oracle for the current loop: x is a float in the
+    domain and n_max an int of at least 1.
+    """
+    if x == 0.0:
+        return 0.0
+    total = -math.log1p(-x)
+    if n_max * _U_CAP < total:
+        raise InfeasibleConstraint("infeasible")
+    n = np.arange(1, n_max + 1, dtype=float)
+    n = n[total <= n * _U_CAP]
+    best = float(np.min(n * _reference_step_cost(total / n)))
+    rest = n[n >= 2.0][:, None] - 1.0
+    if rest.size == 0:
+        return best
+    lo = np.maximum(0.0, total - rest * _U_CAP)
+    hi = np.full_like(lo, min(_U_CAP, total))
+    t = np.linspace(0.0, 1.0, _GRID)
+    while True:
+        a = lo + (hi - lo) * t
+        cost = _reference_step_cost(a) + rest * _reference_step_cost((total - a) / rest)
+        best = min(best, float(cost.min()))
+        width = hi - lo
+        if width.max() <= 1e-10:
+            return best
+        centre = np.take_along_axis(a, cost.argmin(axis=1)[:, None], axis=1)
+        cell = width / (_GRID - 1)
+        lo_next = np.maximum(lo, centre - cell)
+        hi_next = np.minimum(hi, centre + cell)
+        if np.array_equal(lo_next, lo) and np.array_equal(hi_next, hi):
+            return best
+        lo, hi = lo_next, hi_next
+
+
+def _outcome(search, x, n_max):
+    try:
+        return search(x, n_max)
+    except Exception as exc:
+        return type(exc)
+
+
+class TestZoomLoop:
+    _C2 = 2.0 * critical_strength()
+
+    @pytest.mark.parametrize("n_max", [1, 2, 3, 4, 8, 16, 64, 128])
+    def test_matches_the_reference_loop(self, n_max):
+        # bit for bit, and the same error where the constraint is infeasible
+        xs = list(np.linspace(0.0, self._C2, 241))
+        xs += [5e-324, 1e-12, first_branch_point(), np.nextafter(self._C2, 0.0)]
+        for x in map(float, xs):
+            expected = _outcome(_reference_search, x, n_max)
+            assert _outcome(partition_infimum_bound, x, n_max) == expected, (x, n_max)
+
+    def test_step_cost_in_place(self):
+        u = np.linspace(0.0, _U_CAP, 2 * 5 * _GRID).reshape(2, 5, _GRID)
+        expected = _reference_step_cost(u)
+        assert np.array_equal(_step_cost(u).view(np.int64), expected.view(np.int64))
+        buf = u.copy()
+        assert _step_cost(buf, out=buf) is buf
+        assert np.array_equal(buf.view(np.int64), expected.view(np.int64))
+        # scalar and 0-d steps, as the slope test differences them
+        for value in (0.0, 0.52, np.float64(0.52), np.array(0.52)):
+            cost = _step_cost(value)
+            assert np.ndim(cost) == 0
+            assert float(cost) == float(_step_cost(np.array([value], dtype=float))[0])
+
+    @pytest.mark.parametrize("x", [0.05, 0.3, 0.6, 0.9])
+    def test_working_set(self, x):
+        # _reference_search holds about 6.7 grids of rows x _GRID float64 at
+        # its peak; the in-place loop holds its two-grid buffer, rest spread
+        # to a grid, and the bracket columns
+        partition_infimum_bound(x, 64)
+        total = -math.log1p(-x)
+        rows = sum(1 for n in range(2, 65) if total <= n * _U_CAP)
+        tracemalloc.start()
+        try:
+            partition_infimum_bound(x, 64)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5 * rows * _GRID * 8
 
 
 def _run_fresh(code):
