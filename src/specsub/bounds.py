@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 import numbers
 import operator
+import sys
 from functools import lru_cache
 
 import numpy as np
@@ -73,13 +74,11 @@ _BRANCHES = {1: _branch1, 2: _branch2, 3: _branch3, 4: _branch4}
 def branch_formula(branch: int, x: float) -> float:
     """Evaluate one branch formula regardless of where x falls; used for continuity checks.
 
-    A branch other than 1, 2, 3 or 4, or an x that is not a finite real
-    number, raises DomainError.
+    A branch other than the integers 1, 2, 3 or 4, or an x that is not a
+    finite real number, raises DomainError.
     """
-    formula = _BRANCHES.get(branch)
-    if formula is None:
-        raise DomainError(f"branch must be 1, 2, 3 or 4, got {branch!r}")
-    _require_reals(x)
+    formula = _BRANCHES[_integer(branch, "branch", 1, most=4)]
+    x = _real(x, "x")
     if not math.isfinite(x):
         raise DomainError(f"x must be finite, got {x!r}")
     return formula(x)
@@ -133,12 +132,9 @@ def piecewise_angle_bound_with_branch(x: float) -> tuple[float, int]:
     Domain [0, critical_strength()], real numbers only.  At an exact branch
     point the lower branch is evaluated; the adjacent formulas agree there.
     """
-    _require_reals(x)
-    x = float(x)
+    x = _real(x, "x")
     if not 0.0 <= x <= critical_strength():
-        raise DomainError(
-            f"x={x!r} outside [0, {critical_strength()!r}]"
-        )
+        raise DomainError(f"x={x!r} outside [0, {critical_strength()!r}]")
     if x <= first_branch_point():
         return _branch1(x), 1
     if x <= second_branch_point():
@@ -153,36 +149,51 @@ def piecewise_angle_bound(x: float) -> float:
     return piecewise_angle_bound_with_branch(x)[0]
 
 
-def _reals(*values) -> bool:
-    """Whether every value is a real number (`numbers.Real`) that a float can hold.
+def _shown(x) -> str:
+    """repr(x), or the type of an x Python will not print (an int of over 4300 digits)."""
+    try:
+        return repr(x)
+    except ValueError:
+        return f"<{type(x).__name__} too long to print>"
 
-    An int or Fraction beyond the float range fails: its float() overflows.
-    """
-    for x in values:
-        # the exact-type test first: an ABC check costs about a microsecond
-        if type(x) is float:
-            continue
-        if not isinstance(x, numbers.Real):
-            return False
+
+def _real(x, name: str, error=DomainError) -> float:
+    """x as a float; `error` unless x is a real number (`numbers.Real`) a float can hold."""
+    # the exact-type test first: an ABC check costs about a microsecond
+    if type(x) is float:
+        return x
+    if isinstance(x, numbers.Real):
         try:
-            float(x)
+            return float(x)  # overflows for an int or Fraction beyond the float range
         except OverflowError:
-            return False
-    return True
+            pass
+    raise error(f"arguments must be real numbers in the float range, got {name}={_shown(x)}")
 
 
-def _require_reals(*values) -> None:
-    if not _reals(*values):
-        raise DomainError(f"arguments must be real numbers in the float range, got {values!r}")
+def _integer(x, name: str, least: int, error=DomainError, most: int | None = sys.maxsize) -> int:
+    """x as an int (numpy integers included); `error` unless least <= x <= most.
+
+    With most=None, x need only be an int Python will print.
+    """
+    try:
+        value = operator.index(x)
+        if least <= value and (repr(value) if most is None else value <= most):
+            return value
+    except (TypeError, ValueError):
+        pass
+    above = " that Python will print" if most is None else f" and {name} <= {most}"
+    raise error(f"{name} must be an integer with {name} >= {least}{above}, got {_shown(x)}")
 
 
-def _require_norms(norm_plus: float, norm_minus: float, gap: float) -> float:
-    _require_reals(norm_plus, norm_minus, gap)
+def _require_norms(norm_plus: float, norm_minus: float, gap: float) -> tuple[float, float]:
+    """||V+|| + ||V-|| and the gap as floats, once all three are checked."""
+    norm_plus, norm_minus = _real(norm_plus, "norm_plus"), _real(norm_minus, "norm_minus")
+    gap = _real(gap, "gap")
     if not (0.0 <= norm_plus < math.inf and 0.0 <= norm_minus < math.inf):
         raise DomainError(f"part norms must be finite and >= 0, got {norm_plus!r}, {norm_minus!r}")
     if not 0.0 < gap < math.inf:
         raise DomainError(f"gap must be finite and positive, got {gap!r}")
-    return norm_plus + norm_minus
+    return norm_plus + norm_minus, gap
 
 
 def favourable_angle_bound(norm_plus: float, norm_minus: float, gap: float) -> float:
@@ -191,7 +202,7 @@ def favourable_angle_bound(norm_plus: float, norm_minus: float, gap: float) -> f
     Valid when one spectral component's convex hull misses the other component
     and the sum of the part norms stays below the gap.
     """
-    s = _require_norms(norm_plus, norm_minus, gap)
+    s, gap = _require_norms(norm_plus, norm_minus, gap)
     if s >= gap:
         raise GapConditionViolated(f"||V+|| + ||V-|| = {s!r} must stay below gap {gap!r}")
     return 0.5 * math.asin(s / gap)
@@ -203,7 +214,7 @@ def generic_angle_bound(norm_plus: float, norm_minus: float, gap: float) -> floa
     Requires ||V+|| + ||V-|| < 2 * critical_strength() * gap; no geometry
     assumption beyond the separation itself.
     """
-    s = _require_norms(norm_plus, norm_minus, gap)
+    s, gap = _require_norms(norm_plus, norm_minus, gap)
     cap = 2.0 * critical_strength() * gap
     if s >= cap:
         raise DomainError(f"||V+|| + ||V-|| = {s!r} must stay below {cap!r}")
@@ -218,7 +229,7 @@ def half_arcsin_angle_bound(norm_plus: float, norm_minus: float, gap: float) -> 
     Valid for ||V+|| + ||V-|| <= 2 gap / pi; coincides with the piecewise
     bound's first branch.
     """
-    s = _require_norms(norm_plus, norm_minus, gap)
+    s, gap = _require_norms(norm_plus, norm_minus, gap)
     if s > 2.0 * gap / math.pi:
         raise DomainError(f"||V+|| + ||V-|| = {s!r} exceeds 2*gap/pi = {2.0 * gap / math.pi!r}")
     return 0.5 * math.asin(_clip1(0.5 * math.pi * s / gap))
@@ -228,7 +239,7 @@ def sin2theta_bound(
     norm_plus: float, norm_minus: float, gap: float, favourable: bool = False
 ) -> float:
     """Bound on ||sin 2*Theta||: (pi/2)(||V+|| + ||V-||)/gap, constant 1 when favourable."""
-    s = _require_norms(norm_plus, norm_minus, gap)
+    s, gap = _require_norms(norm_plus, norm_minus, gap)
     return (1.0 if favourable else 0.5 * math.pi) * s / gap
 
 
@@ -244,17 +255,15 @@ def path_step_bound(
 
     Evaluates (pi/2) |t - s| ||V|| / (gap - t(||V+|| + ||V-||)).
     """
-    _require_reals(s, t, norm_v)
+    s, t, norm_v = _real(s, "s"), _real(t, "t"), _real(norm_v, "norm_v")
     if not 0.0 <= s <= t <= 1.0:
         raise DomainError(f"need 0 <= s <= t <= 1, got s={s!r}, t={t!r}")
     if not 0.0 <= norm_v < math.inf:
         raise DomainError(f"norm_v must be finite and nonnegative, got {norm_v!r}")
-    total = _require_norms(norm_plus, norm_minus, gap)
+    total, gap = _require_norms(norm_plus, norm_minus, gap)
     denom = gap - t * total
     if denom <= 0.0:
-        raise DomainError(
-            f"gap - t(||V+|| + ||V-||) = {denom!r} must be positive"
-        )
+        raise DomainError(f"gap - t(||V+|| + ||V-||) = {denom!r} must be positive")
     return 0.5 * math.pi * (t - s) * norm_v / denom
 
 
@@ -263,7 +272,7 @@ def integral_angle_bound(norm_plus: float, norm_minus: float, gap: float) -> flo
 
     Strictly below pi/2 while (||V+|| + ||V-||)/gap <= integral_threshold().
     """
-    s = _require_norms(norm_plus, norm_minus, gap)
+    s, gap = _require_norms(norm_plus, norm_minus, gap)
     if s >= gap:
         raise GapConditionViolated(f"||V+|| + ||V-|| = {s!r} must stay below gap {gap!r}")
     return 0.25 * math.pi * math.log(gap / (gap - s))
@@ -324,18 +333,13 @@ def partition_infimum_bound(x: float, n_max: int = 64) -> float:
     Equals piecewise_angle_bound(x/2) in exact arithmetic; kept free of the
     closed-form branches so it can serve as an independent cross-check.
     Deterministic: repeated calls return the same float.  An x that is not a
-    real number in the float range raises DomainError.
+    real number in the float range, or an n_max that is not an integer in
+    [1, sys.maxsize], raises DomainError (numpy may still fail on a large one).
     """
-    _require_reals(x)
-    x = float(x)
+    x = _real(x, "x")
     if not 0.0 <= x <= 2.0 * critical_strength():
         raise DomainError(f"x={x!r} outside [0, {2.0 * critical_strength()!r}]")
-    try:
-        n_max = operator.index(n_max)
-    except TypeError:
-        raise DomainError(f"n_max must be an integer, got {n_max!r}") from None
-    if n_max < 1:
-        raise DomainError(f"n_max must be at least 1, got {n_max!r}")
+    n_max = _integer(n_max, "n_max", 1)
     if x == 0.0:
         return 0.0
     total = -math.log1p(-x)

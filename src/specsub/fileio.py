@@ -94,6 +94,16 @@ def _emit_list(seq: list | tuple, write, pad: str) -> None:
     write("\n" + pad + "]")
 
 
+def _json_document(text: str) -> Any:
+    """json.loads(text), with ParseError for malformed JSON and for a number too long to read."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except ValueError as exc:  # an integer literal beyond Python's int-string limit
+        raise ParseError(f"unreadable number: {exc}") from exc
+
+
 def _number_array(obj: Any, field: str, n: int) -> np.ndarray:
     """The n x n float array of a JSON list of n rows of n numbers."""
     try:
@@ -131,10 +141,7 @@ def parse_problem(text: str, label: str = "<problem>") -> Instance:
     Raises ParseError with line context for malformed JSON and with a field
     path for schema mistakes.
     """
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    doc = _json_document(text)
     if not isinstance(doc, dict):
         raise ParseError("top level must be an object")
     version = doc.get("format_version", PROBLEM_FORMAT_VERSION)
@@ -243,10 +250,7 @@ def report_payload(analysis: Analysis) -> dict:
 
 def parse_report(text: str) -> dict:
     """Parse a report document back into plain Python data."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    doc = _json_document(text)
     if not isinstance(doc, dict):
         raise ParseError("not a report document")
     version = doc.get("format_version")

@@ -20,6 +20,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from . import bounds
+from .bounds import _integer, _real
 from .errors import (
     DimensionMismatch,
     DomainError,
@@ -121,7 +122,8 @@ def sharp_example_2x2(v_plus: float, v_minus: float) -> tuple[Instance, float]:
     which is returned as the expected angle.  Values outside [0, 1) or
     summing to 1 or more, and anything but real numbers, raise DomainError.
     """
-    if not (bounds._reals(v_plus, v_minus) and 0.0 <= v_plus < 1.0 and 0.0 <= v_minus < 1.0):
+    v_plus, v_minus = _real(v_plus, "v_plus"), _real(v_minus, "v_minus")
+    if not (0.0 <= v_plus < 1.0 and 0.0 <= v_minus < 1.0):
         raise DomainError(f"need 0 <= v_plus, v_minus < 1, got ({v_plus!r}, {v_minus!r})")
     v = v_plus + v_minus
     if v >= 1.0:
@@ -152,14 +154,6 @@ def _haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
     return q * (diag / np.abs(diag))
 
 
-def _integer(name: str, value) -> int:
-    """`value` as an int (numpy integers included); InvalidSpec for anything else."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise InvalidSpec(f"{name} must be an integer, got {value!r}") from None
-
-
 def random_instance(
     n: int,
     d_target: float,
@@ -176,25 +170,20 @@ def random_instance(
     a Gaussian Hermitian matrix rescaled so ||V+|| + ||V-|| equals
     scale * d_target.  With `interlaced`, each side is split into two
     clusters arranged alternately, so neither convex hull misses the other.
-    Deterministic per seed.  Non-integer n, component_split or seed, and
-    a d_target or scale that is not a real number, raise InvalidSpec.
+    Deterministic per seed.  n in [2, sys.maxsize] (memory permitting),
+    component_split in [1, n - 1] and seed >= 0 must be printable integers,
+    d_target and scale real numbers in the float range, else InvalidSpec.
     """
-    n = _integer("n", n)
-    component_split = _integer("component_split", component_split)
-    seed = _integer("seed", seed)
-    if n < 2 or not 1 <= component_split < n:
-        raise InvalidSpec(f"need n >= 2 and 1 <= component_split < n, got ({n}, {component_split})")
-    reals = bounds._reals(d_target, scale)
-    if not (reals and 0.0 < d_target < math.inf and 0.0 <= scale < math.inf and seed >= 0):
-        raise InvalidSpec(
-            f"need finite d_target > 0, scale >= 0 and seed >= 0, "
-            f"got ({d_target!r}, {scale!r}, {seed!r})"
-        )
+    n = _integer(n, "n", 2, InvalidSpec)
+    component_split = _integer(component_split, "component_split", 1, InvalidSpec, most=n - 1)
+    seed = _integer(seed, "seed", 0, InvalidSpec, most=None)  # printed in the label
+    d, scale = _real(d_target, "d_target", InvalidSpec), _real(scale, "scale", InvalidSpec)
+    if not (0.0 < d < math.inf and 0.0 <= scale < math.inf):
+        raise InvalidSpec(f"need finite d_target > 0 and scale >= 0, got ({d!r}, {scale!r})")
     k, m = component_split, n - component_split
     if interlaced and (k < 2 or m < 2):
         raise InvalidSpec("interlaced layout needs at least two eigenvalues per side")
     rng = np.random.default_rng(seed)
-    d = float(d_target)
     if interlaced:
         width = 0.25 * d
         k1 = int(rng.integers(1, k))
@@ -368,7 +357,8 @@ def analyze_instance(inst: Instance, angle_tol: float = 1e-9) -> Analysis:
     report's violation list instead of raising.  An `angle_tol` that is not a
     finite real number raises DomainError.
     """
-    if not (bounds._reals(angle_tol) and math.isfinite(angle_tol)):
+    angle_tol = _real(angle_tol, "angle_tol")
+    if not math.isfinite(angle_tol):
         raise DomainError(f"angle_tol must be finite, got {angle_tol!r}")
     a, decomp_a, split, partition = _setup(inst)
     geometry = geometry_kind(partition)
@@ -464,11 +454,10 @@ class PathPoint:
 def path_scan(inst: Instance, steps: int) -> list[PathPoint]:
     """Track the perturbed component's subspace along t -> A + tV.
 
-    Uses a uniform grid with `steps` sub-intervals (so steps + 1 points).
+    Uses a uniform grid with `steps` sub-intervals (so steps + 1 points);
+    `steps` must be an integer in [2, sys.maxsize], memory permitting, else InvalidSpec.
     """
-    steps = _integer("steps", steps)
-    if steps < 2:
-        raise InvalidSpec(f"steps must be at least 2, got {steps!r}")
+    steps = _integer(steps, "steps", 2, InvalidSpec)
     a, _, split, partition = _setup(inst)
     if not split.norm_sum < partition.gap:
         raise GapConditionViolated(

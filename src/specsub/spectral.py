@@ -8,7 +8,7 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .bounds import _reals
+from .bounds import _real
 from .errors import (
     AmbiguousMembership,
     DimensionMismatch,
@@ -45,12 +45,6 @@ class SpectralPartition:
         return self.eigenvalues[list(self.rest_indices)]
 
 
-def _endpoint(x) -> float:
-    if not _reals(x):
-        raise InvalidInterval(f"endpoints must be real numbers in the float range, got {x!r}")
-    return float(x)
-
-
 def partition_spectrum(
     decomp: SpectralDecomposition, intervals: Sequence[Interval]
 ) -> SpectralPartition:
@@ -64,7 +58,10 @@ def partition_spectrum(
     between the two sides.
     """
     try:
-        ivs = [(_endpoint(lo), _endpoint(hi)) for lo, hi in intervals]
+        ivs = [
+            (_real(lo, "lo", InvalidInterval), _real(hi, "hi", InvalidInterval))
+            for lo, hi in intervals
+        ]
     except (TypeError, ValueError) as exc:
         raise InvalidInterval(f"selection intervals must be pairs of real numbers: {exc}") from None
     if not ivs:
@@ -147,9 +144,10 @@ def perturbed_component_at_t(
     is data, not an error.  Under t(||V+|| + ||V-||) < gap these intervals keep
     the component apart from the rest, so the perturbed component holds the
     partition's own indices: its measured gap to the rest is reported next to
-    the guaranteed gap - t(||V+|| + ||V-||).  t outside [0, 1] raises
-    DomainError and spectra of different lengths raise DimensionMismatch.
+    the guaranteed gap - t(||V+|| + ||V-||).  A t that is not a real number in
+    [0, 1] raises DomainError, and spectra of different lengths DimensionMismatch.
     """
+    t = _real(t, "t")
     if not 0.0 <= t <= 1.0:
         raise DomainError(f"t must be in [0, 1], got {t!r}")
     w, mus = partition.eigenvalues, decomp_perturbed.eigenvalues
@@ -176,12 +174,16 @@ def resolvent_interval(
     Given (a, b) free of unperturbed eigenvalues, returns
     (a + ||V+||, b - ||V-||) when ||V+|| + ||V-|| < b - a.  When `spectrum`
     is supplied, the precondition (a, b) disjoint from it is verified.
+    Non-real endpoints, or a spectrum numpy cannot read as floats, raise InvalidInterval.
     """
-    a, b = _endpoint(a), _endpoint(b)
+    a, b = _real(a, "a", InvalidInterval), _real(b, "b", InvalidInterval)
     if not a < b:
         raise InvalidInterval(f"need a < b, got a={a!r}, b={b!r}")
     if spectrum is not None:
-        vals = np.asarray(spectrum, dtype=float).ravel()
+        try:
+            vals = np.asarray(spectrum, dtype=float).ravel()
+        except (TypeError, ValueError, OverflowError):
+            raise InvalidInterval("spectrum must be an array of real numbers") from None
         offenders = vals[(vals > a) & (vals < b)]
         if offenders.size:
             raise InvalidInterval(

@@ -341,48 +341,59 @@ def test_branch_formula_rejects_non_finite_x(branch, x):
 
 
 _HUGE = 10**400  # a real number beyond the float range, whose float() overflows
+# reals beyond the float range that Python will not print either
+_UNPRINTABLE = {"10**5000": 10**5000, "10**5000/3": Fraction(10**5000, 3)}
+
+
+def _beyond_the_float_range(huge):
+    """(id, call, error) for each call that passes `huge`, a real beyond the float range."""
+    return [
+        ("branch_formula", lambda: branch_formula(1, huge), DomainError),
+        ("piecewise", lambda: piecewise_angle_bound(huge), DomainError),
+        ("partition_infimum", lambda: partition_infimum_bound(-huge), DomainError),
+        ("favourable", lambda: favourable_angle_bound(huge, 0.1, 1.0), DomainError),
+        ("generic", lambda: generic_angle_bound(0.1, 0.1, huge), DomainError),
+        ("sin2theta", lambda: sin2theta_bound(0.1, huge, 1.0), DomainError),
+        (
+            "integral-fraction",
+            lambda: integral_angle_bound(0.1, 0.1, Fraction(huge)),
+            DomainError,
+        ),
+        (
+            "integral-fraction-sum",
+            lambda: integral_angle_bound(0.1, Fraction(huge, 3), 1.0),
+            DomainError,
+        ),
+        ("path_step", lambda: path_step_bound(0.0, 0.5, huge, 0.1, 0.1, 1.0), DomainError),
+        (
+            "resolvent_interval",
+            lambda: resolvent_interval(huge, 10 * huge, sign_split(np.diag([0.1, -0.1]))),
+            InvalidInterval,
+        ),
+        (
+            "angle_tol",
+            lambda: analyze_instance(sharp_example_2x2(0.3, 0.2)[0], angle_tol=huge),
+            DomainError,
+        ),
+        ("scale", lambda: random_instance(4, 1.0, 2, scale=huge, seed=0), InvalidSpec),
+        ("d_target", lambda: random_instance(4, huge, 2, scale=0.5, seed=0), InvalidSpec),
+    ]
 
 
 @pytest.mark.parametrize(
     "call, error",
-    [
-        pytest.param(lambda: branch_formula(1, _HUGE), DomainError, id="branch_formula"),
-        pytest.param(lambda: piecewise_angle_bound(_HUGE), DomainError, id="piecewise"),
-        pytest.param(lambda: partition_infimum_bound(-_HUGE), DomainError, id="partition_infimum"),
-        pytest.param(
-            lambda: favourable_angle_bound(_HUGE, 0.1, 1.0), DomainError, id="favourable"
-        ),
-        pytest.param(lambda: generic_angle_bound(0.1, 0.1, _HUGE), DomainError, id="generic"),
-        pytest.param(lambda: sin2theta_bound(0.1, _HUGE, 1.0), DomainError, id="sin2theta"),
-        pytest.param(
-            lambda: integral_angle_bound(0.1, 0.1, Fraction(_HUGE)),
-            DomainError,
-            id="integral-fraction",
-        ),
-        pytest.param(
-            lambda: integral_angle_bound(0.1, Fraction(_HUGE, 3), 1.0),
-            DomainError,
-            id="integral-fraction-sum",
-        ),
-        pytest.param(
-            lambda: path_step_bound(0.0, 0.5, _HUGE, 0.1, 0.1, 1.0), DomainError, id="path_step"
-        ),
-        pytest.param(
-            lambda: resolvent_interval(_HUGE, 10 * _HUGE, sign_split(np.diag([0.1, -0.1]))),
-            InvalidInterval,
-            id="resolvent_interval",
-        ),
-        pytest.param(
-            lambda: analyze_instance(sharp_example_2x2(0.3, 0.2)[0], angle_tol=_HUGE),
-            DomainError,
-            id="angle_tol",
-        ),
-        pytest.param(
-            lambda: random_instance(4, 1.0, 2, scale=_HUGE, seed=0), InvalidSpec, id="scale"
-        ),
-        pytest.param(
-            lambda: random_instance(4, _HUGE, 2, scale=0.5, seed=0), InvalidSpec, id="d_target"
-        ),
+    [pytest.param(call, error, id=name) for name, call, error in _beyond_the_float_range(_HUGE)]
+    # the message that names a rejected value used to raise a bare ValueError
+    # for these; sharp_example_2x2 and the branch take them too
+    + [
+        pytest.param(call, error, id=f"{name}-{label}")
+        for label, huge in _UNPRINTABLE.items()
+        for name, call, error in _beyond_the_float_range(huge)
+        + [
+            ("sharp_example_2x2", lambda huge=huge: sharp_example_2x2(0.1, huge), DomainError),
+            ("branch", lambda huge=huge: branch_formula(huge, 0.3), DomainError),
+            ("negative-branch", lambda huge=huge: branch_formula(-huge, 0.3), DomainError),
+        ]
     ],
 )
 def test_reals_beyond_the_float_range_rejected(call, error):
@@ -454,7 +465,14 @@ class TestPartitionInfimum:
             partition_infimum_bound(0.5, n_max=0)
 
     # a fractional n_max used to search ceil(n_max) steps
-    @pytest.mark.parametrize("n_max", [2.5, 2.0, "2", None], ids=repr)
+    @pytest.mark.parametrize(
+        "n_max",
+        [
+            2.5, 2.0, "2", None,
+            pytest.param(10**5000, id="10**5000"), pytest.param(-(10**5000), id="-10**5000"),
+        ],
+        ids=repr,
+    )
     @pytest.mark.parametrize("x", [0.6, 0.85, 0.9])
     def test_n_max_must_be_an_integer(self, x, n_max):
         with pytest.raises(DomainError):

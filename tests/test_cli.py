@@ -123,6 +123,20 @@ class TestAnalyze:
         assert code == 1
         assert "line 2" in captured.err
 
+    def test_integer_literal_too_long_to_read_is_input_error(self, tmp_path, capsys):
+        # json.loads refuses an int of over 4300 digits with a bare ValueError
+        path = tmp_path / "long.json"
+        path.write_text(
+            '{"a": {"n": 1, "real": [[' + "1" * 5001 + ']]}, '
+            '"v": {"n": 1, "real": [[0.0]]}, "sigma": [[-0.5, 0.5]]}',
+            encoding="utf-8",
+        )
+        assert main(["analyze", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "Traceback" not in captured.err
+
     def test_non_hermitian_file_is_input_error(self, tmp_path, capsys):
         doc = {
             "format_version": 1,

@@ -10,7 +10,16 @@ import numpy as np
 import pytest
 
 from specsub import __version__, analyze_instance, random_instance, sharp_example_2x2
-from specsub.fileio import dumps, parse_problem, problem_digest, problem_payload, report_payload
+from specsub.errors import ParseError
+from specsub.fileio import (
+    REPORT_FORMAT_VERSION,
+    dumps,
+    parse_problem,
+    parse_report,
+    problem_digest,
+    problem_payload,
+    report_payload,
+)
 from specsub.harness import Instance
 
 
@@ -160,6 +169,13 @@ class TestAgainstReference:
                 reference_dumps(obj)
             with pytest.raises(TypeError):
                 dumps(obj)
+
+
+def test_integer_literal_too_long_to_read_is_a_parse_error():
+    # json.loads refuses an int of over 4300 digits with a bare ValueError
+    text = f'{{"format_version": {REPORT_FORMAT_VERSION}, "seed": {"1" * 5001}}}'
+    with pytest.raises(ParseError, match="unreadable number"):
+        parse_report(text)
 
 
 def test_report_keys_are_the_published_format():

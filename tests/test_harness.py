@@ -328,7 +328,14 @@ class TestIntegerArguments:
     ARGS = dict(n=6, d_target=1.0, component_split=2, scale=0.5, seed=0)
 
     @pytest.mark.parametrize(
-        "name, value", [("n", 6.0), ("component_split", 2.5), ("seed", 1.5), ("steps", 2.5)]
+        "name, value",
+        [("n", 6.0), ("component_split", 2.5), ("seed", 1.5), ("steps", 2.5)]
+        # integers Python will not print, whose message used to raise a bare ValueError
+        + [
+            pytest.param(name, sign * 10**5000, id=f"{name}-{sign * 10}**5000")
+            for name in ("n", "component_split", "seed", "steps")
+            for sign in (1, -1)
+        ],
     )
     def test_non_integer_rejected(self, name, value):
         with pytest.raises(InvalidSpec, match=f"{name} must be an integer"):
@@ -342,6 +349,11 @@ class TestIntegerArguments:
         inst = random_instance(**args)
         assert np.array_equal(inst.v, random_instance(**self.ARGS).v)
         assert len(path_scan(inst, np.int64(3))) == 4
+
+    def test_any_printable_seed_accepted(self):
+        # numpy seeds from any non-negative int; only the label needs to print it
+        inst = random_instance(**{**self.ARGS, "seed": 2**64})
+        assert inst.seed == 2**64 and "seed=18446744073709551616" in inst.label
 
 
 class TestVerifyInstance:

@@ -180,7 +180,12 @@ class TestPerturbedComponentAtT:
         assert float(dec_t.eigenvalues[idx]) == pytest.approx(top, abs=0)
         assert 0.5 - t * 0.2 - 1e-12 <= top <= 0.5 + t * 0.3 + 1e-12
 
-    @pytest.mark.parametrize("t", [-5.0, -1e-300, -0.5, 1.5, 2.0, np.nextafter(1.0, 2.0), np.nan])
+    @pytest.mark.parametrize(
+        "t",
+        [-5.0, -1e-300, -0.5, 1.5, 2.0, np.nextafter(1.0, 2.0), np.nan]
+        # these raised a bare TypeError or ValueError
+        + [0.5 + 0j, None, "0.5", pytest.param(10**5000, id="10**5000")],
+    )
     def test_t_outside_unit_interval_rejected(self, t):
         inst, part, split = self._setup()
         with pytest.raises(DomainError):
@@ -268,6 +273,10 @@ class TestResolventInterval:
         for a, b in [(1.0, 0.0), ("0", "1"), (b"0", b"1"), (Decimal(0), Decimal(1)), (0.0, 1j)]:
             with pytest.raises(InvalidInterval):
                 resolvent_interval(a, b, split)
+        # np.asarray(spectrum, dtype=float) raised a bare ValueError or TypeError
+        for spectrum in (["a"], [0.5 + 1j], [10**5000], [[1.0], [1.0, 2.0]]):
+            with pytest.raises(InvalidInterval):
+                resolvent_interval(0.0, 1.0, split, spectrum=spectrum)
         assert resolvent_interval(Fraction(0), np.int64(1), split) == pytest.approx((0.1, 0.9))
 
     def test_spectrum_checked_when_supplied(self):
@@ -276,6 +285,13 @@ class TestResolventInterval:
         assert resolvent_interval(
             0.0, 1.0, self._split(0.1, 0.1), spectrum=[-1.0, 2.0]
         ) == pytest.approx((0.1, 0.9))
+
+    def test_spectrum_read_by_numpy(self):
+        # one float conversion for the whole spectrum: strings of numbers pass
+        split = self._split(0.1, 0.1)
+        with pytest.raises(InvalidInterval, match="meets the spectrum"):
+            resolvent_interval(0.0, 1.0, split, spectrum=np.array([["0.5"]]))
+        assert resolvent_interval(0.0, 1.0, split, spectrum=["2.0"]) == pytest.approx((0.1, 0.9))
 
     def test_no_perturbed_eigenvalue_enters(self):
         rng = np.random.default_rng(22)
