@@ -18,7 +18,8 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 from . import bounds, fileio
-from .errors import SpecsubError
+from .bounds import _integer, _real
+from .errors import InvalidSpec, SpecsubError
 from .harness import (
     BOUND_CHECKS,
     Violation,
@@ -93,14 +94,13 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_bound_table(args) -> int:
-    c = bounds.critical_strength()
-    if not (0.0 <= args.x_min <= args.x_max <= c):
-        raise SpecsubError(
-            f"need 0 <= min <= max <= {c!r}, got [{args.x_min!r}, {args.x_max!r}]"
-        )
-    if args.points < 1:
-        raise SpecsubError(f"points must be at least 1, got {args.points}")
-    grid = np.linspace(args.x_min, args.x_max, args.points)
+    points = _integer(args.points, "points", 1)
+    # the bound's own domain check, on both ends, before the header is printed
+    bounds.piecewise_angle_bound(args.x_min)
+    bounds.piecewise_angle_bound(args.x_max)
+    if args.x_min > args.x_max:
+        raise SpecsubError(f"need min <= max, got [{args.x_min!r}, {args.x_max!r}]")
+    grid = np.linspace(args.x_min, args.x_max, points)
     print("x,N,branch")
     for x in grid:
         value, branch = bounds.piecewise_angle_bound_with_branch(float(x))
@@ -184,23 +184,19 @@ def _close_all(fds: list[int]) -> None:
 
 
 def _cmd_fuzz(args) -> int:
-    if (
-        args.n < 2 or args.count < 1 or not 0.0 <= args.scale < math.inf
-        or args.seed < 0 or args.jobs < 1
-    ):
-        raise SpecsubError(
-            f"need n >= 2, count >= 1, finite scale >= 0, seed >= 0, jobs >= 1, got "
-            f"(n={args.n}, count={args.count}, scale={args.scale!r}, seed={args.seed}, "
-            f"jobs={args.jobs})"
-        )
+    # checked up front: _instance_params reads n and seed, and --out is made, before random_instance
+    n = _integer(args.n, "n", 2, InvalidSpec)
+    count = _integer(args.count, "count", 1, InvalidSpec, most=None)
+    scale = _real(args.scale, "scale", InvalidSpec)
+    if not 0.0 <= scale < math.inf:
+        raise InvalidSpec(f"need a finite scale >= 0, got {scale!r}")
+    seed = _integer(args.seed, "seed", 0, InvalidSpec, most=None)
+    jobs = _integer(args.jobs, "jobs", 1, InvalidSpec, most=None)
     if args.out is not None:
         os.makedirs(args.out, exist_ok=True)
-    tasks = (
-        (i, args.seed, args.n, args.scale, args.out is not None)
-        for i in range(args.count)
-    )
+    tasks = ((i, seed, n, scale, args.out is not None) for i in range(count))
     # a pool forks all its workers up front, so start no more than can be used
-    workers = min(args.jobs, args.count, os.cpu_count() or 1)
+    workers = min(jobs, count, os.cpu_count() or 1)
 
     # each result is tallied and its report written as it arrives, so a
     # campaign holds one instance (or two pool windows) whatever its count;
@@ -236,10 +232,10 @@ def _cmd_fuzz(args) -> int:
     total_violations = sum(tally["violations"] for tally in per_bound.values())
     summary = {
         "format_version": 1,
-        "n": args.n,
-        "count": args.count,
-        "scale": args.scale,
-        "seed": args.seed,
+        "n": n,
+        "count": count,
+        "scale": scale,
+        "seed": seed,
         "checked": checked,
         "violations": total_violations,
         "max_slack": max(tally["max_slack"] for tally in per_bound.values()),

@@ -19,6 +19,7 @@ from typing import Any
 import numpy as np
 
 from . import __version__
+from .bounds import _real
 from .errors import ParseError
 from .harness import Analysis, BoundReport, Instance
 
@@ -165,10 +166,7 @@ def parse_problem(text: str, label: str = "<problem>") -> Instance:
             and all(type(x) in (int, float) for x in pair)
         ):
             raise ParseError(f"sigma[{i}] must be a list of two numbers [lo, hi]")
-        try:
-            lo, hi = float(pair[0]), float(pair[1])
-        except OverflowError:
-            raise ParseError(f"sigma[{i}] is not a valid interval") from None
+        lo, hi = (_real(x, f"sigma[{i}]", ParseError) for x in pair)
         if not (math.isfinite(lo) and math.isfinite(hi)) or lo > hi:
             raise ParseError(f"sigma[{i}] = [{lo!r}, {hi!r}] is not a valid interval")
         intervals.append((lo, hi))

@@ -174,16 +174,20 @@ def resolvent_interval(
     Given (a, b) free of unperturbed eigenvalues, returns
     (a + ||V+||, b - ||V-||) when ||V+|| + ||V-|| < b - a.  When `spectrum`
     is supplied, the precondition (a, b) disjoint from it is verified.
-    Non-real endpoints, or a spectrum numpy cannot read as floats, raise InvalidInterval.
+    Non-real endpoints, or a spectrum numpy cannot read as real numbers, raise InvalidInterval.
     """
     a, b = _real(a, "a", InvalidInterval), _real(b, "b", InvalidInterval)
     if not a < b:
         raise InvalidInterval(f"need a < b, got a={a!r}, b={b!r}")
     if spectrum is not None:
         try:
-            vals = np.asarray(spectrum, dtype=float).ravel()
+            vals = np.asarray(spectrum)
+            # a float conversion would keep only the real part of a complex entry
+            vals = None if vals.dtype.kind == "c" else vals.astype(float, copy=False).ravel()
         except (TypeError, ValueError, OverflowError):
-            raise InvalidInterval("spectrum must be an array of real numbers") from None
+            vals = None
+        if vals is None or np.isnan(vals).any():
+            raise InvalidInterval("spectrum must be an array of real numbers")
         offenders = vals[(vals > a) & (vals < b)]
         if offenders.size:
             raise InvalidInterval(

@@ -28,6 +28,13 @@ from specsub.harness import BOUND_CHECKS, Instance
 from specsub.linalg import SpectralDecomposition
 
 
+def assert_one_error_line(captured):
+    """An input error: nothing on stdout and one `error:` line, not a traceback, on stderr."""
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
+
+
 def write_problem(tmp_path, inst, name="problem.json"):
     path = tmp_path / name
     path.write_text(dumps(problem_payload(inst)) + "\n", encoding="utf-8")
@@ -317,6 +324,52 @@ class TestProblemParsing:
         with pytest.raises(ParseError, match=rf"^v\.{part} "):
             parse_problem(text)
 
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ('[{"n": 1}]', "top level must be an object"),
+            ('{"a": [[0.0]], "v": {"n": 1, "real": [[0.0]]}, "sigma": [[-0.5, 0.5]]}',
+             "a must be an object"),
+            ('{"a": {"n": 0, "real": []}, "v": {"n": 1, "real": [[0.0]]}, "sigma": [[-0.5, 0.5]]}',
+             r"a\.n must be positive"),
+            ('{"a": {"n": 1, "real": [[0.0]]}, "v": {"n": 2, "real": [[0.0, 0.0], [0.0, 0.0]]}, '
+             '"sigma": [[-0.5, 0.5]]}', "a and v disagree on dimension"),
+            ('{"a": {"n": 1, "real": [[0.0]]}, "v": {"n": 1, "real": [[0.0]]}, "sigma": []}',
+             "sigma must be a nonempty list"),
+            ('{"a": {"n": 1, "real": [[0.0]]}, "v": {"n": 1, "real": [[0.0]]}, '
+             '"sigma": [[0.5, 0.75], [-0.75, -0.5]]}', "sorted by lower endpoint"),
+        ],
+        ids=["top-level", "block", "block-n", "dimensions", "empty-sigma", "unsorted-sigma"],
+    )
+    def test_schema_errors_name_the_field(self, doc, message):
+        with pytest.raises(ParseError, match=message):
+            parse_problem(doc)
+
+    # an endpoint beyond the float range, non-finite or reversed
+    @pytest.mark.parametrize(
+        "pair",
+        ["[1e400, 2.0]", "[-1e400, 2.0]", "[NaN, 2.0]", f"[{'1' + '0' * 400}, 2.0]", "[0.75, 0.25]"],
+        ids=["inf", "-inf", "nan", "big-int", "reversed"],
+    )
+    def test_sigma_endpoints_are_finite_and_ordered(self, tmp_path, capsys, pair):
+        text = (
+            '{"a": {"n": 2, "real": [[0.5, 0.0], [0.0, -0.5]]}, '
+            '"v": {"n": 2, "real": [[0.0, 0.0], [0.0, 0.0]]}, '
+            f'"sigma": [{pair}]}}'
+        )
+        with pytest.raises(ParseError, match=r"sigma\[0\]"):
+            parse_problem(text)
+        path = tmp_path / "sigma.json"
+        path.write_text(text, encoding="utf-8")
+        assert main(["analyze", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert_one_error_line(captured)
+        assert "sigma[0]" in captured.err
+
+    def test_report_must_be_an_object(self):
+        with pytest.raises(ParseError, match="not a report document"):
+            parse_report("[]")
+
     def test_complex_problem_round_trip(self, tmp_path):
         a = np.array([[1.0, 1j], [-1j, 5.0]])
         v = np.array([[0.1, 0.2 - 0.1j], [0.2 + 0.1j, -0.1]])
@@ -373,10 +426,22 @@ class TestBoundTable:
             assert repr(float(x)) == x
             assert repr(float(value)) == value
 
-    def test_domain_validation(self, capsys):
-        assert main(["bound-table", "--min", "0", "--max", "0.9", "--points", "5"]) == 1
-        assert main(["bound-table", "--min", "0", "--max", "0.1", "--points", "0"]) == 1
-        capsys.readouterr()
+    @pytest.mark.parametrize(
+        "x_min, x_max, points",
+        [
+            ("0", "0.9", "5"),
+            ("0", "0.1", "0"),
+            ("0", "0.1", "-1"),
+            ("0", "0.1", str(10**20)),  # beyond sys.maxsize
+            ("nan", "0.1", "5"),
+            ("0", "inf", "5"),
+            ("0.2", "0.1", "5"),
+        ],
+    )
+    def test_domain_validation(self, capsys, x_min, x_max, points):
+        argv = ["bound-table", f"--min={x_min}", f"--max={x_max}", f"--points={points}"]
+        assert main(argv) == 1
+        assert_one_error_line(capsys.readouterr())
 
 
 class TestKappaCommand:
@@ -469,7 +534,10 @@ class TestFuzzCommand:
 
     @pytest.mark.parametrize(
         "jobs, count, cpus, workers",
-        [(4096, 2, 8, 2), (4096, 50, 3, 3), (3, 50, 8, 3), (4, 1, 8, None), (4, 50, None, None)],
+        [
+            (4096, 2, 8, 2), (10**20, 2, 8, 2), (4096, 50, 3, 3), (3, 50, 8, 3),
+            (4, 1, 8, None), (4, 50, None, None),
+        ],
     )
     def test_jobs_start_no_more_workers_than_usable(
         self, monkeypatch, capsys, jobs, count, cpus, workers
@@ -575,10 +643,20 @@ class TestFuzzCommand:
             failed += not report["enclosure_ok"]
         assert failed == enclosure["violations"]
 
-    def test_invalid_parameters(self, capsys):
-        assert main(["fuzz", "--n", "1", "--count", "5", "--scale", "0.5", "--seed", "1"]) == 1
-        assert main(["fuzz", "--n", "4", "--count", "0", "--scale", "0.5", "--seed", "1"]) == 1
-        capsys.readouterr()
+    @pytest.mark.parametrize(
+        "n, count, jobs",
+        [
+            ("1", "5", "1"),
+            ("4", "0", "1"),
+            (str(10**20), "1", "1"),  # beyond sys.maxsize
+            ("4", "2", "0"),
+        ],
+    )
+    def test_invalid_parameters(self, tmp_path, capsys, n, count, jobs):
+        argv = ["fuzz", "--n", n, "--count", count, "--scale", "0.5", "--seed", "1"]
+        assert main(argv + ["--jobs", jobs, "--out", str(tmp_path / "reports")]) == 1
+        assert_one_error_line(capsys.readouterr())
+        assert not (tmp_path / "reports").exists()
 
     @pytest.mark.parametrize("scale", ["nan", "inf", "-inf"])
     def test_non_finite_scale_is_input_error(self, capsys, scale):

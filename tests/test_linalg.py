@@ -40,6 +40,11 @@ class TestRequireHermitian:
         with pytest.raises(NonHermitianInput):
             require_hermitian(np.zeros((2, 3)))
 
+    @pytest.mark.parametrize("a", [[["1", "0"], ["0", "1"]], [[True, False], [False, True]]])
+    def test_rejects_non_numeric(self, a):
+        with pytest.raises(NonHermitianInput, match="must be numeric"):
+            require_hermitian(a)
+
     def test_rejects_nonfinite(self):
         with pytest.raises(NonHermitianInput):
             require_hermitian(np.array([[np.nan, 0.0], [0.0, 0.0]]))

@@ -52,6 +52,8 @@ class TestPartitionSpectrum:
             partition_spectrum(dec, [(10.0, 11.0)])
         with pytest.raises(EmptyComponent):
             partition_spectrum(dec, [(-1.0, 2.0)])
+        with pytest.raises(EmptyComponent, match="no selection intervals"):
+            partition_spectrum(dec, [])
 
     def test_boundary_eigenvalue_rejected(self):
         dec = eigh(np.diag([0.0, 1.0]))
@@ -64,10 +66,12 @@ class TestPartitionSpectrum:
             partition_spectrum(dec, [(0.5, 0.2)])
 
     def test_non_numeric_interval_rejected(self):
-        # strings, bytes and Decimal went through float() and were accepted
+        # strings, bytes and Decimal went through float() and were accepted;
+        # the last two are not pairs
         dec = eigh(np.diag([0.0, 1.0]))
         for pair in [("a", 1), ("-0.5", "0.5"), (b"-0.5", b"0.5"),
-                     (Decimal("-0.5"), Decimal("0.5")), (-0.5, 0.5j), (10**400, 10**401)]:
+                     (Decimal("-0.5"), Decimal("0.5")), (-0.5, 0.5j), (10**400, 10**401),
+                     (0.5,), 0.5]:
             with pytest.raises(InvalidInterval):
                 partition_spectrum(dec, [pair])
         assert partition_spectrum(dec, [(Fraction(-1, 2), np.float32(0.5))]).component_indices == (0,)
@@ -274,7 +278,11 @@ class TestResolventInterval:
             with pytest.raises(InvalidInterval):
                 resolvent_interval(a, b, split)
         # np.asarray(spectrum, dtype=float) raised a bare ValueError or TypeError
-        for spectrum in (["a"], [0.5 + 1j], [10**5000], [[1.0], [1.0, 2.0]]):
+        for spectrum in (
+            ["a"], [0.5 + 1j], [10**5000], [[1.0], [1.0, 2.0]],
+            # a float conversion reads these as 0.5 and NaN
+            np.array([0.5 + 1j, 2.0]), [None, 2.0],
+        ):
             with pytest.raises(InvalidInterval):
                 resolvent_interval(0.0, 1.0, split, spectrum=spectrum)
         assert resolvent_interval(Fraction(0), np.int64(1), split) == pytest.approx((0.1, 0.9))
