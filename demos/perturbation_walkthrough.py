@@ -42,13 +42,12 @@ print(f"\nperturbed component indices: {analysis.partition.component_indices}")
 print(f"measured separation {report.measured_gap:.6f} "
       f">= guaranteed {report.gap_lower_bound:.6f}")
 
-print(f"\nmeasured maximal angle = {report.measured_angle:.9f} rad")
-print(f"  favourable bound     = {report.favourable_bound:.9f}"
-      f"  (geometry: {report.geometry})")
-print(f"  generic bound        = {report.generic_bound:.9f}")
-print(f"  integral bound       = {report.integral_bound:.9f}")
-print(f"  ||sin 2T|| measured  = {report.sin2theta_measured:.9f}"
-      f" <= bound {report.sin2theta_bound:.9f}")
+print(f"\ngeometry: {report.geometry}")
+# one record per applicable check, in table order: the measured side must not
+# exceed the bound side by more than the check's slack
+print(f"  {'check':<18}  {'measured':<11}  {'bound':<11}  violated")
+for check in report.checks:
+    print(f"  {check.name:<18}  {check.measured:.9f}  {check.bound:.9f}  {check.violated}")
 print(f"violations: {list(report.violations)}")
 
 # Walk the homotopy t -> A + tV and watch the subspace drift step by step.

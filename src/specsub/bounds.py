@@ -185,6 +185,11 @@ def _integer(x, name: str, least: int, error=DomainError, most: int | None = sys
     raise error(f"{name} must be an integer with {name} >= {least}{above}, got {_shown(x)}")
 
 
+# Counts of float64 grids stop at half of numpy's byte limit: np.linspace and
+# np.arange size a grid by its count rounded to a float, which may round up.
+_MAX_POINTS = sys.maxsize // 16
+
+
 def _require_norms(norm_plus: float, norm_minus: float, gap: float) -> tuple[float, float]:
     """||V+|| + ||V-|| and the gap as floats, once all three are checked."""
     norm_plus, norm_minus = _real(norm_plus, "norm_plus"), _real(norm_minus, "norm_minus")
@@ -334,12 +339,13 @@ def partition_infimum_bound(x: float, n_max: int = 64) -> float:
     closed-form branches so it can serve as an independent cross-check.
     Deterministic: repeated calls return the same float.  An x that is not a
     real number in the float range, or an n_max that is not an integer in
-    [1, sys.maxsize], raises DomainError (numpy may still fail on a large one).
+    [1, sys.maxsize // 544], the most rows of the search's (2, n_max, 17)
+    float64 buffer, raises DomainError.
     """
     x = _real(x, "x")
     if not 0.0 <= x <= 2.0 * critical_strength():
         raise DomainError(f"x={x!r} outside [0, {2.0 * critical_strength()!r}]")
-    n_max = _integer(n_max, "n_max", 1)
+    n_max = _integer(n_max, "n_max", 1, most=_MAX_POINTS // (2 * _GRID))
     if x == 0.0:
         return 0.0
     total = -math.log1p(-x)

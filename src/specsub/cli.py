@@ -18,11 +18,12 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 from . import bounds, fileio
-from .bounds import _integer, _real
+from .bounds import _MAX_POINTS, _integer, _real
 from .errors import InvalidSpec, SpecsubError
 from .harness import (
     BOUND_CHECKS,
-    Violation,
+    _MAX_N,
+    CheckResult,
     analyze_instance,
     random_instance,
     sharp_example_2x2,
@@ -94,7 +95,7 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_bound_table(args) -> int:
-    points = _integer(args.points, "points", 1)
+    points = _integer(args.points, "points", 1, most=_MAX_POINTS)
     # the bound's own domain check, on both ends, before the header is printed
     bounds.piecewise_angle_bound(args.x_min)
     bounds.piecewise_angle_bound(args.x_max)
@@ -120,10 +121,8 @@ def _instance_params(seed: int, index: int, n: int):
     return int(state[1]), split, interlaced
 
 
-def _fuzz_one(
-    task: tuple,
-) -> tuple[int, tuple[str, ...], tuple[Violation, ...], Optional[str]]:
-    """Analyze one fuzz instance: its applicable checks, violations and report text.
+def _fuzz_one(task: tuple) -> tuple[int, tuple[CheckResult, ...], Optional[str]]:
+    """Analyze one fuzz instance: its check records and report text.
 
     The analysis, with both eigendecompositions, is dropped before the report
     text is made, so only the instance in hand is held at a time.
@@ -143,7 +142,7 @@ def _fuzz_one(
     payload = fileio.report_payload(analysis) if want_report else None
     del inst, analysis
     text = fileio.dumps(payload) if want_report else None
-    return index, report.applicable, report.violations, text
+    return index, report.checks, text
 
 
 def _fuzz_results(tasks: Iterator[tuple], workers: int) -> Iterator[tuple]:
@@ -185,7 +184,7 @@ def _close_all(fds: list[int]) -> None:
 
 def _cmd_fuzz(args) -> int:
     # checked up front: _instance_params reads n and seed, and --out is made, before random_instance
-    n = _integer(args.n, "n", 2, InvalidSpec)
+    n = _integer(args.n, "n", 2, InvalidSpec, most=_MAX_N)
     count = _integer(args.count, "count", 1, InvalidSpec, most=None)
     scale = _real(args.scale, "scale", InvalidSpec)
     if not 0.0 <= scale < math.inf:
@@ -213,20 +212,21 @@ def _cmd_fuzz(args) -> int:
     # analysis that follows it
     reports: list[int] = []
     try:
-        for index, applicable, violations, text in _fuzz_results(tasks, workers):
+        for index, checks, text in _fuzz_results(tasks, workers):
             checked += 1
-            for name in applicable:
-                per_bound[name]["applicable"] += 1
-            for name, slack in violations:
-                per_bound[name]["violations"] += 1
-                per_bound[name]["max_slack"] = max(per_bound[name]["max_slack"], float(slack))
+            for check in checks:
+                tally = per_bound[check.name]
+                tally["applicable"] += 1
+                if check.violated:
+                    tally["violations"] += 1
+                    tally["max_slack"] = max(tally["max_slack"], check.measured - check.bound)
             if text is not None:
                 if len(reports) == _OPEN_REPORTS:
                     _close_all(reports)
                 path = os.path.join(args.out, f"instance-{index:06d}.json")
                 reports.append(os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666))
                 _write_all(reports[-1], (text + "\n").encode())
-            del text  # not held while the next instance is analyzed
+            del checks, text  # not held while the next instance is analyzed
     finally:
         _close_all(reports)
     total_violations = sum(tally["violations"] for tally in per_bound.values())

@@ -220,10 +220,10 @@ def problem_digest(inst: Instance) -> str:
 
 
 # A report's "report" object lists BoundReport's fields in declaration order,
-# except the geometry, which sits at the top level, and the applicable checks,
-# which are the checks whose two sides are both present.
+# then its violations, except the geometry, which sits at the top level, and
+# angle_tol, which the violations already reflect.
 _REPORT_FIELDS = tuple(
-    f.name for f in fields(BoundReport) if f.name not in ("geometry", "applicable")
+    f.name for f in fields(BoundReport) if f.name not in ("geometry", "angle_tol")
 )
 
 

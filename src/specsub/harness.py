@@ -13,14 +13,14 @@ from __future__ import annotations
 import enum
 import math
 import operator
+import sys
 from dataclasses import dataclass
-from types import SimpleNamespace
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
 from . import bounds
-from .bounds import _integer, _real
+from .bounds import _MAX_POINTS, _integer, _real
 from .errors import (
     DimensionMismatch,
     DomainError,
@@ -41,6 +41,8 @@ from .spectral import (
 
 GAP_SLACK = 1e-10
 SIN_CHAIN_SLACK = 1e-10
+# the largest n whose n x n complex128 matrix numpy can size: 16 n^2 <= sys.maxsize
+_MAX_N = math.isqrt(sys.maxsize // 16)
 
 
 class GeometryKind(enum.Enum):
@@ -170,11 +172,11 @@ def random_instance(
     a Gaussian Hermitian matrix rescaled so ||V+|| + ||V-|| equals
     scale * d_target.  With `interlaced`, each side is split into two
     clusters arranged alternately, so neither convex hull misses the other.
-    Deterministic per seed.  n in [2, sys.maxsize] (memory permitting),
+    Deterministic per seed.  n in [2, 759250124] (memory permitting),
     component_split in [1, n - 1] and seed >= 0 must be printable integers,
     d_target and scale real numbers in the float range, else InvalidSpec.
     """
-    n = _integer(n, "n", 2, InvalidSpec)
+    n = _integer(n, "n", 2, InvalidSpec, most=_MAX_N)
     component_split = _integer(component_split, "component_split", 1, InvalidSpec, most=n - 1)
     seed = _integer(seed, "seed", 0, InvalidSpec, most=None)  # printed in the label
     d, scale = _real(d_target, "d_target", InvalidSpec), _real(scale, "scale", InvalidSpec)
@@ -241,21 +243,18 @@ def random_instance(
     )
 
 
-Violation = tuple[str, float]
-
-
 @dataclass(frozen=True)
 class BoundReport:
-    """Per-instance record: measured angles, every applicable bound, violations.
+    """Per-instance record: measured angles, every applicable bound, and the tolerance.
 
     A bound outside its hypotheses is None, and so is every measurement that
     needs the gap condition ||V+|| + ||V-|| < gap: the gap condition holds
     exactly when `measured_angle` is not None.  `sin2theta_bound` is always a
-    float.  In BOUND_CHECKS order, `applicable` names the checks made and
-    `violations` holds (name, slack) for each failure.
+    float.  `checks` and `violations` are read from these fields, with
+    `angle_tol` as the slack of the angle checks.
     """
 
-    # 18 fields: keep the count off 20.  CPython 3.11's tuple free list hands
+    # 17 fields: keep the count off 20.  CPython 3.11's tuple free list hands
     # out only tuples of fewer than 20 items but takes back 20-item ones, so a
     # 20-keyword call per instance would leave a traced tuple parked there for
     # each of up to 2000 instances, and campaign memory would grow with count.
@@ -275,23 +274,47 @@ class BoundReport:
     gap_lower_bound: Optional[float]
     enclosure_ok: bool
     enclosure_excess: float
-    violations: tuple[Violation, ...]
-    applicable: tuple[str, ...]
+    angle_tol: float
+
+    @property
+    def checks(self) -> tuple[CheckResult, ...]:
+        """One record per check of BOUND_CHECKS whose two sides are present, in table order."""
+        records = []
+        for check in BOUND_CHECKS:
+            measured, bound = check.measured(self), check.bound(self)
+            if measured is not None and bound is not None:
+                slack = self.angle_tol if check.slack is None else check.slack
+                records.append(CheckResult(check.name, measured, bound, measured > bound + slack))
+        # built from a list, for the free-list reason given in random_instance
+        return tuple(records)
+
+    @property
+    def violations(self) -> tuple[tuple[str, float], ...]:
+        """(name, measured - bound) of each failed check, in table order."""
+        return tuple([(c.name, c.measured - c.bound) for c in self.checks if c.violated])
 
 
 class BoundCheck(NamedTuple):
     """One row of BOUND_CHECKS: a measured side that must not exceed a bound side.
 
-    `measured` and `bound` read a report's fields, so any object carrying them
-    will do.  The check applies when both read a value, not None, and fails
-    when measured > bound + slack, by measured - bound; a `slack` of None is
-    the call's angle_tol.
+    `measured` and `bound` read a report's fields.  The check applies when
+    both read a value, not None, and fails when measured > bound + slack;
+    a `slack` of None is the report's angle_tol.
     """
 
     name: str
     measured: Callable[[BoundReport], Optional[float]]
     bound: Callable[[BoundReport], Optional[float]]
     slack: Optional[float]
+
+
+class CheckResult(NamedTuple):
+    """One applicable check of a report: its two sides and whether it failed."""
+
+    name: str
+    measured: float
+    bound: float
+    violated: bool
 
 
 # Every check made on an instance, in the order of fuzz summaries and of report
@@ -352,10 +375,10 @@ def _setup(
 def analyze_instance(inst: Instance, angle_tol: float = 1e-9) -> Analysis:
     """Run the full measurement pipeline on one instance.
 
-    Hypotheses are evaluated and recorded, every check of BOUND_CHECKS that
-    applies is compared against the measurement, and failures land in the
-    report's violation list instead of raising.  An `angle_tol` that is not a
-    finite real number raises DomainError.
+    Hypotheses are evaluated and recorded: a bound outside its hypotheses is
+    None in the report, whose `checks` then compare every applicable bound
+    with the measurement, and a failed check is data, not an exception.  An
+    `angle_tol` that is not a finite real number raises DomainError.
     """
     angle_tol = _real(angle_tol, "angle_tol")
     if not math.isfinite(angle_tol):
@@ -385,34 +408,6 @@ def analyze_instance(inst: Instance, angle_tol: float = 1e-9) -> Analysis:
     if s <= 2.0 * gap / math.pi:
         half_bound = bounds.half_arcsin_angle_bound(plus, minus, gap)
 
-    # the fields of the report but its check results, which are read from them
-    fields = SimpleNamespace(
-        measured_angle=angles.max_angle if angles is not None else None,
-        favourable_bound=fav_bound,
-        generic_bound=gen_bound,
-        half_arcsin_bound=half_bound,
-        sin2theta_measured=angles.sin2theta_norm if angles is not None else None,
-        sin2theta_bound=bounds.sin2theta_bound(plus, minus, gap, favourable),
-        integral_bound=integral,
-        gap=gap,
-        norm_plus=plus,
-        norm_minus=minus,
-        norm_v=split.norm_v,
-        geometry=geometry.value,
-        measured_gap=perturbed.measured_gap,
-        gap_lower_bound=perturbed.gap_lower_bound,
-        enclosure_ok=perturbed.enclosure_ok,
-        enclosure_excess=perturbed.enclosure_excess,
-    )
-    applicable: list[str] = []
-    violations: list[Violation] = []
-    for check in BOUND_CHECKS:
-        measured, bound = check.measured(fields), check.bound(fields)
-        if measured is None or bound is None:
-            continue
-        applicable.append(check.name)
-        if measured > bound + (angle_tol if check.slack is None else check.slack):
-            violations.append((check.name, measured - bound))
     return Analysis(
         instance=inst,
         decomp_a=decomp_a,
@@ -421,7 +416,23 @@ def analyze_instance(inst: Instance, angle_tol: float = 1e-9) -> Analysis:
         split=split,
         angles=angles,
         report=BoundReport(
-            **vars(fields), violations=tuple(violations), applicable=tuple(applicable)
+            measured_angle=angles.max_angle if angles is not None else None,
+            favourable_bound=fav_bound,
+            generic_bound=gen_bound,
+            half_arcsin_bound=half_bound,
+            sin2theta_measured=angles.sin2theta_norm if angles is not None else None,
+            sin2theta_bound=bounds.sin2theta_bound(plus, minus, gap, favourable),
+            integral_bound=integral,
+            gap=gap,
+            norm_plus=plus,
+            norm_minus=minus,
+            norm_v=split.norm_v,
+            geometry=geometry.value,
+            measured_gap=perturbed.measured_gap,
+            gap_lower_bound=perturbed.gap_lower_bound,
+            enclosure_ok=perturbed.enclosure_ok,
+            enclosure_excess=perturbed.enclosure_excess,
+            angle_tol=angle_tol,
         ),
     )
 
@@ -455,9 +466,10 @@ def path_scan(inst: Instance, steps: int) -> list[PathPoint]:
     """Track the perturbed component's subspace along t -> A + tV.
 
     Uses a uniform grid with `steps` sub-intervals (so steps + 1 points);
-    `steps` must be an integer in [2, sys.maxsize], memory permitting, else InvalidSpec.
+    `steps` must be an integer in [2, sys.maxsize // 16 - 1], memory permitting,
+    else InvalidSpec.
     """
-    steps = _integer(steps, "steps", 2, InvalidSpec)
+    steps = _integer(steps, "steps", 2, InvalidSpec, most=_MAX_POINTS - 1)
     a, _, split, partition = _setup(inst)
     if not split.norm_sum < partition.gap:
         raise GapConditionViolated(

@@ -360,7 +360,7 @@ def test_geometry_index_rule_matches_value_scans_with_ties():
 
 
 def _reference_checks(analysis, angle_tol):
-    """(applicable, violations) with each check's hypotheses read off the problem.
+    """(name, measured, bound, violated) per applicable check, hypotheses read off the problem.
 
     The favourable bound needs the gap condition and favourable geometry, the
     generic bound ||V+|| + ||V-|| < 2 c_crit d, the half-arcsin bound
@@ -382,16 +382,14 @@ def _reference_checks(analysis, angle_tol):
         ("sin2theta_chain", gap_ok, math.sin(2.0 * angle) if gap_ok else None,
          rep.sin2theta_measured, SIN_CHAIN_SLACK),
     )
-    applicable, violations = [], []
-    for name, applies, left, right, slack in rows:
-        if applies:
-            applicable.append(name)
-            if left > right + slack:
-                violations.append((name, left - right))
-    applicable.append("enclosure")
-    if not rep.enclosure_ok:
-        violations.append(("enclosure", rep.enclosure_excess))
-    return tuple(applicable), tuple(violations)
+    records = [
+        (name, left, right, left > right + slack)
+        for name, applies, left, right, slack in rows
+        if applies
+    ]
+    excess = 0.0 if rep.enclosure_ok else rep.enclosure_excess
+    records.append(("enclosure", excess, 0.0, not rep.enclosure_ok))
+    return tuple(records)
 
 
 def _beyond_gap_stream(count):
@@ -418,7 +416,9 @@ def test_checks_apply_exactly_under_their_hypotheses(favourable_suite, generic_s
     for inst in instances:
         analysis = analyze_instance(inst, angle_tol=angle_tol)
         rep = analysis.report
-        assert (rep.applicable, rep.violations) == _reference_checks(analysis, angle_tol)
+        reference = _reference_checks(analysis, angle_tol)
+        assert rep.checks == reference
+        assert rep.violations == tuple((n, m - b) for n, m, b, failed in reference if failed)
         gap_ok = analysis.split.norm_sum < rep.gap
         assert gap_ok == (rep.measured_angle is not None)
         outside += not gap_ok

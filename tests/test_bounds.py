@@ -478,6 +478,18 @@ class TestPartitionInfimum:
         with pytest.raises(DomainError):
             partition_infimum_bound(x, n_max=n_max)
 
+    @pytest.mark.parametrize("n_max", [sys.maxsize // (32 * _GRID) + 1, 2**62, sys.maxsize])
+    def test_n_max_beyond_the_search_buffer(self, n_max):
+        # rejected before numpy is asked for an array it cannot size
+        tracemalloc.start()
+        try:
+            with pytest.raises(DomainError, match="n_max <= "):
+                partition_infimum_bound(0.5, n_max=n_max)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 16
+
     def test_integer_like_n_max(self):
         assert partition_infimum_bound(0.85, n_max=np.int64(2)) == partition_infimum_bound(
             0.85, n_max=2

@@ -3,6 +3,8 @@ import gc
 import json
 import math
 import os
+import subprocess
+import sys
 import tracemalloc
 import weakref
 
@@ -433,6 +435,10 @@ class TestBoundTable:
             ("0", "0.1", "0"),
             ("0", "0.1", "-1"),
             ("0", "0.1", str(10**20)),  # beyond sys.maxsize
+            # beyond the largest float64 grid numpy can size
+            ("0", "0.1", str(sys.maxsize // 16 + 1)),
+            ("0", "0.1", str(2**60)),
+            ("0", "0.1", str(sys.maxsize)),
             ("nan", "0.1", "5"),
             ("0", "inf", "5"),
             ("0.2", "0.1", "5"),
@@ -649,6 +655,10 @@ class TestFuzzCommand:
             ("1", "5", "1"),
             ("4", "0", "1"),
             (str(10**20), "1", "1"),  # beyond sys.maxsize
+            # beyond the largest n x n complex128 matrix numpy can size
+            (str(2**40), "1", "1"),
+            (str(2**62), "1", "1"),
+            (str(sys.maxsize), "1", "1"),
             ("4", "2", "0"),
         ],
     )
@@ -670,6 +680,42 @@ class TestFuzzCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ") and "seed >= 0" in captured.err
+
+
+
+_LARGEST_N = math.isqrt(sys.maxsize // 16)  # of an n x n complex128 matrix
+_LARGEST_POINTS = sys.maxsize // 16  # of a float64 grid numpy sizes by a float count
+_FUZZ = ["fuzz", "--count", "1", "--scale", "0.5", "--seed", "1", "--n"]
+_TABLE = ["bound-table", "--min", "0", "--max", "0.1", "--points"]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (_FUZZ + [str(_LARGEST_N)], "error: out of memory"),
+        (_FUZZ + [str(_LARGEST_N + 1)],
+         f"error: n must be an integer with n >= 2 and n <= {_LARGEST_N},"),
+        (_TABLE + [str(_LARGEST_POINTS)], "error: out of memory"),
+        (_TABLE + [str(_LARGEST_POINTS + 1)],
+         f"error: points must be an integer with points >= 1 and points <= {_LARGEST_POINTS},"),
+    ],
+    ids=["fuzz-n", "fuzz-n-over", "bound-table-points", "bound-table-points-over"],
+)
+def test_sizes_at_the_cap(argv, message):
+    # under a 1 GiB address-space limit, so no allocation it asks for can succeed
+    resource = pytest.importorskip("resource")
+    limit = 1 << 30
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "specsub.cli", *argv],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, timeout=120,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith(message) and proc.stderr.count("\n") == 1
 
 
 def fuzz_args(count, out_dir=None, n=8):
@@ -754,11 +800,11 @@ class TestFuzzStreaming:
         real_results = specsub.cli._fuzz_results
 
         def results(tasks, workers):
-            for index, applicable, violations, text in real_results(tasks, workers):
+            for index, checks, text in real_results(tasks, workers):
                 held_at_next.append(sum(ref() is not None for ref in texts))
                 text = Text(text)
                 texts.append(weakref.ref(text))
-                yield index, applicable, violations, text
+                yield index, checks, text
                 del text  # so that only the fuzz loop can hold it
 
         monkeypatch.setattr(specsub.cli, "_fuzz_results", results)

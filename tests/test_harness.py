@@ -344,6 +344,28 @@ class TestIntegerArguments:
             else:
                 random_instance(**{**self.ARGS, name: value})
 
+    @pytest.mark.parametrize(
+        "name, value",
+        # beyond the largest n x n complex128 matrix, or steps + 1 float64 grid,
+        # numpy can size
+        [("n", 2**40), ("n", 2**62)]
+        + [("steps", value) for value in (sys.maxsize // 16, 2**62, sys.maxsize)],
+        ids=repr,
+    )
+    def test_sizes_beyond_numpy_rejected(self, name, value):
+        inst = random_instance(**self.ARGS)
+        tracemalloc.start()
+        try:
+            with pytest.raises(InvalidSpec, match=f"{name} <= "):
+                if name == "steps":
+                    path_scan(inst, value)
+                else:
+                    random_instance(**{**self.ARGS, name: value})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 16
+
     def test_numpy_integers_accepted(self):
         args = {**self.ARGS, "n": np.int64(6), "component_split": np.int32(2), "seed": np.uint8(0)}
         inst = random_instance(**args)
@@ -386,9 +408,24 @@ class TestVerifyInstance:
     def test_applicable_checks_in_table_order(self):
         table = tuple(check.name for check in BOUND_CHECKS)
         inst = random_instance(n=6, d_target=1.0, component_split=2, scale=0.0, seed=3)
-        assert verify_instance(inst).applicable == table
+        assert tuple(c.name for c in verify_instance(inst).checks) == table
         inst = random_instance(n=6, d_target=1.0, component_split=2, scale=1.5, seed=4)
-        assert verify_instance(inst).applicable == ("enclosure",)
+        assert tuple(c.name for c in verify_instance(inst).checks) == ("enclosure",)
+
+    def test_checks_follow_the_report_fields(self):
+        # a report carries no stored verdict that could disagree with its numbers
+        rep = verify_instance(sharp_example_2x2(0.3, 0.2)[0])
+        assert rep.violations == ()
+        moved = dataclasses.replace(rep, measured_angle=rep.favourable_bound + 1e-6)
+        failed = [c for c in moved.checks if c.violated]
+        # the chain breaks too: sin 2(angle) no longer matches the measured norm
+        assert [c.name for c in failed] == ["favourable_bound", "sin2theta_chain"]
+        assert failed[0] == ("favourable_bound", moved.measured_angle, rep.favourable_bound, True)
+        assert moved.violations == tuple((c.name, c.measured - c.bound) for c in failed)
+        assert moved.violations[0][1] == pytest.approx(1e-6, rel=1e-6)
+        angle_rows = [check.name for check in BOUND_CHECKS if check.slack is None]
+        loose = dataclasses.replace(rep, angle_tol=-1.0)
+        assert [name for name, _ in loose.violations] == angle_rows
 
     @pytest.mark.parametrize("ok, excess, expected", [
         (False, 0.5, (("enclosure", 0.5),)),
