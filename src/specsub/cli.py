@@ -63,7 +63,6 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("analyze", help="verify one problem file")
     p.add_argument("path", help="problem file (JSON)")
-    p.add_argument("--tol", type=float, default=1e-9, help="angle slack tolerance")
 
     p = sub.add_parser("bound-table", help="CSV profile of the piecewise angle bound")
     p.add_argument("--min", dest="x_min", type=float, required=True)
@@ -89,7 +88,7 @@ def _build_parser() -> _Parser:
 
 def _cmd_analyze(args) -> int:
     inst = fileio.load_problem(args.path)
-    analysis = analyze_instance(inst, angle_tol=args.tol)
+    analysis = analyze_instance(inst)
     print(fileio.dumps(fileio.report_payload(analysis)))
     return EXIT_VIOLATION if analysis.report.violations else EXIT_OK
 

@@ -220,11 +220,8 @@ def problem_digest(inst: Instance) -> str:
 
 
 # A report's "report" object lists BoundReport's fields in declaration order,
-# then its violations, except the geometry, which sits at the top level, and
-# angle_tol, which the violations already reflect.
-_REPORT_FIELDS = tuple(
-    f.name for f in fields(BoundReport) if f.name not in ("geometry", "angle_tol")
-)
+# then its violations, except the geometry, which sits at the top level.
+_REPORT_FIELDS = tuple(f.name for f in fields(BoundReport) if f.name != "geometry")
 
 
 def report_payload(analysis: Analysis) -> dict:

@@ -11,6 +11,7 @@ with exit 1.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import operator
 import sys
@@ -39,6 +40,7 @@ from .spectral import (
     perturbed_component_at_t,
 )
 
+ANGLE_SLACK = 1e-9
 GAP_SLACK = 1e-10
 SIN_CHAIN_SLACK = 1e-10
 # the largest n whose n x n complex128 matrix numpy can size: 16 n^2 <= sys.maxsize
@@ -245,16 +247,17 @@ def random_instance(
 
 @dataclass(frozen=True)
 class BoundReport:
-    """Per-instance record: measured angles, every applicable bound, and the tolerance.
+    """Per-instance record: measured angles and every applicable bound.
 
     A bound outside its hypotheses is None, and so is every measurement that
     needs the gap condition ||V+|| + ||V-|| < gap: the gap condition holds
     exactly when `measured_angle` is not None.  `sin2theta_bound` is always a
-    float.  `checks` and `violations` are read from these fields, with
-    `angle_tol` as the slack of the angle checks.
+    float.  `checks` and `violations` are read from these fields and
+    BOUND_CHECKS alone; `checks` is evaluated once per report, and
+    dataclasses.replace makes a new report that evaluates its own.
     """
 
-    # 17 fields: keep the count off 20.  CPython 3.11's tuple free list hands
+    # 16 fields: keep the count off 20.  CPython 3.11's tuple free list hands
     # out only tuples of fewer than 20 items but takes back 20-item ones, so a
     # 20-keyword call per instance would leave a traced tuple parked there for
     # each of up to 2000 instances, and campaign memory would grow with count.
@@ -274,17 +277,16 @@ class BoundReport:
     gap_lower_bound: Optional[float]
     enclosure_ok: bool
     enclosure_excess: float
-    angle_tol: float
 
-    @property
+    @functools.cached_property
     def checks(self) -> tuple[CheckResult, ...]:
         """One record per check of BOUND_CHECKS whose two sides are present, in table order."""
         records = []
         for check in BOUND_CHECKS:
             measured, bound = check.measured(self), check.bound(self)
             if measured is not None and bound is not None:
-                slack = self.angle_tol if check.slack is None else check.slack
-                records.append(CheckResult(check.name, measured, bound, measured > bound + slack))
+                violated = measured > bound + check.slack
+                records.append(CheckResult(check.name, measured, bound, violated))
         # built from a list, for the free-list reason given in random_instance
         return tuple(records)
 
@@ -298,14 +300,13 @@ class BoundCheck(NamedTuple):
     """One row of BOUND_CHECKS: a measured side that must not exceed a bound side.
 
     `measured` and `bound` read a report's fields.  The check applies when
-    both read a value, not None, and fails when measured > bound + slack;
-    a `slack` of None is the report's angle_tol.
+    both read a value, not None, and fails when measured > bound + slack.
     """
 
     name: str
     measured: Callable[[BoundReport], Optional[float]]
     bound: Callable[[BoundReport], Optional[float]]
-    slack: Optional[float]
+    slack: float
 
 
 class CheckResult(NamedTuple):
@@ -322,11 +323,15 @@ class CheckResult(NamedTuple):
 # tolerance scales with ||A|| and ||V||: its excess counts only when that rule fails.
 _read = operator.attrgetter
 BOUND_CHECKS: tuple[BoundCheck, ...] = (
-    BoundCheck("favourable_bound", _read("measured_angle"), _read("favourable_bound"), None),
-    BoundCheck("generic_bound", _read("measured_angle"), _read("generic_bound"), None),
-    BoundCheck("half_arcsin_bound", _read("measured_angle"), _read("half_arcsin_bound"), None),
-    BoundCheck("sin2theta_bound", _read("sin2theta_measured"), _read("sin2theta_bound"), None),
-    BoundCheck("integral_bound", _read("measured_angle"), _read("integral_bound"), None),
+    BoundCheck("favourable_bound", _read("measured_angle"), _read("favourable_bound"), ANGLE_SLACK),
+    BoundCheck("generic_bound", _read("measured_angle"), _read("generic_bound"), ANGLE_SLACK),
+    BoundCheck(
+        "half_arcsin_bound", _read("measured_angle"), _read("half_arcsin_bound"), ANGLE_SLACK
+    ),
+    BoundCheck(
+        "sin2theta_bound", _read("sin2theta_measured"), _read("sin2theta_bound"), ANGLE_SLACK
+    ),
+    BoundCheck("integral_bound", _read("measured_angle"), _read("integral_bound"), ANGLE_SLACK),
     BoundCheck("gap_lower_bound", _read("gap_lower_bound"), _read("measured_gap"), GAP_SLACK),
     BoundCheck(
         "sin2theta_chain",
@@ -372,17 +377,13 @@ def _setup(
     return a, decomp_a, split, partition_spectrum(decomp_a, inst.component_intervals)
 
 
-def analyze_instance(inst: Instance, angle_tol: float = 1e-9) -> Analysis:
+def analyze_instance(inst: Instance) -> Analysis:
     """Run the full measurement pipeline on one instance.
 
     Hypotheses are evaluated and recorded: a bound outside its hypotheses is
     None in the report, whose `checks` then compare every applicable bound
-    with the measurement, and a failed check is data, not an exception.  An
-    `angle_tol` that is not a finite real number raises DomainError.
+    with the measurement, and a failed check is data, not an exception.
     """
-    angle_tol = _real(angle_tol, "angle_tol")
-    if not math.isfinite(angle_tol):
-        raise DomainError(f"angle_tol must be finite, got {angle_tol!r}")
     a, decomp_a, split, partition = _setup(inst)
     geometry = geometry_kind(partition)
     decomp_av = decompose(a + split.v)
@@ -432,14 +433,13 @@ def analyze_instance(inst: Instance, angle_tol: float = 1e-9) -> Analysis:
             gap_lower_bound=perturbed.gap_lower_bound,
             enclosure_ok=perturbed.enclosure_ok,
             enclosure_excess=perturbed.enclosure_excess,
-            angle_tol=angle_tol,
         ),
     )
 
 
-def verify_instance(inst: Instance, angle_tol: float = 1e-9) -> BoundReport:
+def verify_instance(inst: Instance) -> BoundReport:
     """Measure one instance and compare it against every applicable bound."""
-    return analyze_instance(inst, angle_tol=angle_tol).report
+    return analyze_instance(inst).report
 
 
 @dataclass(frozen=True)
@@ -465,12 +465,12 @@ class PathPoint:
 def path_scan(inst: Instance, steps: int) -> list[PathPoint]:
     """Track the perturbed component's subspace along t -> A + tV.
 
-    Uses a uniform grid with `steps` sub-intervals (so steps + 1 points);
-    `steps` must be an integer in [2, sys.maxsize // 16 - 1], memory permitting,
-    else InvalidSpec.
+    Uses a uniform grid with `steps` sub-intervals, so steps + 1 points; the
+    one at t = 0 reuses A's decomposition.  `steps` must be an integer in
+    [2, sys.maxsize // 16 - 1], memory permitting, else InvalidSpec.
     """
     steps = _integer(steps, "steps", 2, InvalidSpec, most=_MAX_POINTS - 1)
-    a, _, split, partition = _setup(inst)
+    a, decomp_a, split, partition = _setup(inst)
     if not split.norm_sum < partition.gap:
         raise GapConditionViolated(
             f"||V+|| + ||V-|| = {split.norm_sum!r} must stay below gap {partition.gap!r}"
@@ -479,7 +479,7 @@ def path_scan(inst: Instance, steps: int) -> list[PathPoint]:
     prev_rest: Optional[np.ndarray] = None
     for t in np.linspace(0.0, 1.0, steps + 1):
         t = float(t)
-        dec_t = decompose(a + t * split.v)
+        dec_t = decompose(a + t * split.v) if t else decomp_a
         sep = perturbed_component_at_t(dec_t, partition, split, t)
         if not sep.enclosure_ok:
             raise EnclosureViolation(

@@ -11,6 +11,7 @@ import time
 import numpy as np
 import pytest
 
+import specsub.harness
 from specsub import (
     analyze_instance,
     critical_strength,
@@ -38,7 +39,7 @@ from specsub.errors import (
     GapConditionViolated,
     NonHermitianInput,
 )
-from specsub.harness import GAP_SLACK, SIN_CHAIN_SLACK
+from specsub.harness import ANGLE_SLACK, BOUND_CHECKS, GAP_SLACK, SIN_CHAIN_SLACK
 from specsub.linalg import decompose, require_hermitian
 from specsub.spectral import _class_gap
 
@@ -291,14 +292,14 @@ def test_criterion_9_enclosure_suite(capsys, favourable_suite, generic_suite):
 
 def test_criterion_10_path_suite(capsys, path_suite):
     with criterion(
-        capsys, 10, "100-step path scans obey the step bound at constant rank"
+        capsys, 10, "100-step path scans obey the step bound and the gap lower bound"
     ):
         scans, elapsed = path_suite
         start = time.perf_counter()
-        for split, points in scans:
-            ranks = {p.basis.shape[1] for p in points}
-            assert ranks == {split}, f"rank changed along the path: {ranks}"
-            for p in points[1:]:
+        for _, points in scans:
+            for p in points:
+                sep = p.separation  # the path form of the gap_lower_bound row
+                assert sep.measured_gap >= sep.gap_lower_bound - GAP_SLACK, f"t = {p.t}"
                 assert p.step_delta <= p.step_bound + 1e-9
         total = elapsed + time.perf_counter() - start
         assert total < 120.0, f"took {total:.1f} s"
@@ -359,7 +360,7 @@ def test_geometry_index_rule_matches_value_scans_with_ties():
     assert kinds == {"favourable", "generic"}
 
 
-def _reference_checks(analysis, angle_tol):
+def _reference_checks(analysis, angle_slack):
     """(name, measured, bound, violated) per applicable check, hypotheses read off the problem.
 
     The favourable bound needs the gap condition and favourable geometry, the
@@ -373,11 +374,11 @@ def _reference_checks(analysis, angle_tol):
     angle = rep.measured_angle
     favourable = rep.geometry == "favourable"
     rows = (
-        ("favourable_bound", gap_ok and favourable, angle, rep.favourable_bound, angle_tol),
-        ("generic_bound", s < 2 * critical_strength() * gap, angle, rep.generic_bound, angle_tol),
-        ("half_arcsin_bound", s <= 2.0 * gap / math.pi, angle, rep.half_arcsin_bound, angle_tol),
-        ("sin2theta_bound", gap_ok, rep.sin2theta_measured, rep.sin2theta_bound, angle_tol),
-        ("integral_bound", gap_ok, angle, rep.integral_bound, angle_tol),
+        ("favourable_bound", gap_ok and favourable, angle, rep.favourable_bound, angle_slack),
+        ("generic_bound", s < 2 * critical_strength() * gap, angle, rep.generic_bound, angle_slack),
+        ("half_arcsin_bound", s <= 2.0 * gap / math.pi, angle, rep.half_arcsin_bound, angle_slack),
+        ("sin2theta_bound", gap_ok, rep.sin2theta_measured, rep.sin2theta_bound, angle_slack),
+        ("integral_bound", gap_ok, angle, rep.integral_bound, angle_slack),
         ("gap_lower_bound", gap_ok, rep.gap_lower_bound, rep.measured_gap, GAP_SLACK),
         ("sin2theta_chain", gap_ok, math.sin(2.0 * angle) if gap_ok else None,
          rep.sin2theta_measured, SIN_CHAIN_SLACK),
@@ -408,15 +409,23 @@ def _beyond_gap_stream(count):
         )
 
 
-@pytest.mark.parametrize("angle_tol", [1e-9, -1e-3, -10.0])
-def test_checks_apply_exactly_under_their_hypotheses(favourable_suite, generic_suite, angle_tol):
+@pytest.mark.parametrize("angle_slack", [1e-9, -1e-3, -10.0])
+def test_checks_apply_exactly_under_their_hypotheses(
+    monkeypatch, favourable_suite, generic_suite, angle_slack
+):
+    # the angle rows' slack set in the table, which a report reads for its checks
+    assert ANGLE_SLACK == 1e-9
+    monkeypatch.setattr(specsub.harness, "BOUND_CHECKS", tuple(
+        check._replace(slack=angle_slack) if check.slack == ANGLE_SLACK else check
+        for check in BOUND_CHECKS
+    ))
     instances = [a.instance for suite in (favourable_suite, generic_suite) for a in suite[0]]
     instances += list(_beyond_gap_stream(200))
     outside = 0
     for inst in instances:
-        analysis = analyze_instance(inst, angle_tol=angle_tol)
+        analysis = analyze_instance(inst)
         rep = analysis.report
-        reference = _reference_checks(analysis, angle_tol)
+        reference = _reference_checks(analysis, angle_slack)
         assert rep.checks == reference
         assert rep.violations == tuple((n, m - b) for n, m, b, failed in reference if failed)
         gap_ok = analysis.split.norm_sum < rep.gap

@@ -16,7 +16,6 @@ from specsub import (
     InfeasibleConstraint,
     InvalidInterval,
     InvalidSpec,
-    analyze_instance,
     critical_strength,
     favourable_angle_bound,
     first_branch_point,
@@ -369,11 +368,6 @@ def _beyond_the_float_range(huge):
             "resolvent_interval",
             lambda: resolvent_interval(huge, 10 * huge, sign_split(np.diag([0.1, -0.1]))),
             InvalidInterval,
-        ),
-        (
-            "angle_tol",
-            lambda: analyze_instance(sharp_example_2x2(0.3, 0.2)[0], angle_tol=huge),
-            DomainError,
         ),
         ("scale", lambda: random_instance(4, 1.0, 2, scale=huge, seed=0), InvalidSpec),
         ("d_target", lambda: random_instance(4, huge, 2, scale=0.5, seed=0), InvalidSpec),

@@ -1,3 +1,4 @@
+import collections
 import concurrent.futures
 import gc
 import json
@@ -26,7 +27,7 @@ from specsub.fileio import (
     report_payload,
 )
 from specsub.errors import ConvergenceFailure, ParseError
-from specsub.harness import BOUND_CHECKS, Instance
+from specsub.harness import ANGLE_SLACK, BOUND_CHECKS, Instance
 from specsub.linalg import SpectralDecomposition
 
 
@@ -46,6 +47,14 @@ def write_problem(tmp_path, inst, name="problem.json"):
 def sharp_problem(tmp_path, v_plus=0.3, v_minus=0.2):
     inst, _ = sharp_example_2x2(v_plus, v_minus)
     return write_problem(tmp_path, inst)
+
+
+def set_angle_slack(monkeypatch, slack):
+    """Give the angle rows of the check table `slack`; a report reads the table for its checks."""
+    monkeypatch.setattr(specsub.harness, "BOUND_CHECKS", tuple(
+        check._replace(slack=slack) if check.slack == ANGLE_SLACK else check
+        for check in BOUND_CHECKS
+    ))
 
 
 class TestAnalyze:
@@ -94,29 +103,30 @@ class TestAnalyze:
         assert doc["singular_values"] is None
         assert rep["enclosure_ok"] is True
 
-    def test_negative_tolerance_forces_violations(self, tmp_path, capsys):
+    def test_negative_tolerance_forces_violations(self, monkeypatch, tmp_path, capsys):
         path = sharp_problem(tmp_path)
-        code = main(["analyze", path, "--tol", "-1"])
+        set_angle_slack(monkeypatch, -1.0)
+        code = main(["analyze", path])
         out = capsys.readouterr().out
         assert code == 2
         assert parse_report(out)["report"]["violations"]
 
-    def test_violations_follow_the_check_table(self, tmp_path, capsys):
+    def test_violations_follow_the_check_table(self, monkeypatch, tmp_path, capsys):
         path = sharp_problem(tmp_path)
-        assert main(["analyze", path, "--tol", "-1"]) == 2
+        set_angle_slack(monkeypatch, -1.0)
+        assert main(["analyze", path]) == 2
         names = [v["name"] for v in parse_report(capsys.readouterr().out)["report"]["violations"]]
         table = [check.name for check in BOUND_CHECKS]
         assert len(names) >= 2
         assert set(names) <= set(table)
         assert names == sorted(names, key=table.index)
 
-    @pytest.mark.parametrize("tol", ["nan", "inf", "-inf"])
-    def test_non_finite_tolerance_is_input_error(self, tmp_path, capsys, tol):
-        path = sharp_problem(tmp_path)
-        assert main(["analyze", path, f"--tol={tol}"]) == 1
+    def test_tolerance_is_a_usage_error(self, tmp_path, capsys):
+        # every check's slack is fixed in the check table; none is set per call
+        assert main(["analyze", sharp_problem(tmp_path), "--tol", "1"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "tol must be finite" in captured.err
+        assert captured.err == "usage error: unrecognized arguments: --tol 1\n"
 
     def test_missing_file_is_input_error(self, capsys):
         code = main(["analyze", "/no/such/file.json"])
@@ -576,6 +586,29 @@ class TestFuzzCommand:
         assert main(["fuzz", "--n", "4", "--count", "3", "--scale", "0.5", "--seed", "1"]) == 0
         summary = json.loads(capsys.readouterr().out)
         assert list(summary["per_bound"]) == [check.name for check in BOUND_CHECKS]
+
+    def test_checks_are_evaluated_once_per_instance(self, monkeypatch, tmp_path, capsys):
+        # the tally and the report document share one evaluation of the table
+        calls = collections.Counter()
+
+        def counted(name, side, read):
+            def reader(report):
+                calls[name, side] += 1
+                return read(report)
+            return reader
+
+        monkeypatch.setattr(specsub.harness, "BOUND_CHECKS", tuple(
+            check._replace(
+                measured=counted(check.name, "measured", check.measured),
+                bound=counted(check.name, "bound", check.bound),
+            )
+            for check in BOUND_CHECKS
+        ))
+        assert main(fuzz_args(1, tmp_path)) == 0
+        capsys.readouterr()
+        assert calls == {
+            (check.name, side): 1 for check in BOUND_CHECKS for side in ("measured", "bound")
+        }
 
     def test_out_directory_reports(self, tmp_path, capsys):
         out_dir = tmp_path / "reports"

@@ -1,11 +1,15 @@
-"""The demo scripts and README's quickstart run to completion against the package under src/."""
+"""The demo scripts and README's quickstart run to completion against the package under src/,
+and README's command-line synopsis names the parser's subcommands and options."""
 
+import argparse
 import os
 import re
 import subprocess
 import sys
 
 import pytest
+
+from specsub.cli import _build_parser
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DEMOS = sorted(
@@ -40,3 +44,27 @@ def test_demo_runs(name):
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def readme_synopsis():
+    """{subcommand: its --options} from the synopsis under README's "Command line"."""
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as f:
+        (block,) = re.findall(r"^## Command line\n\n```text\n(.*?)^```", f.read(), re.M | re.S)
+    lines = [line.split(maxsplit=2) for line in block.splitlines()]
+    assert {program for program, _, _ in lines} == {"specsub"}
+    return {command: set(re.findall(r"--[\w-]+", rest)) for _, command, rest in lines}
+
+
+def test_readme_synopsis_matches_the_parser():
+    (subparsers,) = [
+        action for action in _build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    options = {
+        command: {
+            option for action in parser._actions for option in action.option_strings
+            if option.startswith("--") and option != "--help"
+        }
+        for command, parser in subparsers.choices.items()
+    }
+    assert readme_synopsis() == options

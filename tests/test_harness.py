@@ -31,7 +31,7 @@ from specsub import (
     verify_instance,
 )
 from specsub.fileio import REPORT_FORMAT_VERSION, report_payload
-from specsub.harness import BOUND_CHECKS, Instance
+from specsub.harness import ANGLE_SLACK, BOUND_CHECKS, Instance
 from specsub.linalg import SpectralDecomposition
 
 
@@ -412,7 +412,7 @@ class TestVerifyInstance:
         inst = random_instance(n=6, d_target=1.0, component_split=2, scale=1.5, seed=4)
         assert tuple(c.name for c in verify_instance(inst).checks) == ("enclosure",)
 
-    def test_checks_follow_the_report_fields(self):
+    def test_checks_follow_the_report_fields(self, monkeypatch):
         # a report carries no stored verdict that could disagree with its numbers
         rep = verify_instance(sharp_example_2x2(0.3, 0.2)[0])
         assert rep.violations == ()
@@ -423,8 +423,14 @@ class TestVerifyInstance:
         assert failed[0] == ("favourable_bound", moved.measured_angle, rep.favourable_bound, True)
         assert moved.violations == tuple((c.name, c.measured - c.bound) for c in failed)
         assert moved.violations[0][1] == pytest.approx(1e-6, rel=1e-6)
-        angle_rows = [check.name for check in BOUND_CHECKS if check.slack is None]
-        loose = dataclasses.replace(rep, angle_tol=-1.0)
+        # the table alone sets each slack, read when a report's checks are first made
+        angle_rows = [check.name for check in BOUND_CHECKS if check.slack == ANGLE_SLACK]
+        monkeypatch.setattr(specsub.harness, "BOUND_CHECKS", tuple(
+            check._replace(slack=-1.0) if check.slack == ANGLE_SLACK else check
+            for check in BOUND_CHECKS
+        ))
+        assert rep.violations == ()
+        loose = dataclasses.replace(rep)
         assert [name for name, _ in loose.violations] == angle_rows
 
     @pytest.mark.parametrize("ok, excess, expected", [
@@ -457,7 +463,8 @@ class TestVerifyInstance:
     def test_path_scan_raises_on_an_enclosure_failure(self, monkeypatch):
         shift_perturbed_spectrum(monkeypatch, 0.4)
         inst, _ = sharp_example_2x2(0.3, 0.2)
-        with pytest.raises(EnclosureViolation, match=r"exceeded by 4\.000e-01 at t = 0\.0"):
+        # t = 0 reuses A's own decomposition, so the fault shows from the next point
+        with pytest.raises(EnclosureViolation, match=r"exceeded by 3\.656e-01 at t = 0\.25"):
             path_scan(inst, steps=4)
 
     def test_sum_of_near_hermitian_inputs_is_accepted(self):
@@ -503,22 +510,6 @@ class TestVerifyInstance:
         )
         assert verify_instance(inst).violations == ()
         assert len(path_scan(inst, steps=2)) == 3
-
-    @pytest.mark.parametrize(
-        "tol",
-        [math.nan, math.inf, -math.inf, "1e-9", b"1e-9", Decimal("1e-9"), 1e-9j],
-        ids=["nan", "inf", "-inf", "str", "bytes", "Decimal", "complex"],
-    )
-    def test_non_finite_angle_tolerance_rejected(self, tol):
-        inst, _ = sharp_example_2x2(0.3, 0.2)
-        with pytest.raises(DomainError):
-            analyze_instance(inst, angle_tol=tol)
-
-    def test_negative_angle_tolerance_stays_legal(self):
-        inst, _ = sharp_example_2x2(0.3, 0.2)
-        names = {name for name, _ in analyze_instance(inst, angle_tol=-1.0).report.violations}
-        assert {"favourable_bound", "generic_bound", "half_arcsin_bound",
-                "sin2theta_bound", "integral_bound"} <= names
 
     def test_random_instances_have_no_violations(self):
         rng = np.random.default_rng(43)
@@ -659,7 +650,7 @@ class TestLayerCounts:
         self._count_validations(monkeypatch, counts)
         self._count(monkeypatch, counts, np.linalg, "eigh")
         path_scan(inst, steps=steps)
-        assert counts == {"require_hermitian": 2, "eigh": steps + 2}
+        assert counts == {"require_hermitian": 2, "eigh": steps + 1}
 
     @pytest.mark.parametrize("scale", [0.9, 1.5])
     def test_one_call_per_perturbed_spectrum(self, monkeypatch, scale):
