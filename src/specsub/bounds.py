@@ -204,8 +204,8 @@ def _require_norms(norm_plus: float, norm_minus: float, gap: float) -> tuple[flo
 def favourable_angle_bound(norm_plus: float, norm_minus: float, gap: float) -> float:
     """Sharp bound (1/2) arcsin((||V+|| + ||V-||)/gap), below pi/4.
 
-    Valid when one spectral component's convex hull misses the other component
-    and the sum of the part norms stays below the gap.
+    Hypothesis: ||V+|| + ||V-|| < gap, else GapConditionViolated, and one
+    component's convex hull missing the other, which no argument carries.
     """
     s, gap = _require_norms(norm_plus, norm_minus, gap)
     if s >= gap:
@@ -216,13 +216,13 @@ def favourable_angle_bound(norm_plus: float, norm_minus: float, gap: float) -> f
 def generic_angle_bound(norm_plus: float, norm_minus: float, gap: float) -> float:
     """Piecewise bound at (||V+|| + ||V-||)/(2 gap), below pi/2.
 
-    Requires ||V+|| + ||V-|| < 2 * critical_strength() * gap; no geometry
-    assumption beyond the separation itself.
+    Hypothesis: ||V+|| + ||V-|| < 2 * critical_strength() * gap, else
+    GapConditionViolated; no geometry assumption beyond the separation itself.
     """
     s, gap = _require_norms(norm_plus, norm_minus, gap)
     cap = 2.0 * critical_strength() * gap
     if s >= cap:
-        raise DomainError(f"||V+|| + ||V-|| = {s!r} must stay below {cap!r}")
+        raise GapConditionViolated(f"||V+|| + ||V-|| = {s!r} must stay below {cap!r}")
     # the division may round a hair past the endpoint; the precondition was
     # already checked on the un-divided sum
     return piecewise_angle_bound(min(s / (2.0 * gap), critical_strength()))
@@ -231,12 +231,12 @@ def generic_angle_bound(norm_plus: float, norm_minus: float, gap: float) -> floa
 def half_arcsin_angle_bound(norm_plus: float, norm_minus: float, gap: float) -> float:
     """Bound (1/2) arcsin((pi/2)(||V+|| + ||V-||)/gap), at most pi/4.
 
-    Valid for ||V+|| + ||V-|| <= 2 gap / pi; coincides with the piecewise
-    bound's first branch.
+    Hypothesis: ||V+|| + ||V-|| <= 2 gap / pi, else GapConditionViolated;
+    coincides with the piecewise bound's first branch.
     """
     s, gap = _require_norms(norm_plus, norm_minus, gap)
     if s > 2.0 * gap / math.pi:
-        raise DomainError(f"||V+|| + ||V-|| = {s!r} exceeds 2*gap/pi = {2.0 * gap / math.pi!r}")
+        raise GapConditionViolated(f"||V+|| + ||V-|| = {s!r} exceeds 2*gap/pi")
     return 0.5 * math.asin(_clip1(0.5 * math.pi * s / gap))
 
 
@@ -256,9 +256,9 @@ def path_step_bound(
     norm_minus: float,
     gap: float,
 ) -> float:
-    """Norm bound on the projector change between path parameters s <= t.
+    """Bound (pi/2) |t - s| ||V|| / (gap - t(||V+|| + ||V-||)) on the projector change from s to t.
 
-    Evaluates (pi/2) |t - s| ||V|| / (gap - t(||V+|| + ||V-||)).
+    Hypothesis: t(||V+|| + ||V-||) < gap, else GapConditionViolated.
     """
     s, t, norm_v = _real(s, "s"), _real(t, "t"), _real(norm_v, "norm_v")
     if not 0.0 <= s <= t <= 1.0:
@@ -268,14 +268,15 @@ def path_step_bound(
     total, gap = _require_norms(norm_plus, norm_minus, gap)
     denom = gap - t * total
     if denom <= 0.0:
-        raise DomainError(f"gap - t(||V+|| + ||V-||) = {denom!r} must be positive")
+        raise GapConditionViolated(f"gap - t(||V+|| + ||V-||) = {denom!r} must be positive")
     return 0.5 * math.pi * (t - s) * norm_v / denom
 
 
 def integral_angle_bound(norm_plus: float, norm_minus: float, gap: float) -> float:
     """Logarithmic bound (pi/4) log(gap / (gap - ||V+|| - ||V-||)).
 
-    Strictly below pi/2 while (||V+|| + ||V-||)/gap <= integral_threshold().
+    Hypothesis: ||V+|| + ||V-|| < gap, else GapConditionViolated; strictly
+    below pi/2 while (||V+|| + ||V-||)/gap <= integral_threshold().
     """
     s, gap = _require_norms(norm_plus, norm_minus, gap)
     if s >= gap:

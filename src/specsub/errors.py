@@ -33,12 +33,12 @@ class InvalidInterval(SpecsubError):
     """An interval is empty, reversed, or meets the spectrum where it must not."""
 
 
-class GapConditionViolated(SpecsubError):
-    """||V+|| + ||V-|| is not below the spectral gap."""
-
-
 class DomainError(SpecsubError):
     """Argument outside the domain of a bound function."""
+
+
+class GapConditionViolated(DomainError):
+    """||V+|| + ||V-|| lies outside the hypothesis of a bound or of a path scan."""
 
 
 class BracketFailure(SpecsubError):

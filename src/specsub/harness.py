@@ -377,37 +377,36 @@ def _setup(
     return a, decomp_a, split, partition_spectrum(decomp_a, inst.component_intervals)
 
 
+def _applied(bound: Callable[..., float], plus: float, minus: float, gap: float) -> Optional[float]:
+    """bound(plus, minus, gap), or None where ||V+|| + ||V-|| is outside its hypothesis."""
+    try:
+        return bound(plus, minus, gap)
+    except GapConditionViolated:
+        return None
+
+
 def analyze_instance(inst: Instance) -> Analysis:
     """Run the full measurement pipeline on one instance.
 
-    Hypotheses are evaluated and recorded: a bound outside its hypotheses is
-    None in the report, whose `checks` then compare every applicable bound
-    with the measurement, and a failed check is data, not an exception.
+    Each bound decides its hypothesis, and is None in the report outside it;
+    only favourable geometry, which no bound takes, is decided here.  A
+    failed check in the report's `checks` is data, not an exception.
     """
     a, decomp_a, split, partition = _setup(inst)
     geometry = geometry_kind(partition)
     decomp_av = decompose(a + split.v)
     perturbed = perturbed_component_at_t(decomp_av, partition, split, 1.0)
 
-    gap = partition.gap
-    plus, minus, s = split.norm_plus, split.norm_minus, split.norm_sum
+    gap, plus, minus = partition.gap, split.norm_plus, split.norm_minus
     favourable = geometry is GeometryKind.FAVOURABLE
 
-    # a bound outside its hypotheses stays None, and so does every measurement
-    # that needs the gap condition
-    angles = integral = fav_bound = gen_bound = half_bound = None
+    angles = None
     if perturbed.measured_gap is not None:  # the gap condition
         angles = measure_angles(
             decomp_a.eigenvectors[:, partition.rest_indices],
             decomp_av.eigenvectors[:, partition.component_indices],
         )
-        integral = bounds.integral_angle_bound(plus, minus, gap)
-        if favourable:
-            fav_bound = bounds.favourable_angle_bound(plus, minus, gap)
-    if s < 2.0 * bounds.critical_strength() * gap:
-        gen_bound = bounds.generic_angle_bound(plus, minus, gap)
-    if s <= 2.0 * gap / math.pi:
-        half_bound = bounds.half_arcsin_angle_bound(plus, minus, gap)
+    fav_bound = _applied(bounds.favourable_angle_bound, plus, minus, gap) if favourable else None
 
     return Analysis(
         instance=inst,
@@ -419,11 +418,11 @@ def analyze_instance(inst: Instance) -> Analysis:
         report=BoundReport(
             measured_angle=angles.max_angle if angles is not None else None,
             favourable_bound=fav_bound,
-            generic_bound=gen_bound,
-            half_arcsin_bound=half_bound,
+            generic_bound=_applied(bounds.generic_angle_bound, plus, minus, gap),
+            half_arcsin_bound=_applied(bounds.half_arcsin_angle_bound, plus, minus, gap),
             sin2theta_measured=angles.sin2theta_norm if angles is not None else None,
             sin2theta_bound=bounds.sin2theta_bound(plus, minus, gap, favourable),
-            integral_bound=integral,
+            integral_bound=_applied(bounds.integral_angle_bound, plus, minus, gap),
             gap=gap,
             norm_plus=plus,
             norm_minus=minus,

@@ -164,7 +164,7 @@ class TestGenericBound:
         assert math.pi / 2.0 - 1e-9 < value < math.pi / 2.0
 
     def test_rejected_at_validity_edge(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(GapConditionViolated):
             generic_angle_bound(2.0 * critical_strength(), 0.0, 1.0)
 
     def test_first_branch_matches_half_arcsin_bound(self):
@@ -186,12 +186,13 @@ class TestHalfArcsinBound:
         assert half_arcsin_angle_bound(0.0, 0.0, 3.0) == 0.0
 
     def test_hypothesis_is_the_analysis_rule(self):
-        # the analysis applies the bound when s <= 2 gap / pi, and the bound
-        # now accepts exactly that: one float past it is outside the domain
+        # the bound is the only statement of its hypothesis s <= 2 gap / pi,
+        # and an analysis records it exactly where the bound accepts s: one
+        # float past the threshold is outside the hypothesis
         s = math.nextafter(2.0 / math.pi, 1.0)
-        with pytest.raises(DomainError):
+        with pytest.raises(GapConditionViolated):
             half_arcsin_angle_bound(s, 0.0, 1.0)
-        with pytest.raises(DomainError):
+        with pytest.raises(GapConditionViolated):
             half_arcsin_angle_bound(2.0 / math.pi * (1.0 + 5e-13), 0.0, 1.0)
         assert half_arcsin_angle_bound(2.0 / math.pi, 0.0, 1.0) == math.pi / 4.0
 
@@ -210,7 +211,7 @@ class TestHalfArcsinBound:
         )
 
     def test_rejected_beyond_threshold(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(GapConditionViolated):
             half_arcsin_angle_bound(0.7, 0.0, 1.0)
 
     def test_never_exceeds_quarter_pi(self):
@@ -250,8 +251,44 @@ class TestPathStepBound:
     def test_domain_errors(self):
         with pytest.raises(DomainError):
             path_step_bound(0.6, 0.4, 1.0, 0.1, 0.1, 1.0)
-        with pytest.raises(DomainError):
+        with pytest.raises(GapConditionViolated):
             path_step_bound(0.0, 1.0, 1.0, 0.6, 0.5, 1.0)
+
+
+def test_gap_condition_is_a_domain_error():
+    assert issubclass(GapConditionViolated, DomainError)
+
+
+# each bound of (norm_plus, norm_minus, gap) with the largest sum its hypothesis
+# admits at gap 1, and the smallest it does not
+_HYPOTHESIS_EDGES = [
+    (favourable_angle_bound, math.nextafter(1.0, 0.0), 1.0),
+    (integral_angle_bound, math.nextafter(1.0, 0.0), 1.0),
+    (
+        generic_angle_bound,
+        math.nextafter(2.0 * critical_strength(), 0.0),
+        2.0 * critical_strength(),
+    ),
+    (half_arcsin_angle_bound, 2.0 / math.pi, math.nextafter(2.0 / math.pi, 1.0)),
+    (
+        lambda plus, minus, gap: path_step_bound(0.0, 1.0, 1.0, plus, minus, gap),
+        math.nextafter(1.0, 0.0),
+        1.0,
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "fn, inside, outside",
+    _HYPOTHESIS_EDGES,
+    ids=["favourable", "integral", "generic", "half_arcsin", "path_step"],
+)
+def test_gap_condition_violated_exactly_outside_the_hypothesis(fn, inside, outside):
+    assert math.isfinite(fn(inside, 0.0, 1.0))
+    assert math.isfinite(fn(0.5 * inside, 0.5 * inside, 1.0))
+    for plus in (outside, 0.5 * outside, 0.0):
+        with pytest.raises(GapConditionViolated):
+            fn(plus, outside - plus, 1.0)
 
 
 # each bound with valid arguments; every numeric argument position in turn
@@ -279,8 +316,10 @@ def test_non_finite_arguments_rejected(fn, args, position, bad):
     fn(*args)
     bad_args = list(args)
     bad_args[position] = bad
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError) as caught:
         fn(*bad_args)
+    # a malformed argument is not a sum outside the bound's hypothesis
+    assert not isinstance(caught.value, GapConditionViolated)
 
 
 @pytest.mark.parametrize(
@@ -299,10 +338,10 @@ def test_only_real_numbers_accepted(fn, args, position):
         changed[position] = value
         return changed
 
-    with pytest.raises(DomainError, match="real numbers"):
-        fn(*with_value(Decimal(repr(args[position]))))
-    with pytest.raises(DomainError, match="real numbers"):
-        fn(*with_value(complex(args[position])))
+    for value in (Decimal(repr(args[position])), complex(args[position])):
+        with pytest.raises(DomainError, match="real numbers") as caught:
+            fn(*with_value(value))
+        assert not isinstance(caught.value, GapConditionViolated)
     expected = fn(*args)
     assert fn(*with_value(Fraction(args[position]))) == expected
     assert fn(*with_value(np.float64(args[position]))) == expected

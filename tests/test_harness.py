@@ -9,6 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import specsub.bounds
 import specsub.harness
 import specsub.linalg
 from specsub import (
@@ -20,8 +21,11 @@ from specsub import (
     InvalidSpec,
     NonHermitianInput,
     analyze_instance,
+    critical_strength,
     eigh,
+    generic_angle_bound,
     geometry_kind,
+    half_arcsin_angle_bound,
     measure_angles,
     partition_spectrum,
     path_scan,
@@ -556,6 +560,97 @@ class TestVerifyInstance:
             rep = verify_instance(inst)
             assert math.sin(2.0 * rep.measured_angle) <= rep.sin2theta_measured + 1e-10
             assert rep.sin2theta_measured <= rep.sin2theta_bound + 1e-9
+
+
+class TestBoundsDecideTheirHypotheses:
+    """An analysis records a bound exactly where the bound function accepts the sum."""
+
+    @staticmethod
+    def _narrowed(real):
+        def bound(plus, minus, gap):
+            if plus + minus >= 0.5 * gap:
+                raise GapConditionViolated("narrowed to ||V+|| + ||V-|| < gap / 2")
+            return real(plus, minus, gap)
+
+        return bound
+
+    def test_analysis_follows_a_narrowed_bound(self, monkeypatch):
+        # no rule of the analysis restates a hypothesis: narrow a bound, and
+        # the report follows it, on both sides of the narrowed edge
+        real = {
+            "generic_bound": specsub.bounds.generic_angle_bound,
+            "half_arcsin_bound": specsub.bounds.half_arcsin_angle_bound,
+        }
+        monkeypatch.setattr(
+            specsub.bounds, "generic_angle_bound", self._narrowed(real["generic_bound"])
+        )
+        monkeypatch.setattr(
+            specsub.bounds, "half_arcsin_angle_bound", self._narrowed(real["half_arcsin_bound"])
+        )
+        for scale, inside in ((0.3, True), (0.7, False)):
+            inst = random_instance(n=6, d_target=1.0, component_split=2, scale=scale, seed=5)
+            rep = verify_instance(inst)
+            assert (rep.norm_plus + rep.norm_minus < 0.5 * rep.gap) is inside
+            names = [c.name for c in rep.checks]
+            for field, bound in real.items():
+                expected = bound(rep.norm_plus, rep.norm_minus, rep.gap) if inside else None
+                assert getattr(rep, field) == expected
+                assert (field in names) is inside
+
+    @pytest.mark.parametrize(
+        "s, half_arcsin, generic",
+        [
+            (2.0 / math.pi, True, True),
+            (math.nextafter(2.0 / math.pi, 1.0), False, True),
+            (math.nextafter(2.0 * critical_strength(), 0.0), False, True),
+            (2.0 * critical_strength(), False, False),
+        ],
+    )
+    def test_rows_present_exactly_where_the_bounds_accept(self, s, half_arcsin, generic):
+        # gap 1 and ||V+|| = s, ||V-|| = 0 read exactly from the diagonal pair
+        inst = Instance(
+            a=np.diag([0.0, 1.0]), v=np.diag([s, 0.0]),
+            component_intervals=((-0.25, 0.25),), seed=0, label="hypothesis-edge",
+        )
+        rep = verify_instance(inst)
+        assert (rep.gap, rep.norm_plus, rep.norm_minus) == (1.0, s, 0.0)
+        names = [c.name for c in rep.checks]
+        for field, bound, present in (
+            ("half_arcsin_bound", half_arcsin_angle_bound, half_arcsin),
+            ("generic_bound", generic_angle_bound, generic),
+        ):
+            if present:
+                assert getattr(rep, field) == bound(s, 0.0, 1.0)
+            else:
+                with pytest.raises(GapConditionViolated):
+                    bound(s, 0.0, 1.0)
+                assert getattr(rep, field) is None
+            assert (field in names) is present
+
+    def test_a_bad_argument_is_not_recorded_as_outside_a_hypothesis(self, monkeypatch):
+        # the gap from -1e308 to 1e308 overflows: no bound can be evaluated,
+        # and the analysis fails rather than report every bound as not applying
+        inst = Instance(
+            a=np.diag([-1e308, 1e308]), v=np.zeros((2, 2)),
+            component_intervals=((-1.5e308, -0.5e308),), seed=0, label="infinite-gap",
+        )
+        with pytest.raises(DomainError, match="gap must be finite and positive, got inf") as e:
+            analyze_instance(inst)
+        assert not isinstance(e.value, GapConditionViolated)
+
+        # the same holds for a rejection that only one conditional bound makes
+        def malformed(plus, minus, gap):
+            raise DomainError("malformed")
+
+        inst, _ = sharp_example_2x2(0.3, 0.2)  # favourable, and inside every hypothesis
+        for name in (
+            "favourable_angle_bound", "generic_angle_bound",
+            "half_arcsin_angle_bound", "integral_angle_bound",
+        ):
+            with monkeypatch.context() as patched:
+                patched.setattr(specsub.bounds, name, malformed)
+                with pytest.raises(DomainError, match="malformed"):
+                    analyze_instance(inst)
 
 
 class TestPathScan:
