@@ -5,6 +5,7 @@ import numpy as np
 from specsub import (
     analyze_instance,
     eigh,
+    gap_lower_bound,
     partition_spectrum,
     path_scan,
     random_instance,
@@ -27,6 +28,8 @@ split = sign_split(inst.v)
 print(f"\n||V+|| = {split.norm_plus:.6f}  ||V-|| = {split.norm_minus:.6f}  "
       f"||V|| = {split.norm_v:.6f}")
 print(f"gap condition ||V+|| + ||V-|| < d: {split.norm_sum:.6f} < {partition.gap:.6f}")
+# the one statement of the gap condition; outside it this raises GapConditionViolated
+guaranteed = gap_lower_bound(split.norm_plus, split.norm_minus, partition.gap)
 
 # Where the perturbed component is allowed to live: by Weyl, the eigenvalue
 # of A + V with the same index as a component eigenvalue lam lies in
@@ -40,7 +43,8 @@ report = analysis.report
 # paired by index, the perturbed component holds the partition's indices
 print(f"\nperturbed component indices: {analysis.partition.component_indices}")
 print(f"measured separation {report.measured_gap:.6f} "
-      f">= guaranteed {report.gap_lower_bound:.6f}")
+      f">= guaranteed {report.gap_lower_bound:.6f} "
+      f"(gap_lower_bound(||V+||, ||V-||, d) = {guaranteed:.6f})")
 
 print(f"\ngeometry: {report.geometry}")
 # one record per applicable check, in table order: the measured side must not

@@ -12,6 +12,7 @@ from .bounds import (
     critical_strength,
     favourable_angle_bound,
     first_branch_point,
+    gap_lower_bound,
     generic_angle_bound,
     half_arcsin_angle_bound,
     integral_angle_bound,

@@ -201,15 +201,38 @@ def _require_norms(norm_plus: float, norm_minus: float, gap: float) -> tuple[flo
     return norm_plus + norm_minus, gap
 
 
+def gap_lower_bound(norm_plus: float, norm_minus: float, gap: float, t: float = 1.0) -> float:
+    """Weyl's guaranteed separation gap - t(||V+|| + ||V-||) of the component of A + tV.
+
+    Hypothesis, the gap condition: t(||V+|| + ||V-||) < gap, else GapConditionViolated.
+    A t that is not a real number in [0, 1] raises DomainError.
+    """
+    t = _real(t, "t")
+    if not 0.0 <= t <= 1.0:
+        raise DomainError(f"t must be in [0, 1], got {t!r}")
+    s, gap = _require_norms(norm_plus, norm_minus, gap)
+    # a NaN product (t = 0 times an overflowed sum) fails the condition too
+    if not t * s < gap:
+        raise GapConditionViolated(f"t(||V+|| + ||V-||) = {t * s!r} must stay below gap {gap!r}")
+    return gap - t * s
+
+
+def _applied(bound, *args: float) -> float | None:
+    """bound(*args), or None where its arguments are outside the bound's hypothesis."""
+    try:
+        return bound(*args)
+    except GapConditionViolated:
+        return None
+
+
 def favourable_angle_bound(norm_plus: float, norm_minus: float, gap: float) -> float:
     """Sharp bound (1/2) arcsin((||V+|| + ||V-||)/gap), below pi/4.
 
-    Hypothesis: ||V+|| + ||V-|| < gap, else GapConditionViolated, and one
-    component's convex hull missing the other, which no argument carries.
+    Hypothesis: the gap condition of gap_lower_bound, ||V+|| + ||V-|| < gap, and
+    one component's convex hull missing the other, which no argument carries.
     """
+    gap_lower_bound(norm_plus, norm_minus, gap)
     s, gap = _require_norms(norm_plus, norm_minus, gap)
-    if s >= gap:
-        raise GapConditionViolated(f"||V+|| + ||V-|| = {s!r} must stay below gap {gap!r}")
     return 0.5 * math.asin(s / gap)
 
 
@@ -249,39 +272,29 @@ def sin2theta_bound(
 
 
 def path_step_bound(
-    s: float,
-    t: float,
-    norm_v: float,
-    norm_plus: float,
-    norm_minus: float,
-    gap: float,
+    s: float, t: float, norm_v: float, norm_plus: float, norm_minus: float, gap: float
 ) -> float:
     """Bound (pi/2) |t - s| ||V|| / (gap - t(||V+|| + ||V-||)) on the projector change from s to t.
 
-    Hypothesis: t(||V+|| + ||V-||) < gap, else GapConditionViolated.
+    The denominator is gap_lower_bound(norm_plus, norm_minus, gap, t), whose
+    hypothesis t(||V+|| + ||V-||) < gap this takes, else GapConditionViolated.
     """
     s, t, norm_v = _real(s, "s"), _real(t, "t"), _real(norm_v, "norm_v")
     if not 0.0 <= s <= t <= 1.0:
         raise DomainError(f"need 0 <= s <= t <= 1, got s={s!r}, t={t!r}")
     if not 0.0 <= norm_v < math.inf:
         raise DomainError(f"norm_v must be finite and nonnegative, got {norm_v!r}")
-    total, gap = _require_norms(norm_plus, norm_minus, gap)
-    denom = gap - t * total
-    if denom <= 0.0:
-        raise GapConditionViolated(f"gap - t(||V+|| + ||V-||) = {denom!r} must be positive")
-    return 0.5 * math.pi * (t - s) * norm_v / denom
+    return 0.5 * math.pi * (t - s) * norm_v / gap_lower_bound(norm_plus, norm_minus, gap, t)
 
 
 def integral_angle_bound(norm_plus: float, norm_minus: float, gap: float) -> float:
     """Logarithmic bound (pi/4) log(gap / (gap - ||V+|| - ||V-||)).
 
-    Hypothesis: ||V+|| + ||V-|| < gap, else GapConditionViolated; strictly
-    below pi/2 while (||V+|| + ||V-||)/gap <= integral_threshold().
+    Hypothesis: the gap condition of gap_lower_bound, ||V+|| + ||V-|| < gap;
+    strictly below pi/2 while (||V+|| + ||V-||)/gap <= integral_threshold().
     """
-    s, gap = _require_norms(norm_plus, norm_minus, gap)
-    if s >= gap:
-        raise GapConditionViolated(f"||V+|| + ||V-|| = {s!r} must stay below gap {gap!r}")
-    return 0.25 * math.pi * math.log(gap / (gap - s))
+    _, gap = _require_norms(norm_plus, norm_minus, gap)
+    return 0.25 * math.pi * math.log(gap / gap_lower_bound(norm_plus, norm_minus, gap))
 
 
 # The step cap in the log variable u = -log(1 - lam) of the partition search.

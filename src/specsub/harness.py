@@ -5,7 +5,8 @@ angles and records violations as data, among them an eigenvalue of A + V
 outside its Weyl interval (`enclosure`); it never raises on a violation.
 path_scan raises EnclosureViolation for one instead.  An eigensolver failure
 raises ConvergenceFailure, and one in any instance ends a fuzz campaign
-with exit 1.
+with exit 1.  Each bound alone decides its hypothesis, bounds.gap_lower_bound
+the gap condition, outside which path_scan raises GapConditionViolated.
 """
 
 from __future__ import annotations
@@ -21,12 +22,11 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from . import bounds
-from .bounds import _MAX_POINTS, _integer, _real
+from .bounds import _MAX_POINTS, _applied, _integer, _real
 from .errors import (
     DimensionMismatch,
     DomainError,
     EnclosureViolation,
-    GapConditionViolated,
     InvalidSpec,
     NonHermitianInput,
 )
@@ -377,14 +377,6 @@ def _setup(
     return a, decomp_a, split, partition_spectrum(decomp_a, inst.component_intervals)
 
 
-def _applied(bound: Callable[..., float], plus: float, minus: float, gap: float) -> Optional[float]:
-    """bound(plus, minus, gap), or None where ||V+|| + ||V-|| is outside its hypothesis."""
-    try:
-        return bound(plus, minus, gap)
-    except GapConditionViolated:
-        return None
-
-
 def analyze_instance(inst: Instance) -> Analysis:
     """Run the full measurement pipeline on one instance.
 
@@ -467,13 +459,11 @@ def path_scan(inst: Instance, steps: int) -> list[PathPoint]:
     Uses a uniform grid with `steps` sub-intervals, so steps + 1 points; the
     one at t = 0 reuses A's decomposition.  `steps` must be an integer in
     [2, sys.maxsize // 16 - 1], memory permitting, else InvalidSpec.
+    bounds.gap_lower_bound at t = 1 raises GapConditionViolated before any A + tV is decomposed.
     """
     steps = _integer(steps, "steps", 2, InvalidSpec, most=_MAX_POINTS - 1)
     a, decomp_a, split, partition = _setup(inst)
-    if not split.norm_sum < partition.gap:
-        raise GapConditionViolated(
-            f"||V+|| + ||V-|| = {split.norm_sum!r} must stay below gap {partition.gap!r}"
-        )
+    bounds.gap_lower_bound(split.norm_plus, split.norm_minus, partition.gap)
     points: list[PathPoint] = []
     prev_rest: Optional[np.ndarray] = None
     for t in np.linspace(0.0, 1.0, steps + 1):
@@ -494,8 +484,7 @@ def path_scan(inst: Instance, steps: int) -> list[PathPoint]:
             if split.norm_v != 0.0:
                 delta = float(measure_angles(prev_rest, basis).singular_values[0])
             ceiling = bounds.path_step_bound(
-                points[-1].t, t, split.norm_v, split.norm_plus, split.norm_minus,
-                partition.gap,
+                points[-1].t, t, split.norm_v, split.norm_plus, split.norm_minus, partition.gap
             )
         points.append(
             PathPoint(t=t, separation=sep, basis=basis, step_delta=delta, step_bound=ceiling)

@@ -8,11 +8,11 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .bounds import _real
+from . import bounds
+from .bounds import _applied, _real
 from .errors import (
     AmbiguousMembership,
     DimensionMismatch,
-    DomainError,
     EmptyComponent,
     InvalidInterval,
 )
@@ -120,7 +120,7 @@ def _class_gap(values: list[float], members: Sequence[int]) -> float:
 class PerturbedSpectrum(NamedTuple):
     """The spectrum of A + tV against the partition of A, field for field as reported.
 
-    The two gaps are None outside the gap condition t(||V+|| + ||V-||) < gap.
+    The two gaps are None outside the gap condition, where bounds.gap_lower_bound rejects t.
     """
 
     enclosure_ok: bool
@@ -141,26 +141,22 @@ def perturbed_component_at_t(
     eigenvalue mu_j of A + tV lies in [lam_j - t||V-||, lam_j + t||V+||].  The
     enclosure holds when every excess stays within 1e-9 * (1 + ||A|| + ||V||),
     and the largest excess is reported (0.0 when all lie inside); a failure
-    is data, not an error.  Under t(||V+|| + ||V-||) < gap these intervals keep
-    the component apart from the rest, so the perturbed component holds the
-    partition's own indices: its measured gap to the rest is reported next to
-    the guaranteed gap - t(||V+|| + ||V-||).  A t that is not a real number in
-    [0, 1] raises DomainError, and spectra of different lengths DimensionMismatch.
+    is data, not an error.  Where bounds.gap_lower_bound accepts t, these
+    intervals keep the component apart from the rest, so the perturbed
+    component holds the partition's own indices, and its measured gap to the
+    rest is reported next to the bound.  A t outside [0, 1], or an infinite
+    gap, raises DomainError, and spectra of different lengths DimensionMismatch.
     """
     t = _real(t, "t")
-    if not 0.0 <= t <= 1.0:
-        raise DomainError(f"t must be in [0, 1], got {t!r}")
+    lower = _applied(bounds.gap_lower_bound, split.norm_plus, split.norm_minus, partition.gap, t)
     w, mus = partition.eigenvalues, decomp_perturbed.eigenvalues
     if w.shape != mus.shape:
         raise DimensionMismatch(f"{mus.size} perturbed eigenvalues for {w.size} unperturbed")
     lo, hi = w - t * split.norm_minus, w + t * split.norm_plus
     excess = float(np.maximum(lo - mus, mus - hi).max())
     tol = ENCLOSURE_RTOL * (1.0 + float(np.abs(w).max()) + split.norm_v)
-    measured_gap = gap_lower_bound = None
-    if t * split.norm_sum < partition.gap:
-        measured_gap = _class_gap(mus.tolist(), partition.component_indices)
-        gap_lower_bound = partition.gap - t * split.norm_sum
-    return PerturbedSpectrum(excess <= tol, max(0.0, excess), measured_gap, gap_lower_bound)
+    measured_gap = None if lower is None else _class_gap(mus.tolist(), partition.component_indices)
+    return PerturbedSpectrum(excess <= tol, max(0.0, excess), measured_gap, lower)
 
 
 def resolvent_interval(
@@ -172,7 +168,8 @@ def resolvent_interval(
     """Interval guaranteed free of perturbed eigenvalues, or None.
 
     Given (a, b) free of unperturbed eigenvalues, returns
-    (a + ||V+||, b - ||V-||) when ||V+|| + ||V-|| < b - a.  When `spectrum`
+    (a + ||V+||, b - ||V-||) when ||V+|| + ||V-|| < b - a, a test of its own
+    (b - a may be infinite, a bound's gap may not).  When `spectrum`
     is supplied, the precondition (a, b) disjoint from it is verified.
     Non-real endpoints, or a spectrum numpy cannot read as real numbers, raise InvalidInterval.
     """

@@ -19,6 +19,7 @@ from specsub import (
     critical_strength,
     favourable_angle_bound,
     first_branch_point,
+    gap_lower_bound,
     generic_angle_bound,
     half_arcsin_angle_bound,
     integral_angle_bound,
@@ -255,6 +256,34 @@ class TestPathStepBound:
             path_step_bound(0.0, 1.0, 1.0, 0.6, 0.5, 1.0)
 
 
+class TestGapLowerBound:
+    def test_weyl_separation(self):
+        assert gap_lower_bound(0.2, 0.1, 1.0) == 1.0 - (0.2 + 0.1)
+        assert gap_lower_bound(0.2, 0.1, 1.0, 0.5) == 0.85
+        assert gap_lower_bound(0.6, 0.6, 1.0, 0.0) == 1.0
+
+    def test_each_bound_reads_it(self):
+        # the integral bound is (pi/4) log(gap / gap_lower_bound), and the path
+        # step bound's denominator is gap_lower_bound at the step's end
+        assert integral_angle_bound(0.2, 0.1, 1.0) == 0.25 * math.pi * math.log(
+            1.0 / gap_lower_bound(0.2, 0.1, 1.0)
+        )
+        assert path_step_bound(0.25, 0.5, 0.3, 0.2, 0.1, 1.0) == (
+            0.5 * math.pi * 0.25 * 0.3 / gap_lower_bound(0.2, 0.1, 1.0, 0.5)
+        )
+
+    @pytest.mark.parametrize(
+        "t, message",
+        [(t, rf"^t must be in \[0, 1\], got {t!r}$") for t in (1.5, -0.5, math.nextafter(1.0, 2.0))]
+        + [(math.nan, r"^t must be in \[0, 1\], got nan$"), (Decimal("0.5"), "real numbers")],
+    )
+    def test_malformed_t_is_not_outside_the_hypothesis(self, t, message):
+        # a t outside [0, 1] is a bad argument, even where t s < gap would hold
+        with pytest.raises(DomainError, match=message) as caught:
+            gap_lower_bound(0.1, 0.1, 1.0, t)
+        assert not isinstance(caught.value, GapConditionViolated)
+
+
 def test_gap_condition_is_a_domain_error():
     assert issubclass(GapConditionViolated, DomainError)
 
@@ -262,6 +291,12 @@ def test_gap_condition_is_a_domain_error():
 # each bound of (norm_plus, norm_minus, gap) with the largest sum its hypothesis
 # admits at gap 1, and the smallest it does not
 _HYPOTHESIS_EDGES = [
+    (gap_lower_bound, math.nextafter(1.0, 0.0), 1.0),
+    (
+        lambda plus, minus, gap: gap_lower_bound(plus, minus, gap, 0.5),
+        math.nextafter(2.0, 0.0),
+        2.0,
+    ),
     (favourable_angle_bound, math.nextafter(1.0, 0.0), 1.0),
     (integral_angle_bound, math.nextafter(1.0, 0.0), 1.0),
     (
@@ -281,7 +316,10 @@ _HYPOTHESIS_EDGES = [
 @pytest.mark.parametrize(
     "fn, inside, outside",
     _HYPOTHESIS_EDGES,
-    ids=["favourable", "integral", "generic", "half_arcsin", "path_step"],
+    ids=[
+        "gap_lower_bound", "gap_lower_bound-t0.5",
+        "favourable", "integral", "generic", "half_arcsin", "path_step",
+    ],
 )
 def test_gap_condition_violated_exactly_outside_the_hypothesis(fn, inside, outside):
     assert math.isfinite(fn(inside, 0.0, 1.0))
@@ -294,6 +332,7 @@ def test_gap_condition_violated_exactly_outside_the_hypothesis(fn, inside, outsi
 # each bound with valid arguments; every numeric argument position in turn
 # gets a non-finite value
 _BOUND_CALLS = [
+    (gap_lower_bound, (0.1, 0.1, 1.0, 0.5)),
     (favourable_angle_bound, (0.1, 0.1, 1.0)),
     (generic_angle_bound, (0.1, 0.1, 1.0)),
     (half_arcsin_angle_bound, (0.1, 0.1, 1.0)),
@@ -403,6 +442,7 @@ def _beyond_the_float_range(huge):
             DomainError,
         ),
         ("path_step", lambda: path_step_bound(0.0, 0.5, huge, 0.1, 0.1, 1.0), DomainError),
+        ("gap_lower_bound", lambda: gap_lower_bound(0.1, 0.1, 1.0, huge), DomainError),
         (
             "resolvent_interval",
             lambda: resolvent_interval(huge, 10 * huge, sign_split(np.diag([0.1, -0.1]))),

@@ -29,6 +29,7 @@ from specsub import (
     measure_angles,
     partition_spectrum,
     path_scan,
+    perturbed_component_at_t,
     random_instance,
     sharp_example_2x2,
     sign_split,
@@ -626,6 +627,54 @@ class TestBoundsDecideTheirHypotheses:
                     bound(s, 0.0, 1.0)
                 assert getattr(rep, field) is None
             assert (field in names) is present
+
+    def test_every_caller_follows_a_narrowed_gap_condition(self, monkeypatch):
+        # the gap condition is stated once, in bounds.gap_lower_bound: narrow it
+        # to t s < d/2, and at s/d = 0.7 the analysis, the perturbed spectrum,
+        # the path scan and the path step bound all read it as failed
+        real = specsub.bounds.gap_lower_bound
+
+        def narrowed(plus, minus, gap, t=1.0):
+            if t * (plus + minus) >= 0.5 * gap:
+                raise GapConditionViolated("narrowed to t(||V+|| + ||V-||) < gap / 2")
+            return real(plus, minus, gap, t)
+
+        monkeypatch.setattr(specsub.bounds, "gap_lower_bound", narrowed)
+        inst = Instance(
+            a=np.diag([0.0, 1.0]), v=np.diag([0.7, 0.0]),
+            component_intervals=((-0.25, 0.25),), seed=0, label="narrowed-gap",
+        )
+        analysis = analyze_instance(inst)
+        rep = analysis.report
+        assert (rep.gap, rep.norm_plus, rep.norm_minus, rep.geometry) == (
+            1.0, 0.7, 0.0, "favourable"
+        )
+        for field in (
+            "measured_angle", "measured_gap", "gap_lower_bound",
+            "favourable_bound", "integral_bound",
+        ):
+            assert getattr(rep, field) is None, field
+        # a bound of another hypothesis is untouched
+        assert rep.generic_bound == generic_angle_bound(0.7, 0.0, 1.0)
+        sep = perturbed_component_at_t(
+            analysis.decomp_perturbed, analysis.partition, analysis.split, 1.0
+        )
+        assert (sep.measured_gap, sep.gap_lower_bound) == (None, None)
+
+        decomposed = []
+        real_decompose = specsub.harness.decompose
+
+        def recorded(arr):
+            decomposed.append(arr)
+            return real_decompose(arr)
+
+        monkeypatch.setattr(specsub.harness, "decompose", recorded)
+        with pytest.raises(GapConditionViolated, match="narrowed"):
+            path_scan(inst, steps=4)
+        # A's decomposition, which the partition needs, and no A + tV
+        assert len(decomposed) == 1 and np.array_equal(decomposed[0], inst.a)
+        with pytest.raises(GapConditionViolated, match="narrowed"):
+            specsub.bounds.path_step_bound(0.0, 1.0, 0.7, 0.7, 0.0, 1.0)
 
     def test_a_bad_argument_is_not_recorded_as_outside_a_hypothesis(self, monkeypatch):
         # the gap from -1e308 to 1e308 overflows: no bound can be evaluated,

@@ -16,6 +16,11 @@ def random_hermitian(rng, n):
     return 0.5 * (g + g.conj().T)
 
 
+def raise_linalg_error(arr):
+    """A stand-in for an eigensolver that fails to converge."""
+    raise np.linalg.LinAlgError("did not converge")
+
+
 def dense_parts(v):
     """Reference V+ and V- built from a full eigendecomposition of V."""
     w, u = np.linalg.eigh(v)
@@ -200,6 +205,11 @@ class TestEigh:
         with pytest.raises(ConvergenceFailure):
             eigh(np.diag([1.0, 2.0]))
 
+    def test_solver_error_is_a_convergence_failure(self, monkeypatch):
+        monkeypatch.setattr(np.linalg, "eigh", raise_linalg_error)
+        with pytest.raises(ConvergenceFailure, match="eigensolver failed: did not converge"):
+            eigh(np.diag([1.0, 2.0]))
+
 
 class TestOperatorNorm:
     def test_zero(self):
@@ -255,6 +265,11 @@ class TestSignSplit:
     def test_nan_from_the_solver_rejected(self, monkeypatch):
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda arr: np.array([np.nan, 1.0]))
         with pytest.raises(ConvergenceFailure):
+            sign_split(np.diag([1.0, 2.0]))
+
+    def test_solver_error_is_a_convergence_failure(self, monkeypatch):
+        monkeypatch.setattr(np.linalg, "eigvalsh", raise_linalg_error)
+        with pytest.raises(ConvergenceFailure, match="eigensolver failed: did not converge"):
             sign_split(np.diag([1.0, 2.0]))
 
     def test_invariants_on_random_matrices(self):
