@@ -231,9 +231,9 @@ def favourable_angle_bound(norm_plus: float, norm_minus: float, gap: float) -> f
     Hypothesis: the gap condition of gap_lower_bound, ||V+|| + ||V-|| < gap, and
     one component's convex hull missing the other, which no argument carries.
     """
+    # gap_lower_bound checks all three; float() reads each as its check did
     gap_lower_bound(norm_plus, norm_minus, gap)
-    s, gap = _require_norms(norm_plus, norm_minus, gap)
-    return 0.5 * math.asin(s / gap)
+    return 0.5 * math.asin((float(norm_plus) + float(norm_minus)) / float(gap))
 
 
 def generic_angle_bound(norm_plus: float, norm_minus: float, gap: float) -> float:
@@ -293,8 +293,9 @@ def integral_angle_bound(norm_plus: float, norm_minus: float, gap: float) -> flo
     Hypothesis: the gap condition of gap_lower_bound, ||V+|| + ||V-|| < gap;
     strictly below pi/2 while (||V+|| + ||V-||)/gap <= integral_threshold().
     """
-    _, gap = _require_norms(norm_plus, norm_minus, gap)
-    return 0.25 * math.pi * math.log(gap / gap_lower_bound(norm_plus, norm_minus, gap))
+    # gap_lower_bound checks all three, before float(gap) reads gap as its check did
+    lower = gap_lower_bound(norm_plus, norm_minus, gap)
+    return 0.25 * math.pi * math.log(float(gap) / lower)
 
 
 # The step cap in the log variable u = -log(1 - lam) of the partition search.

@@ -1,5 +1,11 @@
 """The package's public names, listed so that adding or removing one is a deliberate edit."""
 
+import importlib
+import sys
+import types
+
+import pytest
+
 import specsub
 
 
@@ -64,3 +70,26 @@ def test_public_names_are_the_published_api():
         "spectral",
         "verify_instance",
     ]
+
+
+def test_names_resolve_through_the_export_table(monkeypatch):
+    for name in specsub.__all__:
+        value = getattr(specsub, name)
+        if isinstance(value, types.ModuleType):
+            assert value is importlib.import_module(f"specsub.{name}")
+        else:
+            # the very object of the submodule that defines it, itself a public name
+            assert value is getattr(sys.modules[value.__module__], name)
+            assert value.__module__.removeprefix("specsub.") in specsub.__all__
+    assert set(specsub.__all__) <= set(dir(specsub))
+    with pytest.raises(AttributeError, match="'no_such_name'"):
+        specsub.no_such_name
+    namespace = {}
+    exec("from specsub import *", namespace)
+    assert all(namespace[name] is getattr(specsub, name) for name in specsub.__all__)
+    # looked up in the submodule on every read, so a patch there shows through
+    def patched():
+        return 0.5
+
+    monkeypatch.setattr(specsub.bounds, "kappa", patched)
+    assert specsub.kappa is patched

@@ -37,6 +37,7 @@ from specsub import (
     sign_split,
     sin2theta_bound,
 )
+from specsub import bounds
 from specsub.bounds import _GRID, _U_CAP, _step_cost, branch_formula
 
 
@@ -271,6 +272,15 @@ class TestGapLowerBound:
         assert path_step_bound(0.25, 0.5, 0.3, 0.2, 0.1, 1.0) == (
             0.5 * math.pi * 0.25 * 0.3 / gap_lower_bound(0.2, 0.1, 1.0, 0.5)
         )
+
+    @pytest.mark.parametrize("bound", [favourable_angle_bound, integral_angle_bound])
+    def test_arguments_are_checked_once(self, bound, monkeypatch):
+        # gap_lower_bound's check is the only one these two bounds make
+        calls = []
+        check = bounds._require_norms
+        monkeypatch.setattr(bounds, "_require_norms", lambda *a: calls.append(a) or check(*a))
+        assert bound(0.3, 0.2, 1.0) > 0.0
+        assert calls == [(0.3, 0.2, 1.0)]
 
     @pytest.mark.parametrize(
         "t, message",
@@ -701,6 +711,21 @@ def _run_fresh(code):
 
 def test_import_does_not_load_scipy():
     _run_fresh("import specsub, sys; assert 'scipy' not in sys.modules")
+
+
+def test_submodules_load_on_first_use():
+    # the bound catalog needs none of the measuring side, and the package itself nothing
+    _run_fresh(
+        "import specsub.bounds, sys; "
+        "others = {'specsub.harness', 'specsub.linalg', 'specsub.spectral', 'specsub.fileio', "
+        "'specsub.cli'} & set(sys.modules); "
+        "assert not others, others"
+    )
+    _run_fresh(
+        "import specsub, sys; "
+        "loaded = {m for m in sys.modules if m.startswith(('specsub.', 'numpy'))}; "
+        "assert not loaded, loaded"
+    )
 
 
 def test_cli_import_does_not_load_the_process_pool():
