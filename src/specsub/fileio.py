@@ -197,7 +197,7 @@ def problem_payload(inst: Instance) -> dict:
 
     def block(m: np.ndarray) -> dict:
         entry: dict[str, Any] = {"n": n, "real": m.real}
-        if np.iscomplexobj(m) and np.any(m.imag != 0.0):
+        if m.dtype.kind == "c" and m.imag.any():
             entry["imag"] = m.imag
         return entry
 

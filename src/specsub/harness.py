@@ -42,7 +42,6 @@ from .spectral import (
 
 ANGLE_SLACK = 1e-9
 GAP_SLACK = 1e-10
-SIN_CHAIN_SLACK = 1e-10
 # the largest n whose n x n complex128 matrix numpy can size: 16 n^2 <= sys.maxsize
 _MAX_N = math.isqrt(sys.maxsize // 16)
 
@@ -333,12 +332,6 @@ BOUND_CHECKS: tuple[BoundCheck, ...] = (
     ),
     BoundCheck("integral_bound", _read("measured_angle"), _read("integral_bound"), ANGLE_SLACK),
     BoundCheck("gap_lower_bound", _read("gap_lower_bound"), _read("measured_gap"), GAP_SLACK),
-    BoundCheck(
-        "sin2theta_chain",
-        lambda r: None if r.measured_angle is None else math.sin(2.0 * r.measured_angle),
-        _read("sin2theta_measured"),
-        SIN_CHAIN_SLACK,
-    ),
     BoundCheck(
         "enclosure", lambda r: 0.0 if r.enclosure_ok else r.enclosure_excess, lambda r: 0.0, 0.0
     ),

@@ -39,7 +39,7 @@ from specsub.errors import (
     GapConditionViolated,
     NonHermitianInput,
 )
-from specsub.harness import ANGLE_SLACK, BOUND_CHECKS, GAP_SLACK, SIN_CHAIN_SLACK
+from specsub.harness import ANGLE_SLACK, BOUND_CHECKS, GAP_SLACK
 from specsub.linalg import decompose, require_hermitian
 from specsub.spectral import _class_gap
 
@@ -380,8 +380,6 @@ def _reference_checks(analysis, angle_slack):
         ("sin2theta_bound", gap_ok, rep.sin2theta_measured, rep.sin2theta_bound, angle_slack),
         ("integral_bound", gap_ok, angle, rep.integral_bound, angle_slack),
         ("gap_lower_bound", gap_ok, rep.gap_lower_bound, rep.measured_gap, GAP_SLACK),
-        ("sin2theta_chain", gap_ok, math.sin(2.0 * angle) if gap_ok else None,
-         rep.sin2theta_measured, SIN_CHAIN_SLACK),
     )
     records = [
         (name, left, right, left > right + slack)

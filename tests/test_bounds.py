@@ -339,6 +339,41 @@ def test_gap_condition_violated_exactly_outside_the_hypothesis(fn, inside, outsi
             fn(plus, outside - plus, 1.0)
 
 
+def test_generic_row_fails_wherever_half_arcsin_or_integral_does():
+    # where both apply, the generic bound is the tightest of the three, the
+    # favourable bound tighter still, and past the generic range the integral
+    # bound exceeds pi/2, which no angle does
+    counts = {"half_arcsin": 0, "integral": 0, "favourable": 0, "beyond": 0}
+    for gap in (1e-3, 1.0, 3.7, 1e5):
+        for x in np.arange(5000) / 5000:
+            s = float(x) * gap
+            for plus, minus in ((s, 0.0), (0.0, s), (0.5 * s, 0.5 * s), (0.3 * s, 0.7 * s)):
+                generic, half_arcsin, integral, favourable = (
+                    bounds._applied(bound, plus, minus, gap)
+                    for bound in (
+                        generic_angle_bound,
+                        half_arcsin_angle_bound,
+                        integral_angle_bound,
+                        favourable_angle_bound,
+                    )
+                )
+                if generic is None:
+                    if integral is not None:
+                        counts["beyond"] += 1
+                        assert integral >= 0.5 * math.pi
+                    continue
+                if half_arcsin is not None:
+                    counts["half_arcsin"] += 1
+                    assert generic <= half_arcsin + 1e-15
+                if integral is not None:
+                    counts["integral"] += 1
+                    assert generic <= integral + 1e-15
+                if favourable is not None:
+                    counts["favourable"] += 1
+                    assert favourable <= generic + 1e-15
+    assert min(counts.values()) > 0, counts
+
+
 # each bound with valid arguments; every numeric argument position in turn
 # gets a non-finite value
 _BOUND_CALLS = [
