@@ -57,5 +57,5 @@ print(f"violations: {list(report.violations)}")
 # Walk the homotopy t -> A + tV and watch the subspace drift step by step.
 points = path_scan(inst, steps=20)
 worst = max(p.step_delta - p.step_bound for p in points[1:])
-print(f"\npath scan (20 steps): rank stays {points[0].basis.shape[1]}, "
+print(f"\npath scan (20 steps): rank stays {len(partition.component_indices)}, "
       f"max (delta - bound) = {worst:.3e}")

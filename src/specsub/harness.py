@@ -428,20 +428,18 @@ def verify_instance(inst: Instance) -> BoundReport:
 
 @dataclass(frozen=True)
 class PathPoint:
-    """One stop of a homotopy scan: separation, component basis, and step data.
+    """One stop of a homotopy scan: separation and step data.
 
     `separation` is the spectrum of A + tV against the partition of A; the
-    path's gap condition keeps both of its gaps present.  `basis` holds the
-    n x k orthonormal eigenvector columns of the perturbed component at t.
-    step_delta is the operator-norm change of the component's spectral
-    projector since the previous grid point, the largest principal-angle sine
-    between the two subspaces (0 at t=0), and step_bound the corresponding
-    guaranteed ceiling.
+    path's gap condition keeps both of its gaps present.  step_delta is the
+    operator-norm change of the component's spectral projector since the
+    previous grid point, the largest principal-angle sine between the two
+    subspaces (0 at t=0), and step_bound the corresponding guaranteed ceiling.
+    A point keeps no basis, so a scan holds O(steps) numbers.
     """
 
     t: float
     separation: PerturbedSpectrum
-    basis: np.ndarray
     step_delta: float
     step_bound: float
 
@@ -467,7 +465,6 @@ def path_scan(inst: Instance, steps: int) -> list[PathPoint]:
             raise EnclosureViolation(
                 f"Weyl interval exceeded by {sep.enclosure_excess:.3e} at t = {t!r}"
             )
-        basis = dec_t.eigenvectors[:, partition.component_indices]
         if prev_rest is None:
             delta, ceiling = 0.0, 0.0
         else:
@@ -475,12 +472,11 @@ def path_scan(inst: Instance, steps: int) -> list[PathPoint]:
             # block of one decomposition's own columns is rounding noise, not 0
             delta = 0.0
             if split.norm_v != 0.0:
+                basis = dec_t.eigenvectors[:, partition.component_indices]
                 delta = float(measure_angles(prev_rest, basis).singular_values[0])
             ceiling = bounds.path_step_bound(
                 points[-1].t, t, split.norm_v, split.norm_plus, split.norm_minus, partition.gap
             )
-        points.append(
-            PathPoint(t=t, separation=sep, basis=basis, step_delta=delta, step_bound=ceiling)
-        )
+        points.append(PathPoint(t=t, separation=sep, step_delta=delta, step_bound=ceiling))
         prev_rest = dec_t.eigenvectors[:, partition.rest_indices]
     return points

@@ -497,9 +497,18 @@ def test_perturbed_spectrum_matches_the_separate_calls(favourable_suite, generic
 
 
 def test_path_steps_agree_with_dense_projectors(path_suite):
-    for _, points in path_suite[0]:
-        for prev, point in zip(points, points[1:]):
-            s = _dense_sines(prev.basis, point.basis)
+    # a scan keeps no bases, so each point's is rebuilt from its own decomposition
+    scans = path_suite[0]
+    for (_, inst), (_, points) in zip(_path_stream(len(scans)), scans):
+        a, split = require_hermitian(inst.a), sign_split(inst.v)
+        dec_a = decompose(a)
+        part = partition_spectrum(dec_a, inst.component_intervals)
+        bases = [
+            (decompose(a + p.t * split.v) if p.t else dec_a).eigenvectors[:, part.component_indices]
+            for p in points
+        ]
+        for prev, basis, point in zip(bases, bases[1:], points[1:]):
+            s = _dense_sines(prev, basis)
             assert abs(point.step_delta - s[0]) <= 1e-12
 
 

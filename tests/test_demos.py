@@ -1,5 +1,6 @@
 """The demo scripts and README's quickstart run to completion against the package under src/,
-and README's command-line synopsis names the parser's subcommands and options."""
+with warnings as errors and nothing on stderr, and README's command-line synopsis names the
+parser's subcommands and options."""
 
 import argparse
 import os
@@ -39,11 +40,11 @@ def test_demo_runs(name):
         else [os.path.join(ROOT, "demos", name)]
     )
     proc = subprocess.run(
-        [sys.executable, *script],
+        [sys.executable, "-W", "error", *script],
         cwd=ROOT, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
         timeout=120,
     )
-    assert proc.returncode == 0, proc.stderr
+    assert (proc.returncode, proc.stderr) == (0, "")
 
 
 def readme_synopsis():
