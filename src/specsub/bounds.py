@@ -300,6 +300,8 @@ def integral_angle_bound(norm_plus: float, norm_minus: float, gap: float) -> flo
 
 # The step cap in the log variable u = -log(1 - lam) of the partition search.
 _U_CAP = -math.log1p(-STEP_CAP)
+# Where g'' changes sign and g' is least: (pi^2/4)(1 - e^-u) = 1, u ~ 0.5198.
+_U_STAR = -math.log1p(-4.0 / math.pi**2)
 
 # Points per bracket in the partition search; each round narrows the bracket
 # around the best point to two grid cells, a factor (_GRID - 1) / 2, until no
@@ -334,28 +336,37 @@ def partition_infimum_bound(x: float, n_max: int = 64) -> float:
     and each step costs g(u) = (1/2) arcsin((pi/2)(1 - e^-u)) on
     0 <= u <= u_cap = -log(1 - 2/pi).
 
-    g' is unimodal: it falls from g'(0) = pi/4 to a single minimum near
-    u = 0.520 and grows without bound towards u_cap.  A step at u_cap is
-    therefore never optimal (moving mass off it gains at an infinite rate),
-    and a step at 0 is a partition with fewer steps.  The remaining steps of an
-    optimum satisfy the KKT condition g'(u_j) = mu, which a unimodal g' meets
-    at no more than two values of u, one on each side of its minimum.  The
-    second-order condition, sum_j g''(u_j) d_j^2 >= 0 whenever sum_j d_j = 0,
-    fails as soon as two steps sit where g'' < 0, so at most one step takes
-    the smaller value.  For each n the search takes the all-equal vector and
-    the family "one step of a, n - 1 steps of (L - a)/(n - 1)", with a on a
-    grid over its feasible bracket that zooms in on the best point until the
-    bracket is narrower than 1e-10.  Each zoom shrinks the bracket eightfold,
-    so that takes at most 13 rounds, each one in-place cost pass over the
-    grids of every n.  The loop stops at 64 rounds with BracketFailure, which
-    rounding cannot bring about (see _GRID).
+    g' is unimodal: g'' has the sign of (pi^2/4)(1 - e^-u) - 1, so g' falls
+    from g'(0) = pi/4 to a single minimum at u* = -log(1 - 4/pi^2) ~ 0.520
+    and grows without bound towards u_cap.  A step at u_cap is therefore
+    never optimal (moving mass off it gains at an infinite rate), and a step
+    at 0 is a partition with fewer steps.  The remaining steps of an optimum
+    satisfy the KKT condition g'(u_j) = mu, which a unimodal g' meets at no
+    more than two values of u, one on each side of u*.  The second-order
+    condition, sum_j g''(u_j) d_j^2 >= 0 whenever sum_j d_j = 0, tested with
+    d = e_i - e_j, fails as soon as two steps sit where g'' < 0, so at most
+    one step takes the smaller value.  The other n - 1 steps each take at
+    least u*, so an optimum has (n - 1) u* <= L, that is n <= 1 + L/u* <= 5
+    steps.  For each n the search takes the all-equal vector; for each n of
+    two or more steps with (n - 1) u* <= L, kept where the two sides agree
+    to rounding, it also takes the family "one step of a, n - 1 steps of
+    (L - a)/(n - 1)", with a on a grid over its feasible bracket that zooms
+    in on the best point until every bracket is narrower than 1e-10.  Every
+    x < 4/pi^2 has no such row and returns the best all-equal vector.  Each
+    zoom shrinks a bracket eightfold, so that takes at most 13 rounds, each
+    one in-place cost pass over a (2, rows, 17) float64 buffer.  rows <= 3:
+    n <= 5 everywhere, and n = 2 is feasible only for L <= 2 u_cap ~ 2.025,
+    below the 4 u* ~ 2.079 that n = 5 needs.  The loop stops at 64 rounds
+    with BracketFailure, which rounding cannot bring about (see _GRID).
 
     Equals piecewise_angle_bound(x/2) in exact arithmetic; kept free of the
     closed-form branches so it can serve as an independent cross-check.
     Deterministic: repeated calls return the same float.  An x that is not a
     real number in the float range, or an n_max that is not an integer in
-    [1, sys.maxsize // 544], the most rows of the search's (2, n_max, 17)
-    float64 buffer, raises DomainError.
+    [1, sys.maxsize // 544], raises DomainError.  The cap is that of a
+    (2, n_max, 17) float64 grid over every row, so which n_max are accepted
+    does not depend on how many rows the zoom keeps, and it holds the
+    n_max-long all-equal vectors well inside numpy's byte limit.
     """
     x = _real(x, "x")
     if not 0.0 <= x <= 2.0 * critical_strength():
@@ -371,7 +382,8 @@ def partition_infimum_bound(x: float, n_max: int = 64) -> float:
     n = np.arange(1, n_max + 1, dtype=float)
     n = n[total <= n * _U_CAP]
     best = float(np.min(n * _step_cost(total / n)))
-    rest = n[n >= 2.0] - 1.0  # steps sharing the value (total - a) / rest
+    # steps sharing the value (total - a) / rest, in rows that can hold an optimum
+    rest = n[(n >= 2.0) & ((n - 1.0) * _U_STAR <= total)] - 1.0
     if rest.size == 0:
         return best
     lo = np.maximum(0.0, total - rest * _U_CAP)[:, None]

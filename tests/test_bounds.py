@@ -38,7 +38,15 @@ from specsub import (
     sin2theta_bound,
 )
 from specsub import bounds
-from specsub.bounds import _GRID, _U_CAP, _step_cost, branch_formula
+from specsub.bounds import _GRID, _U_CAP, _U_STAR, _step_cost, branch_formula
+
+# The search's row rule restated: an optimum of n steps has (n - 1) * u* <= L,
+# where g'' vanishes at u* = -log(1 - 4/pi^2).
+_G2_ROOT = -math.log1p(-4.0 / math.pi**2)
+
+
+def _optimal_rows(n, total):
+    return (n - 1.0) * _G2_ROOT <= total
 
 
 class TestConstants:
@@ -624,6 +632,13 @@ class TestPartitionInfimum:
         d = slope(u)
         assert np.count_nonzero(np.diff(np.sign(np.diff(d)))) == 1
         assert u[np.argmin(d)] == pytest.approx(0.520, abs=2e-3)
+        # the row rule's u*: where g'' = 0, from (pi^2/4)(1 - e^-u) = 1
+        assert _U_STAR == -math.log1p(-4.0 / math.pi**2)
+        assert u[np.argmin(d)] == pytest.approx(_U_STAR, abs=2e-3)
+        curvature = np.diff(d)  # differenced g'' between neighbouring grid points
+        middle = 0.5 * (u[1:] + u[:-1])
+        assert np.all(curvature[middle < _U_STAR] < 0.0)
+        assert np.all(curvature[middle > _U_STAR] > 0.0)
         assert float(slope(np.array(0.0))) == pytest.approx(math.pi / 4.0, abs=1e-9)
         near_cap = np.array([_U_CAP - 10.0**-k for k in range(2, 9)])
         steep = slope(near_cap, h=1e-3 * (_U_CAP - near_cap))
@@ -646,16 +661,34 @@ class TestPartitionInfimum:
             assert grid_min >= searched - 1e-12, x
             assert grid_min - searched <= 1e-5, x
 
+    def test_pruned_rows_never_win(self):
+        # a row the search skips, (n - 1) u* > L, holds n - 1 steps where
+        # g'' < 0 or one step at zero; a dense grid over its family "one step
+        # of a, n - 1 steps of (L - a)/(n - 1)" never beats the search
+        t = np.linspace(0.0, 1.0, 4001)
+        for x in map(float, np.linspace(0.0, 2.0 * critical_strength(), 201)[1:]):
+            total = -math.log1p(-x)
+            searched = partition_infimum_bound(x, n_max=16)
+            for n in range(2, 17):
+                if total > n * _U_CAP or _optimal_rows(n, total):
+                    continue
+                rest = n - 1.0
+                lo, hi = max(0.0, total - rest * _U_CAP), min(_U_CAP, total)
+                a = lo + (hi - lo) * t
+                cost = _reference_step_cost(a) + rest * _reference_step_cost((total - a) / rest)
+                assert float(cost.min()) >= searched, (x, n)
+
 
 def _reference_step_cost(u):
     return 0.5 * np.arcsin(np.minimum(1.0, -0.5 * math.pi * np.expm1(-u)))
 
 
-def _reference_search(x, n_max):
+def _reference_search(x, n_max, row_rule=None):
     """The partition search as it was before its zoom loop worked in place.
 
     A copy kept as the oracle for the current loop: x is a float in the
-    domain and n_max an int of at least 1.
+    domain and n_max an int of at least 1.  The zoom searches every row of
+    two or more steps, or those of them where row_rule(n, total) holds.
     """
     if x == 0.0:
         return 0.0
@@ -665,7 +698,10 @@ def _reference_search(x, n_max):
     n = np.arange(1, n_max + 1, dtype=float)
     n = n[total <= n * _U_CAP]
     best = float(np.min(n * _reference_step_cost(total / n)))
-    rest = n[n >= 2.0][:, None] - 1.0
+    searched = n >= 2.0
+    if row_rule is not None:
+        searched &= row_rule(n, total)
+    rest = n[searched][:, None] - 1.0
     if rest.size == 0:
         return best
     lo = np.maximum(0.0, total - rest * _U_CAP)
@@ -687,9 +723,9 @@ def _reference_search(x, n_max):
         lo, hi = lo_next, hi_next
 
 
-def _outcome(search, x, n_max):
+def _outcome(search, x, n_max, *rule):
     try:
-        return search(x, n_max)
+        return search(x, n_max, *rule)
     except Exception as exc:
         return type(exc)
 
@@ -697,14 +733,31 @@ def _outcome(search, x, n_max):
 class TestZoomLoop:
     _C2 = 2.0 * critical_strength()
 
+    _XS = list(np.linspace(0.0, _C2, 241))
+    _XS += [5e-324, 1e-12, first_branch_point(), np.nextafter(_C2, 0.0)]
+
     @pytest.mark.parametrize("n_max", [1, 2, 3, 4, 8, 16, 64, 128])
     def test_matches_the_reference_loop(self, n_max):
-        # bit for bit, and the same error where the constraint is infeasible
-        xs = list(np.linspace(0.0, self._C2, 241))
-        xs += [5e-324, 1e-12, first_branch_point(), np.nextafter(self._C2, 0.0)]
+        # bit for bit, and the same error where the constraint is infeasible,
+        # with the oracle zooming on the rows the search keeps
+        for x in map(float, self._XS):
+            expected = _outcome(_reference_search, x, n_max, _optimal_rows)
+            assert _outcome(partition_infimum_bound, x, n_max) == expected, (x, n_max)
+
+    @pytest.mark.parametrize("n_max", [1, 2, 3, 4, 8, 16, 64, 128])
+    def test_pruning_against_every_row(self, n_max):
+        # the skipped rows hold no optimum, but the loop stops once the kept
+        # rows' brackets are narrow, which may leave unfound an ulp or two
+        # that the all-rows loop's later rounds find; never a lower value
+        xs = self._XS + list(np.linspace(0.0, self._C2, 2001)[1::8])
         for x in map(float, xs):
             expected = _outcome(_reference_search, x, n_max)
-            assert _outcome(partition_infimum_bound, x, n_max) == expected, (x, n_max)
+            value = _outcome(partition_infimum_bound, x, n_max)
+            if not isinstance(expected, float):
+                assert value == expected, (x, n_max)
+                continue
+            ulps = int(np.float64(value).view(np.int64) - np.float64(expected).view(np.int64))
+            assert 0 <= ulps <= 2, (x, n_max, ulps)
 
     def test_step_cost_in_place(self):
         u = np.linspace(0.0, _U_CAP, 2 * 5 * _GRID).reshape(2, 5, _GRID)
@@ -723,17 +776,22 @@ class TestZoomLoop:
     def test_working_set(self, x):
         # _reference_search holds about 6.7 grids of rows x _GRID float64 at
         # its peak; the in-place loop holds its two-grid buffer, rest spread
-        # to a grid, and the bracket columns
-        partition_infimum_bound(x, 64)
+        # to a grid, and the bracket columns, for the rows it searches only.
+        # The equal-step candidates take a few n_max-long vectors, and array
+        # headers and scalars a fixed 2 KiB.
         total = -math.log1p(-x)
-        rows = sum(1 for n in range(2, 65) if total <= n * _U_CAP)
-        tracemalloc.start()
-        try:
-            partition_infimum_bound(x, 64)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 5 * rows * _GRID * 8
+        for n_max in (8, 64):
+            partition_infimum_bound(x, n_max)
+            rows = sum(
+                1 for n in range(2, n_max + 1) if total <= n * _U_CAP and _optimal_rows(n, total)
+            )
+            tracemalloc.start()
+            try:
+                partition_infimum_bound(x, n_max)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 5 * (rows * _GRID + n_max) * 8 + 2048, n_max
 
 
 def _run_fresh(code):
