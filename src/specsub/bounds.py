@@ -347,31 +347,30 @@ def partition_infimum_bound(x: float, n_max: int = 64) -> float:
     d = e_i - e_j, fails as soon as two steps sit where g'' < 0, so at most
     one step takes the smaller value.  The other n - 1 steps each take at
     least u*, so an optimum has (n - 1) u* <= L, that is n <= 1 + L/u* <= 5
-    steps.  For each n the search takes the all-equal vector; for each n of
-    two or more steps with (n - 1) u* <= L, kept where the two sides agree
-    to rounding, it also takes the family "one step of a, n - 1 steps of
-    (L - a)/(n - 1)", with a on a grid over its feasible bracket that zooms
-    in on the best point until every bracket is narrower than 1e-10.  Every
-    x < 4/pi^2 has no such row and returns the best all-equal vector.  Each
-    zoom shrinks a bracket eightfold, so that takes at most 13 rounds, each
-    one in-place cost pass over a (2, rows, 17) float64 buffer.  rows <= 3:
-    n <= 5 everywhere, and n = 2 is feasible only for L <= 2 u_cap ~ 2.025,
-    below the 4 u* ~ 2.079 that n = 5 needs.  The loop stops at 64 rounds
-    with BracketFailure, which rounding cannot bring about (see _GRID).
+    steps.  The search takes only the rows an optimum can have: the n <= n_max
+    with L <= n u_cap and (n - 1) u* <= L, at most 5 of them.  For each row it
+    takes the all-equal vector; for each row of two or more steps it also
+    takes the family "one step of a, n - 1 steps of (L - a)/(n - 1)", with a
+    on a grid over its feasible bracket that zooms in on the best point until
+    every bracket is narrower than 1e-10.  Every x < 4/pi^2 has the one
+    row n = 1 and returns its single step g(L).  Each zoom shrinks a
+    bracket eightfold, so that takes at most 13 rounds, each one in-place
+    cost pass over a (2, rows, 17) float64 buffer, one row per n >= 2.
+    rows <= 3: n = 2 is
+    feasible only for L <= 2 u_cap ~ 2.025, below the 4 u* ~ 2.079 that n = 5
+    needs.  The loop stops at 64 rounds with BracketFailure, which rounding
+    cannot bring about (see _GRID).
 
     Equals piecewise_angle_bound(x/2) in exact arithmetic; kept free of the
     closed-form branches so it can serve as an independent cross-check.
     Deterministic: repeated calls return the same float.  An x that is not a
     real number in the float range, or an n_max that is not an integer in
-    [1, sys.maxsize // 544], raises DomainError.  The cap is that of a
-    (2, n_max, 17) float64 grid over every row, so which n_max are accepted
-    does not depend on how many rows the zoom keeps, and it holds the
-    n_max-long all-equal vectors well inside numpy's byte limit.
+    [1, sys.maxsize], raises DomainError.
     """
     x = _real(x, "x")
     if not 0.0 <= x <= 2.0 * critical_strength():
         raise DomainError(f"x={x!r} outside [0, {2.0 * critical_strength()!r}]")
-    n_max = _integer(n_max, "n_max", 1, most=_MAX_POINTS // (2 * _GRID))
+    n_max = _integer(n_max, "n_max", 1)
     if x == 0.0:
         return 0.0
     total = -math.log1p(-x)
@@ -379,11 +378,12 @@ def partition_infimum_bound(x: float, n_max: int = 64) -> float:
         raise InfeasibleConstraint(
             f"even {n_max} steps at the cap cannot reach the product 1-x = {1.0 - x!r}"
         )
-    n = np.arange(1, n_max + 1, dtype=float)
-    n = n[total <= n * _U_CAP]
+    # the rows an optimum can have: n <= 1 + L/u*, with one row to spare for rounding
+    n = np.arange(1.0, min(n_max, 1.0 + total / _U_STAR) + 1.0)
+    n = n[(total <= n * _U_CAP) & ((n - 1.0) * _U_STAR <= total)]
     best = float(np.min(n * _step_cost(total / n)))
-    # steps sharing the value (total - a) / rest, in rows that can hold an optimum
-    rest = n[(n >= 2.0) & ((n - 1.0) * _U_STAR <= total)] - 1.0
+    # steps sharing the value (total - a) / rest
+    rest = n[n >= 2.0] - 1.0
     if rest.size == 0:
         return best
     lo = np.maximum(0.0, total - rest * _U_CAP)[:, None]

@@ -604,17 +604,13 @@ class TestPartitionInfimum:
         with pytest.raises(DomainError):
             partition_infimum_bound(x, n_max=n_max)
 
+    # n_max = sys.maxsize // 544 + 1 was once the first value rejected
     @pytest.mark.parametrize("n_max", [sys.maxsize // (32 * _GRID) + 1, 2**62, sys.maxsize])
-    def test_n_max_beyond_the_search_buffer(self, n_max):
-        # rejected before numpy is asked for an array it cannot size
-        tracemalloc.start()
-        try:
-            with pytest.raises(DomainError, match="n_max <= "):
-                partition_infimum_bound(0.5, n_max=n_max)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 1 << 16
+    def test_huge_n_max_matches_n_max_64(self, n_max):
+        # the search holds nothing sized by n_max, so any int n_max costs
+        # what n_max = 64 does
+        assert partition_infimum_bound(0.5, n_max=n_max) == partition_infimum_bound(0.5, n_max=64)
+        assert _traced_peak(0.5, n_max) <= _working_set_bound(0.5, 64)
 
     def test_integer_like_n_max(self):
         assert partition_infimum_bound(0.85, n_max=np.int64(2)) == partition_infimum_bound(
@@ -687,8 +683,9 @@ def _reference_search(x, n_max, row_rule=None):
     """The partition search as it was before its zoom loop worked in place.
 
     A copy kept as the oracle for the current loop: x is a float in the
-    domain and n_max an int of at least 1.  The zoom searches every row of
-    two or more steps, or those of them where row_rule(n, total) holds.
+    domain and n_max an int of at least 1.  The all-equal vectors and the
+    zoom over rows of two or more steps take every feasible row, or those of
+    them where row_rule(n, total) holds.
     """
     if x == 0.0:
         return 0.0
@@ -697,11 +694,10 @@ def _reference_search(x, n_max, row_rule=None):
         raise InfeasibleConstraint("infeasible")
     n = np.arange(1, n_max + 1, dtype=float)
     n = n[total <= n * _U_CAP]
-    best = float(np.min(n * _reference_step_cost(total / n)))
-    searched = n >= 2.0
     if row_rule is not None:
-        searched &= row_rule(n, total)
-    rest = n[searched][:, None] - 1.0
+        n = n[row_rule(n, total)]
+    best = float(np.min(n * _reference_step_cost(total / n)))
+    rest = n[n >= 2.0][:, None] - 1.0
     if rest.size == 0:
         return best
     lo = np.maximum(0.0, total - rest * _U_CAP)
@@ -774,24 +770,52 @@ class TestZoomLoop:
 
     @pytest.mark.parametrize("x", [0.05, 0.3, 0.6, 0.9])
     def test_working_set(self, x):
-        # _reference_search holds about 6.7 grids of rows x _GRID float64 at
-        # its peak; the in-place loop holds its two-grid buffer, rest spread
-        # to a grid, and the bracket columns, for the rows it searches only.
-        # The equal-step candidates take a few n_max-long vectors, and array
-        # headers and scalars a fixed 2 KiB.
-        total = -math.log1p(-x)
-        for n_max in (8, 64):
-            partition_infimum_bound(x, n_max)
-            rows = sum(
-                1 for n in range(2, n_max + 1) if total <= n * _U_CAP and _optimal_rows(n, total)
-            )
-            tracemalloc.start()
-            try:
-                partition_infimum_bound(x, n_max)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert peak <= 5 * (rows * _GRID + n_max) * 8 + 2048, n_max
+        for n_max in (8, 64, 10**6):
+            assert _traced_peak(x, n_max) <= _working_set_bound(x, n_max), n_max
+
+    @pytest.mark.parametrize("n_max", [2, 8, 64, 128])
+    def test_tiny_x_meets_the_closed_form(self, n_max):
+        # rounding puts a many-step all-equal vector n g(L/n) below g(L) at
+        # tiny x; only rows that can hold an optimum are searched
+        for x in map(float, np.geomspace(5e-324, 1e-3, 4000)):
+            value = partition_infimum_bound(x, n_max)
+            expected = piecewise_angle_bound(x / 2.0)
+            ulps = int(np.float64(value).view(np.int64) - np.float64(expected).view(np.int64))
+            assert -2 <= ulps <= 2, (x, n_max, ulps)
+
+    def test_rows_beyond_five_change_nothing(self):
+        # an optimum has at most 5 steps, so n_max >= 5 searches the same rows
+        for x in map(float, self._XS):
+            expected = partition_infimum_bound(x, 5)
+            for n_max in (6, 8, 64, 128, 10**6, sys.maxsize):
+                assert partition_infimum_bound(x, n_max) == expected, (x, n_max)
+
+
+def _traced_peak(x, n_max):
+    """Traced peak bytes of partition_infimum_bound(x, n_max), after one warm call."""
+    partition_infimum_bound(x, n_max)
+    tracemalloc.start()
+    try:
+        partition_infimum_bound(x, n_max)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _working_set_bound(x, n_max):
+    """Bytes partition_infimum_bound(x, n_max) may hold; no term grows with n_max.
+
+    _reference_search holds about 6.7 grids of rows x _GRID float64 at its
+    peak; the in-place loop holds its two-grid buffer, rest spread to a grid,
+    and the bracket columns, for the rows it searches only.  The equal-step
+    candidates take a few vectors over the at most 5 rows an optimum can
+    have, and array headers and scalars a fixed 2 KiB.
+    """
+    total = -math.log1p(-x)
+    rows = sum(
+        1 for n in range(2, min(n_max, 5) + 1) if total <= n * _U_CAP and _optimal_rows(n, total)
+    )
+    return 5 * (rows * _GRID + 5) * 8 + 2048
 
 
 def _run_fresh(code):

@@ -255,6 +255,20 @@ class TestProblemParsing:
                 '"sigma": [[0.0, 1.0], [0.5, 2.0]]}'
             )
 
+    @pytest.mark.parametrize("sigma", [[[0, 1], [0.5, 2]], [[0, 1], [1, 2]]], ids=["overlap", "touch"])
+    def test_sigma_intervals_must_be_disjoint(self, tmp_path, capsys, sigma):
+        doc = {
+            "a": {"n": 2, "real": [[0.0, 0.0], [0.0, 1.0]]},
+            "v": {"n": 2, "real": [[0.0, 0.0], [0.0, 0.0]]},
+            "sigma": sigma,
+        }
+        path = tmp_path / "sigma.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["analyze", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert_one_error_line(captured)
+        assert "pairwise disjoint" in captured.err
+
     @pytest.mark.parametrize("entry", [{"lo": 0.25}, [0.25, 0.75, "junk"], [0.25], [True, 1.0]])
     def test_sigma_entry_must_be_two_numbers(self, tmp_path, capsys, entry):
         doc = {
