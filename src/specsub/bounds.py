@@ -304,14 +304,16 @@ _U_CAP = -math.log1p(-STEP_CAP)
 _U_STAR = -math.log1p(-4.0 / math.pi**2)
 
 # Points per bracket in the partition search; each round narrows the bracket
-# around the best point to two grid cells, a factor (_GRID - 1) / 2, until no
-# bracket is wider than _BRACKET_TOL.  A bracket starts at most _U_CAP ~ 1.013
-# wide, so 12 narrowings (8**12 > 1.013e10) reach the tolerance, at the 13th
-# cost pass.  Rounding cannot stall a zoom before that: an ulp below 1.013 is
-# at most 2.2e-16, far below the 6e-12 of a cell while a bracket is wider than
-# the tolerance, so every round moves an end of that bracket.  _MAX_ROUNDS
-# only bounds the loop, with room to spare.
-_GRID = 17
+# around the best point to two grid cells, a factor (_GRID - 1) / 2 = 32,
+# until no bracket is wider than _BRACKET_TOL.  A bracket starts at most
+# _U_CAP ~ 1.013 wide, so 7 narrowings (32**7 ~ 3.4e10 > 1.013e10) reach the
+# tolerance, at the 8th cost pass.  Rounding cannot stall a zoom before that:
+# an ulp below 1.013 is at most 2.2e-16, far below the
+# 1e-10 / (_GRID - 1) ~ 1.6e-12 of a cell while a bracket is wider than the
+# tolerance, so every round moves an end of that bracket.  _MAX_ROUNDS only
+# bounds the loop, with room to spare.  A pass costs about the same at 17
+# points as at 65, so the time goes with the number of passes.
+_GRID = 65
 _BRACKET_TOL = 1e-10
 _MAX_ROUNDS = 64
 _T = np.linspace(0.0, 1.0, _GRID)
@@ -354,12 +356,13 @@ def partition_infimum_bound(x: float, n_max: int = 64) -> float:
     on a grid over its feasible bracket that zooms in on the best point until
     every bracket is narrower than 1e-10.  Every x < 4/pi^2 has the one
     row n = 1 and returns its single step g(L).  Each zoom shrinks a
-    bracket eightfold, so that takes at most 13 rounds, each one in-place
-    cost pass over a (2, rows, 17) float64 buffer, one row per n >= 2.
-    rows <= 3: n = 2 is
-    feasible only for L <= 2 u_cap ~ 2.025, below the 4 u* ~ 2.079 that n = 5
-    needs.  The loop stops at 64 rounds with BracketFailure, which rounding
-    cannot bring about (see _GRID).
+    bracket (_GRID - 1)/2 = 32-fold, so that takes at most 8 rounds, each one
+    in-place cost pass over a (2, rows, _GRID) = (2, rows, 65) float64
+    buffer, one row per n >= 2; with the all-equal vectors, a search makes at
+    most 9 cost passes.  rows <= 3: n = 2 is feasible only for
+    L <= 2 u_cap ~ 2.025, below the 4 u* ~ 2.079 that n = 5 needs.  The loop
+    stops at 64 rounds with BracketFailure, which rounding cannot bring about
+    (see _GRID).
 
     Equals piecewise_angle_bound(x/2) in exact arithmetic; kept free of the
     closed-form branches so it can serve as an independent cross-check.

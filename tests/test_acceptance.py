@@ -190,6 +190,15 @@ def test_criterion_4_partition_infimum_matches_closed_form(capsys):
         assert elapsed < 60.0, f"took {elapsed:.1f} s"
 
 
+@pytest.mark.parametrize("n_max", [3, 5, 64])
+def test_partition_infimum_meets_the_closed_form_to_rounding(n_max):
+    # criterion 4 at rounding level: the zoom stops at brackets of 1e-10,
+    # which the flat optimum turns into a cost error far below an ulp
+    for x in map(float, np.linspace(0.0, 2.0 * critical_strength(), 4001)):
+        searched = partition_infimum_bound(x, n_max=n_max)
+        assert abs(searched - piecewise_angle_bound(x / 2.0)) <= 2e-15, (x, n_max)
+
+
 def test_criterion_5_sharpness_reproduction(capsys):
     with criterion(
         capsys, 5, "2x2 family attains the favourable bound to 1e-11 over the grid"

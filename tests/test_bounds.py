@@ -605,7 +605,7 @@ class TestPartitionInfimum:
             partition_infimum_bound(x, n_max=n_max)
 
     # n_max = sys.maxsize // 544 + 1 was once the first value rejected
-    @pytest.mark.parametrize("n_max", [sys.maxsize // (32 * _GRID) + 1, 2**62, sys.maxsize])
+    @pytest.mark.parametrize("n_max", [sys.maxsize // 544 + 1, 2**62, sys.maxsize])
     def test_huge_n_max_matches_n_max_64(self, n_max):
         # the search holds nothing sized by n_max, so any int n_max costs
         # what n_max = 64 does
@@ -767,6 +767,25 @@ class TestZoomLoop:
             cost = _step_cost(value)
             assert np.ndim(cost) == 0
             assert float(cost) == float(_step_cost(np.array([value], dtype=float))[0])
+
+    @pytest.mark.parametrize("n_max", [1, 2, 3, 5, 64, 128, 10**6])
+    def test_cost_passes(self, n_max, monkeypatch):
+        # one pass for the all-equal vectors and at most 8 zoom passes, as 7
+        # narrowings by (_GRID - 1)/2 = 32 take a bracket of at most u_cap
+        # below the tolerance; below 4/pi^2 only n = 1 is searched
+        calls = 0
+
+        def counted(*args, **kwargs):
+            nonlocal calls
+            calls += 1
+            return _step_cost(*args, **kwargs)
+
+        monkeypatch.setattr(bounds, "_step_cost", counted)
+        xs = self._XS + list(np.linspace(0.0, self._C2, 4001))
+        for x in map(float, xs):
+            calls = 0
+            _outcome(partition_infimum_bound, x, n_max)
+            assert calls <= (1 if x < 4.0 / math.pi**2 else 9), (x, n_max, calls)
 
     @pytest.mark.parametrize("x", [0.05, 0.3, 0.6, 0.9])
     def test_working_set(self, x):
