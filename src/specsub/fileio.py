@@ -96,13 +96,15 @@ def _emit_list(seq: list | tuple, write, pad: str) -> None:
 
 
 def _json_document(text: str) -> Any:
-    """json.loads(text), with ParseError for malformed JSON and for a number too long to read."""
+    """json.loads(text); malformed JSON, a number too long or nesting too deep raise ParseError."""
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
     except ValueError as exc:  # an integer literal beyond Python's int-string limit
         raise ParseError(f"unreadable number: {exc}") from exc
+    except RecursionError as exc:  # arrays or objects nested past the recursion limit
+        raise ParseError(f"nested too deeply: {exc}") from exc
 
 
 def _number_array(obj: Any, field: str, n: int) -> np.ndarray:

@@ -1,10 +1,10 @@
 """Instance generation, subspace-angle measurement, and bound verification.
 
-verify_instance evaluates every applicable bound against the measured
-angles and records violations as data, among them an eigenvalue of A + V
-outside its Weyl interval (`enclosure`); it never raises on a violation.
-path_scan raises EnclosureViolation for one instead.  An eigensolver failure
-raises ConvergenceFailure, and one in any instance ends a fuzz campaign
+verify_instance evaluates every applicable bound against the measured angles
+and records violations as data, among them an eigenvalue of A + V outside its
+Weyl interval (`enclosure`); it never raises on a violation.  path_scan raises
+EnclosureViolation for one instead.  A failed LAPACK call (eigh, eigvalsh, svd,
+qr) raises ConvergenceFailure, and one in any instance ends a fuzz campaign
 with exit 1.  Each bound alone decides its hypothesis, bounds.gap_lower_bound
 the gap condition, outside which path_scan raises GapConditionViolated.
 """
@@ -31,7 +31,7 @@ from .errors import (
     NonHermitianInput,
 )
 from .linalg import (
-    PerturbationSplit, SpectralDecomposition, decompose, require_hermitian, sign_split
+    PerturbationSplit, SpectralDecomposition, _lapack, decompose, require_hermitian, sign_split
 )
 from .spectral import (
     PerturbedSpectrum,
@@ -75,8 +75,8 @@ def measure_angles(rest: np.ndarray, comp: np.ndarray) -> AngleMeasurement:
     `rest` (n x (n - k)) spans the orthogonal complement of the first
     subspace and `comp` (n x k) spans the second, so the sines are the
     singular values of the (n - k) x k cross block rest* comp.  Raises
-    DimensionMismatch unless the heights agree and the widths add up to n,
-    i.e. unless both are 2-D and both subspaces have dimension k.
+    DimensionMismatch unless both are 2-D, of one height n, with widths
+    adding up to n, and ConvergenceFailure if the SVD fails.
     """
     if not (
         rest.ndim == comp.ndim == 2
@@ -86,7 +86,7 @@ def measure_angles(rest: np.ndarray, comp: np.ndarray) -> AngleMeasurement:
             f"bases of shapes {rest.shape} and {comp.shape} are not a complement "
             f"and a subspace of one space"
         )
-    s = np.linalg.svd(rest.conj().T @ comp, compute_uv=False).clip(0.0, 1.0)
+    s = _lapack(np.linalg.svd, rest.conj().T @ comp, False, False).clip(0.0, 1.0)
     return AngleMeasurement(
         max_angle=float(np.arcsin(s.max(initial=0.0))),
         sin2theta_norm=float((2.0 * s * np.sqrt(1.0 - s * s)).max(initial=0.0)),
@@ -151,7 +151,7 @@ def sharp_example_2x2(v_plus: float, v_minus: float) -> tuple[Instance, float]:
 
 def _haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
     z = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / math.sqrt(2.0)
-    q, r = np.linalg.qr(z)
+    q, r = _lapack(np.linalg.qr, z)
     diag = np.diagonal(r).copy()
     diag[diag == 0.0] = 1.0
     return q * (diag / np.abs(diag))
@@ -176,6 +176,7 @@ def random_instance(
     Deterministic per seed.  n in [2, 759250124] (memory permitting),
     component_split in [1, n - 1] and seed >= 0 must be printable integers,
     d_target and scale real numbers in the float range, else InvalidSpec.
+    A failed qr or eigvalsh raises ConvergenceFailure.
     """
     n = _integer(n, "n", 2, InvalidSpec, most=_MAX_N)
     component_split = _integer(component_split, "component_split", 1, InvalidSpec, most=n - 1)
@@ -228,7 +229,7 @@ def random_instance(
         while True:
             g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
             v0 = 0.5 * (g + g.conj().T)
-            w0 = np.linalg.eigvalsh(v0)
+            w0 = _lapack(np.linalg.eigvalsh, v0)
             strength = max(float(w0[-1]), 0.0) + max(-float(w0[0]), 0.0)
             if strength > 0.0:
                 break
@@ -451,6 +452,7 @@ def path_scan(inst: Instance, steps: int) -> list[PathPoint]:
     one at t = 0 reuses A's decomposition.  `steps` must be an integer in
     [2, sys.maxsize // 16 - 1], memory permitting, else InvalidSpec.
     bounds.gap_lower_bound at t = 1 raises GapConditionViolated before any A + tV is decomposed.
+    A failed eigensolve or SVD raises ConvergenceFailure.
     """
     steps = _integer(steps, "steps", 2, InvalidSpec, most=_MAX_POINTS - 1)
     a, decomp_a, split, partition = _setup(inst)

@@ -19,6 +19,20 @@ HERMITICITY_RTOL = 1e-12
 DECOMPOSITION_RTOL = 1e-10
 
 
+def _lapack(routine, *args):
+    """routine(*args), a numpy.linalg call, with LinAlgError raised as ConvergenceFailure."""
+    try:
+        return routine(*args)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceFailure(f"eigensolver failed: {exc}") from exc
+
+
+def _finite(w: np.ndarray) -> np.ndarray:
+    if not np.isfinite(w).all():
+        raise ConvergenceFailure("eigensolver returned a non-finite eigenvalue")
+    return w
+
+
 def require_hermitian(a, name: str = "matrix") -> np.ndarray:
     """Check that `a` is Hermitian; return the float64/complex128 matrix the solvers read.
 
@@ -77,12 +91,8 @@ def decompose(arr: np.ndarray) -> SpectralDecomposition:
     from H / (1 + ||H||) so that no square overflows.
     Deterministic for a fixed input on a fixed build of the solver.
     """
-    try:
-        w, u = np.linalg.eigh(arr)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceFailure(f"eigensolver failed: {exc}") from exc
-    if not np.isfinite(w).all():  # before ||H|| scales a tolerance
-        raise ConvergenceFailure("eigensolver returned a non-finite eigenvalue")
+    w, u = _lapack(np.linalg.eigh, arr)
+    _finite(w)  # before ||H|| scales a tolerance
     gram = u.conj().T @ u
     gram.reshape(-1)[:: arr.shape[0] + 1] -= 1.0  # a view: .flat traces a buffer
     gram_defect = float(abs(gram).max())
@@ -128,12 +138,7 @@ def sign_split(v, name: str = "matrix") -> PerturbationSplit:
     and a non-finite eigenvalue raises ConvergenceFailure.
     """
     arr = require_hermitian(v, name=name)
-    try:
-        w = np.linalg.eigvalsh(arr)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceFailure(f"eigensolver failed: {exc}") from exc
-    if not np.isfinite(w).all():
-        raise ConvergenceFailure("eigensolver returned a non-finite eigenvalue")
+    w = _finite(_lapack(np.linalg.eigvalsh, arr))
     norm_v = float(abs(w).max())
     zero_tol = HERMITICITY_RTOL * (1.0 + norm_v)
     return PerturbationSplit(

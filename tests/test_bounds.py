@@ -350,8 +350,11 @@ def test_gap_condition_violated_exactly_outside_the_hypothesis(fn, inside, outsi
 def test_generic_row_fails_wherever_half_arcsin_or_integral_does():
     # where both apply, the generic bound is the tightest of the three, the
     # favourable bound tighter still, and past the generic range the integral
-    # bound exceeds pi/2, which no angle does
-    counts = {"half_arcsin": 0, "integral": 0, "favourable": 0, "beyond": 0}
+    # bound exceeds pi/2, which no angle does.  The sin2theta row fails only
+    # where the favourable or half-arcsin row does: every angle theta <= that
+    # row's bound, which is at most pi/4, has sin 2theta <= sin(2 * bound), and
+    # past half-arcsin's range the sin2theta bound is at least 1
+    counts = {"half_arcsin": 0, "integral": 0, "favourable": 0, "beyond": 0, "sin2theta": 0}
     for gap in (1e-3, 1.0, 3.7, 1e5):
         for x in np.arange(5000) / 5000:
             s = float(x) * gap
@@ -365,6 +368,15 @@ def test_generic_row_fails_wherever_half_arcsin_or_integral_does():
                         favourable_angle_bound,
                     )
                 )
+                sin2theta_favourable = sin2theta_bound(plus, minus, gap, True)
+                sin2theta_generic = sin2theta_bound(plus, minus, gap, False)
+                if favourable is not None:
+                    assert math.sin(2.0 * favourable) <= sin2theta_favourable + 1e-15
+                if half_arcsin is not None:
+                    assert math.sin(2.0 * half_arcsin) <= sin2theta_generic + 1e-15
+                else:
+                    counts["sin2theta"] += 1
+                    assert sin2theta_generic >= 1.0
                 if generic is None:
                     if integral is not None:
                         counts["beyond"] += 1

@@ -1018,15 +1018,37 @@ class TestSerializer:
         assert json.loads(text)["x"] == 1.0
 
 
-@pytest.mark.parametrize("solver", ["eigh", "eigvalsh"])
-def test_eigensolver_error_is_an_input_error(monkeypatch, tmp_path, capsys, solver):
-    # numpy's LinAlgError from either solver ends `analyze` as any input error does
-    def failing(arr):
-        raise np.linalg.LinAlgError("did not converge")
+def failing_routine(*args, **kwargs):
+    """A stand-in for a numpy.linalg routine whose LAPACK call fails."""
+    raise np.linalg.LinAlgError("did not converge")
 
+
+@pytest.mark.parametrize("solver", ["eigh", "eigvalsh", "svd"])
+def test_eigensolver_error_is_an_input_error(monkeypatch, tmp_path, capsys, solver):
+    # numpy's LinAlgError from any solver ends `analyze` as any input error does
     path = sharp_problem(tmp_path)
-    monkeypatch.setattr(np.linalg, solver, failing)
+    monkeypatch.setattr(np.linalg, solver, failing_routine)
     assert main(["analyze", path]) == 1
     captured = capsys.readouterr()
     assert_one_error_line(captured)
     assert captured.err == "error: eigensolver failed: did not converge\n"
+
+
+@pytest.mark.parametrize("routine", ["qr", "eigvalsh", "svd"])
+def test_lapack_error_ends_a_fuzz_campaign_with_one_error_line(monkeypatch, capsys, routine):
+    # qr and eigvalsh fail in the generator, svd in the angle measurement
+    monkeypatch.setattr(np.linalg, routine, failing_routine)
+    assert main(["fuzz", "--n", "8", "--count", "5", "--scale", "0.9", "--seed", "42"]) == 1
+    captured = capsys.readouterr()
+    assert_one_error_line(captured)
+    assert captured.err == "error: eigensolver failed: did not converge\n"
+
+
+def test_deeply_nested_problem_is_an_input_error(tmp_path, capsys):
+    # json.loads raises RecursionError on arrays nested past the recursion limit
+    path = tmp_path / "nested.json"
+    path.write_text("[" * 200_000 + "]" * 200_000, encoding="utf-8")
+    assert main(["analyze", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert_one_error_line(captured)
+    assert captured.err.startswith("error: nested too deeply: ")

@@ -178,6 +178,12 @@ def test_integer_literal_too_long_to_read_is_a_parse_error():
         parse_report(text)
 
 
+def test_deeply_nested_document_is_a_parse_error():
+    # json.loads raises a bare RecursionError past the interpreter's recursion limit
+    with pytest.raises(ParseError, match="nested too deeply"):
+        parse_report("[" * 100_000 + "]" * 100_000)
+
+
 def test_report_keys_are_the_published_format():
     inst = random_instance(n=6, d_target=1.0, component_split=2, scale=0.5, seed=3)
     doc = report_payload(analyze_instance(inst))

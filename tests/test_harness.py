@@ -13,6 +13,7 @@ import specsub.bounds
 import specsub.harness
 import specsub.linalg
 from specsub import (
+    ConvergenceFailure,
     DimensionMismatch,
     DomainError,
     EnclosureViolation,
@@ -227,7 +228,18 @@ class TestSharpExample:
         assert rep.measured_angle == pytest.approx(expected, abs=1e-12)
 
 
+def failing_routine(*args, **kwargs):
+    """A stand-in for a numpy.linalg routine whose LAPACK call fails."""
+    raise np.linalg.LinAlgError("did not converge")
+
+
 class TestRandomInstance:
+    @pytest.mark.parametrize("routine", ["qr", "eigvalsh"])
+    def test_lapack_error_is_a_convergence_failure(self, monkeypatch, routine):
+        monkeypatch.setattr(np.linalg, routine, failing_routine)
+        with pytest.raises(ConvergenceFailure, match="eigensolver failed: did not converge"):
+            random_instance(n=8, d_target=1.0, component_split=3, scale=0.7, seed=123)
+
     def test_deterministic_per_seed(self):
         a = random_instance(n=8, d_target=1.0, component_split=3, scale=0.7, seed=123)
         b = random_instance(n=8, d_target=1.0, component_split=3, scale=0.7, seed=123)
@@ -763,6 +775,12 @@ class TestPathScan:
     def test_gap_condition_required(self):
         inst = random_instance(n=6, d_target=1.0, component_split=2, scale=1.2, seed=9)
         with pytest.raises(GapConditionViolated):
+            path_scan(inst, steps=10)
+
+    def test_svd_error_is_a_convergence_failure(self, monkeypatch):
+        inst = random_instance(n=6, d_target=1.0, component_split=2, scale=0.7, seed=8)
+        monkeypatch.setattr(np.linalg, "svd", failing_routine)
+        with pytest.raises(ConvergenceFailure, match="eigensolver failed: did not converge"):
             path_scan(inst, steps=10)
 
     def test_steps_validated(self):

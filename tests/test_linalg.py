@@ -1,5 +1,10 @@
+import ast
+import pathlib
+
 import numpy as np
 import pytest
+
+import specsub
 
 from specsub import (
     ConvergenceFailure,
@@ -286,3 +291,37 @@ class TestSignSplit:
             assert split.norm_minus == pytest.approx(np.linalg.norm(v_minus, 2), abs=tol)
             assert split.norm_v == pytest.approx(np.linalg.norm(v, 2), abs=tol)
             assert max(split.norm_plus, split.norm_minus) <= split.norm_v + 1e-12
+
+
+def _package_trees():
+    for path in sorted(pathlib.Path(specsub.__file__).parent.glob("*.py")):
+        yield path.name, ast.parse(path.read_text(encoding="utf-8"))
+
+
+def _is_numpy_linalg(node):
+    return (
+        isinstance(node, ast.Attribute)
+        and node.attr == "linalg"
+        and isinstance(node.value, ast.Name)
+        and node.value.id in ("np", "numpy")
+    )
+
+
+def test_every_lapack_call_goes_through_linalg():
+    # a numpy.linalg routine is only passed to linalg._lapack, which states the
+    # failure rule once: no module calls one itself, imports one by name, or
+    # names LinAlgError
+    offences = []
+    for name, tree in _package_trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                if _is_numpy_linalg(node.func.value):
+                    offences.append(f"{name}:{node.lineno} calls np.linalg.{node.func.attr}")
+            elif isinstance(node, ast.ImportFrom) and node.module in ("numpy", "numpy.linalg"):
+                if node.module == "numpy.linalg" or "linalg" in [a.name for a in node.names]:
+                    offences.append(f"{name}:{node.lineno} imports from numpy.linalg")
+            elif name != "linalg.py" and "LinAlgError" in (
+                getattr(node, "id", None), getattr(node, "attr", None)
+            ):
+                offences.append(f"{name}:{node.lineno} names LinAlgError")
+    assert offences == []
