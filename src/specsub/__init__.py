@@ -26,9 +26,8 @@ _EXPORTS = {
     ),
     "errors": (
         "AmbiguousMembership", "BracketFailure", "ConvergenceFailure", "DimensionMismatch",
-        "DomainError", "EmptyComponent", "EnclosureViolation", "GapConditionViolated",
-        "InfeasibleConstraint", "InvalidInterval", "InvalidSpec", "NonHermitianInput",
-        "ParseError", "SpecsubError",
+        "DomainError", "EmptyComponent", "GapConditionViolated", "InfeasibleConstraint",
+        "InvalidInterval", "InvalidSpec", "NonHermitianInput", "ParseError", "SpecsubError",
     ),
     "harness": (
         "AngleMeasurement", "Analysis", "BoundReport", "GeometryKind", "Instance",

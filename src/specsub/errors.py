@@ -25,10 +25,6 @@ class AmbiguousMembership(SpecsubError):
     """An eigenvalue sits on a selection-interval boundary within tolerance."""
 
 
-class EnclosureViolation(SpecsubError):
-    """A perturbed eigenvalue escaped the enlarged spectrum; signals a numerical failure."""
-
-
 class InvalidInterval(SpecsubError):
     """An interval is empty, reversed, or meets the spectrum where it must not."""
 

@@ -178,7 +178,7 @@ def parse_problem(text: str, label: str = "<problem>") -> Instance:
     for (_, hi_prev), (lo_next, _) in zip(ordered, ordered[1:]):
         if lo_next <= hi_prev:
             raise ParseError("sigma intervals must be pairwise disjoint")
-    return Instance(a=a, v=v, component_intervals=tuple(intervals), seed=0, label=label)
+    return Instance(a=a, v=v, component_intervals=tuple(intervals), label=label)
 
 
 def load_problem(path: str) -> Instance:

@@ -2,11 +2,12 @@
 
 verify_instance evaluates every applicable bound against the measured angles
 and records violations as data, among them an eigenvalue of A + V outside its
-Weyl interval (`enclosure`); it never raises on a violation.  path_scan raises
-EnclosureViolation for one instead.  A failed LAPACK call (eigh, eigvalsh, svd,
-qr) raises ConvergenceFailure, and one in any instance ends a fuzz campaign
-with exit 1.  Each bound alone decides its hypothesis, bounds.gap_lower_bound
-the gap condition, outside which path_scan raises GapConditionViolated.
+Weyl interval (`enclosure`); it never raises on a violation.  path_scan records
+the same verdict at each point, in its `separation.enclosure_ok`.  A failed
+LAPACK call (eigh, eigvalsh, svd, qr) raises ConvergenceFailure, and one in any
+instance ends a fuzz campaign with exit 1.  Each bound alone decides its
+hypothesis, bounds.gap_lower_bound the gap condition, outside which path_scan
+raises GapConditionViolated.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ import enum
 import functools
 import math
 import operator
-import sys
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
@@ -23,15 +23,10 @@ import numpy as np
 
 from . import bounds
 from .bounds import _MAX_POINTS, _applied, _integer, _real
-from .errors import (
-    DimensionMismatch,
-    DomainError,
-    EnclosureViolation,
-    InvalidSpec,
-    NonHermitianInput,
-)
+from .errors import DimensionMismatch, DomainError, InvalidSpec, NonHermitianInput
 from .linalg import (
-    PerturbationSplit, SpectralDecomposition, _lapack, decompose, require_hermitian, sign_split
+    PerturbationSplit, SpectralDecomposition, _finite, _lapack, decompose, require_hermitian,
+    sign_split,
 )
 from .spectral import (
     PerturbedSpectrum,
@@ -42,8 +37,8 @@ from .spectral import (
 
 ANGLE_SLACK = 1e-9
 GAP_SLACK = 1e-10
-# the largest n whose n x n complex128 matrix numpy can size: 16 n^2 <= sys.maxsize
-_MAX_N = math.isqrt(sys.maxsize // 16)
+# the largest n whose n x n complex128 matrix numpy can size: n^2 <= _MAX_POINTS
+_MAX_N = math.isqrt(_MAX_POINTS)
 
 
 class GeometryKind(enum.Enum):
@@ -113,7 +108,6 @@ class Instance:
     a: np.ndarray
     v: np.ndarray
     component_intervals: tuple[tuple[float, float], ...]
-    seed: int
     label: str
 
 
@@ -143,7 +137,6 @@ def sharp_example_2x2(v_plus: float, v_minus: float) -> tuple[Instance, float]:
         a=a,
         v=vmat,
         component_intervals=((0.25, 0.75),),
-        seed=0,
         label=f"sharp-2x2(v_plus={v_plus!r}, v_minus={v_minus!r})",
     )
     return inst, 0.5 * math.asin(v)
@@ -175,8 +168,9 @@ def random_instance(
     clusters arranged alternately, so neither convex hull misses the other.
     Deterministic per seed.  n in [2, 759250124] (memory permitting),
     component_split in [1, n - 1] and seed >= 0 must be printable integers,
-    d_target and scale real numbers in the float range, else InvalidSpec.
-    A failed qr or eigvalsh raises ConvergenceFailure.
+    d_target and scale real numbers with 16 * d_target and (1 + 1e-6) * scale
+    * d_target in the float range, so no entry of A or V overflows, else InvalidSpec.
+    A failed qr or eigvalsh, or a non-finite eigenvalue, raises ConvergenceFailure.
     """
     n = _integer(n, "n", 2, InvalidSpec, most=_MAX_N)
     component_split = _integer(component_split, "component_split", 1, InvalidSpec, most=n - 1)
@@ -184,6 +178,8 @@ def random_instance(
     d, scale = _real(d_target, "d_target", InvalidSpec), _real(scale, "scale", InvalidSpec)
     if not (0.0 < d < math.inf and 0.0 <= scale < math.inf):
         raise InvalidSpec(f"need finite d_target > 0 and scale >= 0, got ({d!r}, {scale!r})")
+    if not 16.0 * d < math.inf:  # each eigenvalue of A is within 8 d of 0, and a + a* doubles it
+        raise InvalidSpec(f"need 16 * d_target in the float range, got d_target {d!r}")
     k, m = component_split, n - component_split
     if interlaced and (k < 2 or m < 2):
         raise InvalidSpec("interlaced layout needs at least two eigenvalues per side")
@@ -226,20 +222,21 @@ def random_instance(
     if scale == 0.0:
         v = np.zeros((n, n), dtype=complex)
     else:
-        while True:
-            g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-            v0 = 0.5 * (g + g.conj().T)
-            w0 = _lapack(np.linalg.eigvalsh, v0)
-            strength = max(float(w0[-1]), 0.0) + max(-float(w0[0]), 0.0)
-            if strength > 0.0:
-                break
+        g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        v0 = 0.5 * (g + g.conj().T)
+        w0 = _finite(_lapack(np.linalg.eigvalsh, v0))
+        # positive: only an all-zero Gaussian draw has no nonzero eigenvalue
+        strength = max(float(w0[-1]), 0.0) + max(-float(w0[0]), 0.0)
+        gain = scale * d / strength
+        # |entry of v0| <= ||v0|| <= strength, up to rounding, so |entry of v| <= scale * d
+        if not (1.0 + 1e-6) * gain * strength < math.inf:
+            raise InvalidSpec(f"need scale * d_target in the float range, got scale {scale!r}")
         # entry and mirror entry scale alike, so v stays exactly Hermitian
-        v = v0 * (scale * d / strength)
+        v = v0 * gain
     return Instance(
         a=a,
         v=v,
         component_intervals=intervals,
-        seed=seed,
         label=f"random(n={n}, split={component_split}, scale={scale!r}, "
         f"seed={seed}, interlaced={interlaced})",
     )
@@ -432,7 +429,8 @@ class PathPoint:
     """One stop of a homotopy scan: separation and step data.
 
     `separation` is the spectrum of A + tV against the partition of A; the
-    path's gap condition keeps both of its gaps present.  step_delta is the
+    path's gap condition keeps both of its gaps present, and its enclosure_ok
+    is the point's enclosure verdict, data as in a report.  step_delta is the
     operator-norm change of the component's spectral projector since the
     previous grid point, the largest principal-angle sine between the two
     subspaces (0 at t=0), and step_bound the corresponding guaranteed ceiling.
@@ -452,7 +450,8 @@ def path_scan(inst: Instance, steps: int) -> list[PathPoint]:
     one at t = 0 reuses A's decomposition.  `steps` must be an integer in
     [2, sys.maxsize // 16 - 1], memory permitting, else InvalidSpec.
     bounds.gap_lower_bound at t = 1 raises GapConditionViolated before any A + tV is decomposed.
-    A failed eigensolve or SVD raises ConvergenceFailure.
+    An eigenvalue outside its Weyl interval raises nothing: it is the point's
+    `separation.enclosure_ok`, False.  A failed eigensolve or SVD raises ConvergenceFailure.
     """
     steps = _integer(steps, "steps", 2, InvalidSpec, most=_MAX_POINTS - 1)
     a, decomp_a, split, partition = _setup(inst)
@@ -463,10 +462,6 @@ def path_scan(inst: Instance, steps: int) -> list[PathPoint]:
         t = float(t)
         dec_t = decompose(a + t * split.v) if t else decomp_a
         sep = perturbed_component_at_t(dec_t, partition, split, t)
-        if not sep.enclosure_ok:
-            raise EnclosureViolation(
-                f"Weyl interval exceeded by {sep.enclosure_excess:.3e} at t = {t!r}"
-            )
         if prev_rest is None:
             delta, ceiling = 0.0, 0.0
         else:

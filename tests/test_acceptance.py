@@ -301,14 +301,20 @@ def test_criterion_9_enclosure_suite(capsys, favourable_suite, generic_suite):
 
 def test_criterion_10_path_suite(capsys, path_suite):
     with criterion(
-        capsys, 10, "100-step path scans obey the step bound and the gap lower bound"
+        capsys, 10, "100-step path scans stay enclosed and obey the step and gap lower bounds"
     ):
         scans, elapsed = path_suite
         start = time.perf_counter()
+        # a point's separation carries the report fields these two rows read
+        rows = [check for check in BOUND_CHECKS if check.name in ("gap_lower_bound", "enclosure")]
+        assert len(rows) == 2
         for _, points in scans:
             for p in points:
-                sep = p.separation  # the path form of the gap_lower_bound row
-                assert sep.measured_gap >= sep.gap_lower_bound - GAP_SLACK, f"t = {p.t}"
+                for check in rows:
+                    measured, bound = check.measured(p.separation), check.bound(p.separation)
+                    # the path's gap condition makes both rows apply at every point
+                    assert measured is not None and bound is not None, f"{check.name}, t = {p.t}"
+                    assert measured <= bound + check.slack, f"{check.name}, t = {p.t}"
                 assert p.step_delta <= p.step_bound + 1e-9
         total = elapsed + time.perf_counter() - start
         assert total < 120.0, f"took {total:.1f} s"

@@ -1,6 +1,8 @@
 """The package's public names, listed so that adding or removing one is a deliberate edit."""
 
+import ast
 import importlib
+import pathlib
 import sys
 import types
 
@@ -20,7 +22,6 @@ def test_public_names_are_the_published_api():
         "DimensionMismatch",
         "DomainError",
         "EmptyComponent",
-        "EnclosureViolation",
         "GapConditionViolated",
         "GeometryKind",
         "InfeasibleConstraint",
@@ -93,3 +94,23 @@ def test_names_resolve_through_the_export_table(monkeypatch):
 
     monkeypatch.setattr(specsub.bounds, "kappa", patched)
     assert specsub.kappa is patched
+
+
+def test_every_error_type_is_used_outside_errors():
+    # an exception class that no other module names (raises, catches or
+    # imports) is a dead public type: deleting its last raise deletes it too
+    package = pathlib.Path(specsub.__file__).parent
+    defined = {
+        node.name
+        for node in ast.parse((package / "errors.py").read_text(encoding="utf-8")).body
+        if isinstance(node, ast.ClassDef)
+    }
+    named = set()
+    for path in package.glob("*.py"):
+        if path.name != "errors.py":
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.alias):
+                    named.add(node.name)
+                else:
+                    named.add(getattr(node, "id", None) or getattr(node, "attr", None))
+    assert sorted(defined - named) == []

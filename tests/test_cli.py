@@ -38,6 +38,17 @@ def assert_one_error_line(captured):
     assert "Traceback" not in captured.err
 
 
+def run_cli_process(argv, **kwargs):
+    """`python -m specsub.cli *argv` in a subprocess on one BLAS thread, output captured."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "specsub.cli", *argv],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, timeout=120, **kwargs,
+    )
+
+
 def write_problem(tmp_path, inst, name="problem.json"):
     path = tmp_path / name
     path.write_text(dumps(problem_payload(inst)) + "\n", encoding="utf-8")
@@ -75,7 +86,6 @@ class TestAnalyze:
             a=np.diag([0.5, -0.5]),
             v=np.zeros((2, 2)),
             component_intervals=((0.25, 0.75),),
-            seed=0,
             label="zero",
         )
         code = main(["analyze", write_problem(tmp_path, inst)])
@@ -89,7 +99,6 @@ class TestAnalyze:
             a=np.diag([0.5, -0.5]),
             v=np.diag([2.0, -2.0]),
             component_intervals=((0.25, 0.75),),
-            seed=0,
             label="big",
         )
         code = main(["analyze", write_problem(tmp_path, inst)])
@@ -173,7 +182,7 @@ class TestAnalyze:
         # pytest turns any numpy warning into a failure
         inst = Instance(
             a=np.array([[1e308, 1e308], [1e308, 1e308]]), v=np.zeros((2, 2)),
-            component_intervals=((-1.0, 1.0),), seed=0, label="overflow",
+            component_intervals=((-1.0, 1.0),), label="overflow",
         )
         assert main(["analyze", write_problem(tmp_path, inst)]) == 1
         captured = capsys.readouterr()
@@ -185,7 +194,7 @@ class TestAnalyze:
         # the asymmetry 2e308 overflows: one error line, no numpy warning
         inst = Instance(
             a=np.array([[0.0, 1e308], [-1e308, 0.0]]), v=np.zeros((2, 2)),
-            component_intervals=((-1.0, 1.0),), seed=0, label="overflow",
+            component_intervals=((-1.0, 1.0),), label="overflow",
         )
         assert main(["analyze", write_problem(tmp_path, inst)]) == 1
         captured = capsys.readouterr()
@@ -197,7 +206,7 @@ class TestAnalyze:
         # ||A|| + ||V|| = 2.5e308 overflows: one error line, no numpy warning
         inst = Instance(
             a=np.diag([1.5e308, 0.0]), v=np.diag([1e308, 0.0]),
-            component_intervals=((-0.5, 0.5),), seed=0, label="overflow",
+            component_intervals=((-0.5, 0.5),), label="overflow",
         )
         assert main(["analyze", write_problem(tmp_path, inst)]) == 1
         captured = capsys.readouterr()
@@ -399,9 +408,7 @@ class TestProblemParsing:
     def test_complex_problem_round_trip(self, tmp_path):
         a = np.array([[1.0, 1j], [-1j, 5.0]])
         v = np.array([[0.1, 0.2 - 0.1j], [0.2 + 0.1j, -0.1]])
-        inst = Instance(
-            a=a, v=v, component_intervals=((0.0, 2.0),), seed=0, label="complex"
-        )
+        inst = Instance(a=a, v=v, component_intervals=((0.0, 2.0),), label="complex")
         path = write_problem(tmp_path, inst)
         loaded = load_problem(path)
         assert np.array_equal(loaded.a, a)
@@ -762,13 +769,8 @@ def test_sizes_at_the_cap(argv, message):
     # under a 1 GiB address-space limit, so no allocation it asks for can succeed
     resource = pytest.importorskip("resource")
     limit = 1 << 30
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "specsub.cli", *argv],
-        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, timeout=120,
-        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+    proc = run_cli_process(
+        argv, preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
     )
     assert proc.returncode == 1
     assert proc.stdout == ""
@@ -1042,6 +1044,33 @@ def test_lapack_error_ends_a_fuzz_campaign_with_one_error_line(monkeypatch, caps
     captured = capsys.readouterr()
     assert_one_error_line(captured)
     assert captured.err == "error: eigensolver failed: did not converge\n"
+
+
+def test_non_finite_eigenvalue_ends_a_fuzz_campaign_with_one_error_line(monkeypatch, capsys):
+    # the generator draws V once, so a NaN strength fails at once rather than looping
+    calls = []
+
+    def nan_eigenvalues(arr):
+        calls.append(arr.shape)
+        assert len(calls) == 1, "V redrawn"
+        return np.full(arr.shape[0], np.nan)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", nan_eigenvalues)
+    assert main(["fuzz", "--n", "8", "--count", "3", "--scale", "0.9", "--seed", "1"]) == 1
+    captured = capsys.readouterr()
+    assert_one_error_line(captured)
+    assert captured.err == "error: eigensolver returned a non-finite eigenvalue\n"
+    assert calls == [(8, 8)]
+
+
+def test_overflowing_scale_is_one_error_line():
+    # a subprocess with Python's default warning filters, which print numpy's
+    # RuntimeWarning on stderr, where pytest would turn it into an exception
+    argv = ["fuzz", "--n", "2", "--count", "200", "--scale", "1e308", "--seed", "1"]
+    proc = run_cli_process(argv)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == "error: need scale * d_target in the float range, got scale 1e+308\n"
 
 
 def test_deeply_nested_problem_is_an_input_error(tmp_path, capsys):

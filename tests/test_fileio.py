@@ -104,7 +104,6 @@ def fuzz_instances(n, count):
             a=np.diag(np.linalg.eigvalsh(inst.a)),
             v=inst.v.real,
             component_intervals=inst.component_intervals,
-            seed=inst.seed,
             label=inst.label + " real",
         )
 
@@ -353,7 +352,7 @@ class TestProblemDigest:
         v = np.empty((2, 2), dtype=complex)
         v.real = [[0.25, -0.0], [-0.0, -0.0]]
         v.imag = -0.0
-        inst = Instance(a=a, v=v, component_intervals=((-0.0, 1.0),), seed=0, label="zeros")
+        inst = Instance(a=a, v=v, component_intervals=((-0.0, 1.0),), label="zeros")
         assert "imag" in problem_payload(inst)["a"]
         assert "imag" not in problem_payload(inst)["v"]
         assert problem_digest(round_trip(inst)) == problem_digest(inst)

@@ -16,7 +16,6 @@ from specsub import (
     ConvergenceFailure,
     DimensionMismatch,
     DomainError,
-    EnclosureViolation,
     GapConditionViolated,
     GeometryKind,
     InvalidSpec,
@@ -240,6 +239,42 @@ class TestRandomInstance:
         with pytest.raises(ConvergenceFailure, match="eigensolver failed: did not converge"):
             random_instance(n=8, d_target=1.0, component_split=3, scale=0.7, seed=123)
 
+    def test_non_finite_eigenvalue_is_a_convergence_failure(self, monkeypatch):
+        # V is drawn once: a NaN strength neither loops nor scales V
+        calls = []
+
+        def nan_eigenvalues(arr):
+            calls.append(arr.shape)
+            assert len(calls) == 1, "V redrawn"
+            return np.full(arr.shape[0], np.nan)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", nan_eigenvalues)
+        with pytest.raises(ConvergenceFailure, match="non-finite eigenvalue"):
+            random_instance(n=8, d_target=1.0, component_split=3, scale=0.7, seed=123)
+        assert calls == [(8, 8)]
+
+    @pytest.mark.parametrize(
+        "d_target, scale, name", [(1e308, 0.5, "d_target"), (1e300, 1e10, "scale")]
+    )
+    @pytest.mark.parametrize("interlaced", [False, True])
+    def test_overflowing_instance_rejected(self, d_target, scale, name, interlaced):
+        # finite arguments whose A or V would hold an inf or NaN entry; pytest
+        # would turn numpy's overflow warning into a failure of its own
+        with pytest.raises(InvalidSpec, match=f"got {name} "):
+            random_instance(
+                n=4, d_target=d_target, component_split=2, scale=scale, seed=1,
+                interlaced=interlaced,
+            )
+
+    @pytest.mark.parametrize("interlaced", [False, True])
+    def test_largest_d_target_gives_a_finite_instance(self, interlaced):
+        for seed in range(20):
+            inst = random_instance(
+                n=5, d_target=sys.float_info.max / 16.0, component_split=2, scale=0.5,
+                seed=seed, interlaced=interlaced,
+            )
+            assert np.isfinite(inst.a).all() and np.isfinite(inst.v).all()
+
     def test_deterministic_per_seed(self):
         a = random_instance(n=8, d_target=1.0, component_split=3, scale=0.7, seed=123)
         b = random_instance(n=8, d_target=1.0, component_split=3, scale=0.7, seed=123)
@@ -394,7 +429,7 @@ class TestIntegerArguments:
     def test_any_printable_seed_accepted(self):
         # numpy seeds from any non-negative int; only the label needs to print it
         inst = random_instance(**{**self.ARGS, "seed": 2**64})
-        assert inst.seed == 2**64 and "seed=18446744073709551616" in inst.label
+        assert "seed=18446744073709551616" in inst.label
 
 
 class TestVerifyInstance:
@@ -478,12 +513,14 @@ class TestVerifyInstance:
         assert slack == rep.enclosure_excess
         assert slack == pytest.approx(0.6 + 0.5 * (0.1 - math.sqrt(0.75)), abs=1e-12)
 
-    def test_path_scan_raises_on_an_enclosure_failure(self, monkeypatch):
+    def test_path_scan_records_an_enclosure_failure(self, monkeypatch):
         shift_perturbed_spectrum(monkeypatch, 0.4)
         inst, _ = sharp_example_2x2(0.3, 0.2)
+        points = path_scan(inst, steps=4)
         # t = 0 reuses A's own decomposition, so the fault shows from the next point
-        with pytest.raises(EnclosureViolation, match=r"exceeded by 3\.656e-01 at t = 0\.25"):
-            path_scan(inst, steps=4)
+        assert [p.t for p in points] == [0.0, 0.25, 0.5, 0.75, 1.0]
+        assert [p.separation.enclosure_ok for p in points] == [True, False, False, False, False]
+        assert f"{points[1].separation.enclosure_excess:.3e}" == "3.656e-01"
 
     def test_sum_of_near_hermitian_inputs_is_accepted(self):
         # each input's asymmetry passes its own check; added up they would
@@ -492,7 +529,7 @@ class TestVerifyInstance:
             a=np.array([[0.0, 0.0], [1.9e-12, 1.0]]),
             v=np.array([[0.5, 0.0], [1.4e-12, -0.5]]),
             component_intervals=((-0.25, 0.25),),
-            seed=0, label="near-hermitian",
+            label="near-hermitian",
         )
         assert verify_instance(inst).violations == ()
         # along the path, under the gap condition: A + V/2 would fail by
@@ -506,7 +543,7 @@ class TestVerifyInstance:
         # error under pytest) before the analysis or the scan failed
         inst = Instance(
             a=np.diag([1.5e308, 0.0]), v=np.diag([1e308, 0.0]),
-            component_intervals=((-0.5, 0.5),), seed=0, label="overflow",
+            component_intervals=((-0.5, 0.5),), label="overflow",
         )
         with pytest.raises(NonHermitianInput, match="overflows"):
             analyze_instance(inst)
@@ -524,7 +561,7 @@ class TestVerifyInstance:
             a=layout(np.diag([1.0 + 1.4e-12j, 3.0])),
             v=layout(np.diag([-0.5 + 0.7e-12j, 0.0])),
             component_intervals=((0.0, 2.0),),
-            seed=0, label="imaginary-diagonal",
+            label="imaginary-diagonal",
         )
         assert verify_instance(inst).violations == ()
         assert len(path_scan(inst, steps=2)) == 3
@@ -638,7 +675,7 @@ class TestBoundsDecideTheirHypotheses:
         # gap 1 and ||V+|| = s, ||V-|| = 0 read exactly from the diagonal pair
         inst = Instance(
             a=np.diag([0.0, 1.0]), v=np.diag([s, 0.0]),
-            component_intervals=((-0.25, 0.25),), seed=0, label="hypothesis-edge",
+            component_intervals=((-0.25, 0.25),), label="hypothesis-edge",
         )
         rep = verify_instance(inst)
         assert (rep.gap, rep.norm_plus, rep.norm_minus) == (1.0, s, 0.0)
@@ -669,7 +706,7 @@ class TestBoundsDecideTheirHypotheses:
         monkeypatch.setattr(specsub.bounds, "gap_lower_bound", narrowed)
         inst = Instance(
             a=np.diag([0.0, 1.0]), v=np.diag([0.7, 0.0]),
-            component_intervals=((-0.25, 0.25),), seed=0, label="narrowed-gap",
+            component_intervals=((-0.25, 0.25),), label="narrowed-gap",
         )
         analysis = analyze_instance(inst)
         rep = analysis.report
@@ -708,7 +745,7 @@ class TestBoundsDecideTheirHypotheses:
         # and the analysis fails rather than report every bound as not applying
         inst = Instance(
             a=np.diag([-1e308, 1e308]), v=np.zeros((2, 2)),
-            component_intervals=((-1.5e308, -0.5e308),), seed=0, label="infinite-gap",
+            component_intervals=((-1.5e308, -0.5e308),), label="infinite-gap",
         )
         with pytest.raises(DomainError, match="gap must be finite and positive, got inf") as e:
             analyze_instance(inst)
@@ -792,7 +829,7 @@ class TestPathScan:
     def test_shape_mismatch(self, v):
         inst = Instance(
             a=np.diag([0.0, 1.0, 2.0]), v=v, component_intervals=((-0.5, 0.5),),
-            seed=0, label="mismatch",
+            label="mismatch",
         )
         with pytest.raises(DimensionMismatch):
             path_scan(inst, steps=4)
