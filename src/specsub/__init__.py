@@ -30,8 +30,8 @@ _EXPORTS = {
         "InvalidInterval", "InvalidSpec", "NonHermitianInput", "ParseError", "SpecsubError",
     ),
     "harness": (
-        "AngleMeasurement", "Analysis", "BoundReport", "GeometryKind", "Instance",
-        "PathPoint", "analyze_instance", "geometry_kind", "measure_angles", "path_scan",
+        "AngleMeasurement", "Analysis", "BoundReport", "Instance", "PathPoint",
+        "analyze_instance", "geometry_kind", "measure_angles", "path_scan",
         "random_instance", "sharp_example_2x2", "verify_instance",
     ),
     "linalg": (

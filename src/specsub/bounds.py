@@ -65,6 +65,7 @@ def _branch3(x: float) -> float:
 
 
 def _branch4(x: float) -> float:
+    # report bytes depend on numpy's cbrt: math.cbrt differs in the last bit on half of [-1, 1]
     return 1.5 * math.asin(_clip1(0.5 * math.pi * (1.0 - float(np.cbrt(1.0 - 2.0 * x)))))
 
 

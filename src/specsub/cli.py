@@ -24,8 +24,8 @@ from .harness import (
     BOUND_CHECKS,
     _MAX_N,
     CheckResult,
+    _fuzz_instance,
     analyze_instance,
-    random_instance,
     sharp_example_2x2,
 )
 
@@ -108,18 +108,6 @@ def _cmd_bound_table(args) -> int:
     return EXIT_OK
 
 
-def _instance_params(seed: int, index: int, n: int):
-    """Deterministic per-instance parameters, independent of execution order."""
-    state = np.random.SeedSequence([seed, index]).generate_state(2, np.uint64)
-    pick_rng = np.random.default_rng(int(state[0]))
-    interlaced = bool(index % 2 == 1 and n >= 4)
-    if interlaced:
-        split = int(pick_rng.integers(2, n - 1))
-    else:
-        split = int(pick_rng.integers(1, n))
-    return int(state[1]), split, interlaced
-
-
 def _fuzz_one(task: tuple) -> tuple[int, tuple[CheckResult, ...], Optional[str]]:
     """Analyze one fuzz instance: its check records and report text.
 
@@ -127,19 +115,10 @@ def _fuzz_one(task: tuple) -> tuple[int, tuple[CheckResult, ...], Optional[str]]
     text is made, so only the instance in hand is held at a time.
     """
     index, seed, n, scale, want_report = task
-    inst_seed, split, interlaced = _instance_params(seed, index, n)
-    inst = random_instance(
-        n=n,
-        d_target=1.0,
-        component_split=split,
-        scale=scale,
-        seed=inst_seed,
-        interlaced=interlaced,
-    )
-    analysis = analyze_instance(inst)
+    analysis = analyze_instance(_fuzz_instance(seed, index, n, scale))
     report = analysis.report
     payload = fileio.report_payload(analysis) if want_report else None
-    del inst, analysis
+    del analysis
     text = fileio.dumps(payload) if want_report else None
     return index, report.checks, text
 
@@ -182,7 +161,8 @@ def _close_all(fds: list[int]) -> None:
 
 
 def _cmd_fuzz(args) -> int:
-    # checked up front: _instance_params reads n and seed, and --out is made, before random_instance
+    # checked up front: _fuzz_instance draws from n and seed, and --out is made, before
+    # the instance checks them
     n = _integer(args.n, "n", 2, InvalidSpec, most=_MAX_N)
     count = _integer(args.count, "count", 1, InvalidSpec, most=None)
     scale = _real(args.scale, "scale", InvalidSpec)

@@ -12,7 +12,6 @@ raises GapConditionViolated.
 
 from __future__ import annotations
 
-import enum
 import functools
 import math
 import operator
@@ -39,13 +38,6 @@ ANGLE_SLACK = 1e-9
 GAP_SLACK = 1e-10
 # the largest n whose n x n complex128 matrix numpy can size: n^2 <= _MAX_POINTS
 _MAX_N = math.isqrt(_MAX_POINTS)
-
-
-class GeometryKind(enum.Enum):
-    """Whether one component's convex hull misses the other component."""
-
-    FAVOURABLE = "favourable"
-    GENERIC = "generic"
 
 
 @dataclass(frozen=True)
@@ -83,22 +75,23 @@ def measure_angles(rest: np.ndarray, comp: np.ndarray) -> AngleMeasurement:
         )
     s = _lapack(np.linalg.svd, rest.conj().T @ comp, False, False).clip(0.0, 1.0)
     return AngleMeasurement(
+        # report bytes depend on numpy's arcsin: math.asin differs in the last bit on 8% of [0, 1]
         max_angle=float(np.arcsin(s.max(initial=0.0))),
         sin2theta_norm=float((2.0 * s * np.sqrt(1.0 - s * s)).max(initial=0.0)),
         singular_values=s,
     )
 
 
-def geometry_kind(partition: SpectralPartition) -> GeometryKind:
-    """Favourable when the convex hull of one side contains none of the other side.
+def geometry_kind(partition: SpectralPartition) -> str:
+    """The report's geometry: "favourable" if one side's hull misses the other, else "generic".
 
     Eigenvalues ascend and equal ones share a side, so that holds exactly
     when one side's indices are consecutive.
     """
     for idx in (partition.component_indices, partition.rest_indices):
         if idx[-1] - idx[0] == len(idx) - 1:
-            return GeometryKind.FAVOURABLE
-    return GeometryKind.GENERIC
+            return "favourable"
+    return "generic"
 
 
 @dataclass(frozen=True)
@@ -209,14 +202,12 @@ def random_instance(
         margin = 0.45 * d
         intervals = ((float(-w_comp - margin), float(margin)),)
     shift = d * rng.uniform(-2.0, 2.0)
-    comp_vals = comp_vals + shift
-    rest_vals = rest_vals + shift
     # built from a list: CPython resizes a tuple built from a generator, and a
     # resized tuple skips the tuple free list when made but joins it when freed,
     # so every instance would leave one more traced tuple parked there
     intervals = tuple([(lo + shift, hi + shift) for lo, hi in intervals])
     q = _haar_unitary(n, rng)
-    vals = np.concatenate([comp_vals, rest_vals])
+    vals = np.concatenate([comp_vals, rest_vals]) + shift
     a = (q * vals) @ q.conj().T
     a = 0.5 * (a + a.conj().T)
     if scale == 0.0:
@@ -240,6 +231,19 @@ def random_instance(
         label=f"random(n={n}, split={component_split}, scale={scale!r}, "
         f"seed={seed}, interlaced={interlaced})",
     )
+
+
+def _fuzz_instance(seed: int, index: int, n: int, scale: float) -> Instance:
+    """Instance `index` of the fuzz campaign `seed`, whatever the order instances are made in.
+
+    Odd indices take the interlaced layout where n >= 4 allows two eigenvalues
+    a side, so split is drawn in [2, n - 2] there and in [1, n - 1] elsewhere.
+    """
+    state = np.random.SeedSequence([seed, index]).generate_state(2, np.uint64)
+    interlaced = index % 2 == 1 and n >= 4
+    low = 2 if interlaced else 1
+    split = int(np.random.default_rng(int(state[0])).integers(low, n + 1 - low))
+    return random_instance(n, 1.0, split, scale, int(state[1]), interlaced)
 
 
 @dataclass(frozen=True)
@@ -381,7 +385,7 @@ def analyze_instance(inst: Instance) -> Analysis:
     perturbed = perturbed_component_at_t(decomp_av, partition, split, 1.0)
 
     gap, plus, minus = partition.gap, split.norm_plus, split.norm_minus
-    favourable = geometry is GeometryKind.FAVOURABLE
+    favourable = geometry == "favourable"
 
     angles = None
     if perturbed.measured_gap is not None:  # the gap condition
@@ -410,7 +414,7 @@ def analyze_instance(inst: Instance) -> Analysis:
             norm_plus=plus,
             norm_minus=minus,
             norm_v=split.norm_v,
-            geometry=geometry.value,
+            geometry=geometry,
             measured_gap=perturbed.measured_gap,
             gap_lower_bound=perturbed.gap_lower_bound,
             enclosure_ok=perturbed.enclosure_ok,

@@ -369,7 +369,7 @@ def test_geometry_index_rule_matches_value_scans_with_ties():
             continue
         dec = eigh(np.diag(values))
         part = partition_spectrum(dec, [(x - 0.25, x + 0.25) for x in chosen])
-        kind = geometry_kind(part).value
+        kind = geometry_kind(part)
         assert kind == _value_scan_geometry(part)
         kinds.add(kind)
     assert kinds == {"favourable", "generic"}

@@ -23,7 +23,6 @@ def test_public_names_are_the_published_api():
         "DomainError",
         "EmptyComponent",
         "GapConditionViolated",
-        "GeometryKind",
         "InfeasibleConstraint",
         "Instance",
         "InvalidInterval",

@@ -14,7 +14,7 @@ import pytest
 
 import specsub.cli
 import specsub.harness
-from specsub import __version__, analyze_instance, random_instance, sharp_example_2x2
+from specsub import __version__, analyze_instance, sharp_example_2x2
 from specsub.bounds import critical_strength, first_branch_point, kappa, second_branch_point
 from specsub.cli import main
 from specsub.fileio import (
@@ -27,8 +27,10 @@ from specsub.fileio import (
     report_payload,
 )
 from specsub.errors import ConvergenceFailure, ParseError
-from specsub.harness import ANGLE_SLACK, BOUND_CHECKS, Instance
+from specsub.harness import ANGLE_SLACK, BOUND_CHECKS, Instance, _fuzz_instance
 from specsub.linalg import SpectralDecomposition
+
+from referee import referee
 
 
 def assert_one_error_line(captured):
@@ -537,6 +539,21 @@ class TestSharpCommand:
         # favourable_bound fails by 1.22e-9, above ANGLE_SLACK
         assert main(["sharp", "--vplus", "0.4999999999999999", "--vminus", "0.5"]) == 0
 
+    def test_near_edge_instance_meets_the_favourable_bound(self):
+        # the float instance above, its entries taken as exact, attains the
+        # bound only to 1.88e-10: it meets it, and no check should fail
+        exact = referee(sharp_example_2x2(0.4999999999999999, 0.5)[0])
+        assert exact.favourable_bound - exact.angle == pytest.approx(1.88e-10, rel=0.01)
+
+    def test_near_edge_report_errs_on_the_bound_side(self, capsys):
+        # the measured angle is exact to rounding; the bound side, reading
+        # eigvalsh norms through 1/(2 cos 2 theta), is low by 1.41e-9
+        main(["sharp", "--vplus", "0.4999999999999999", "--vminus", "0.5"])
+        report = parse_report(capsys.readouterr().out)["report"]
+        exact = referee(sharp_example_2x2(0.4999999999999999, 0.5)[0])
+        assert abs(report["measured_angle"] - exact.angle) < 1e-15
+        assert exact.favourable_bound - report["favourable_bound"] > ANGLE_SLACK
+
 
 class TestFuzzCommand:
     def test_small_campaign_clean(self, capsys):
@@ -667,11 +684,7 @@ class TestFuzzCommand:
         assert main(fuzz_args(count, tmp_path / "reports", n=n)) == 0
         capsys.readouterr()
         for index in range(count):
-            inst_seed, split, interlaced = specsub.cli._instance_params(4, index, n)
-            inst = random_instance(
-                n=n, d_target=1.0, component_split=split, scale=0.9, seed=inst_seed,
-                interlaced=interlaced,
-            )
+            inst = _fuzz_instance(4, index, n, 0.9)
             path = write_problem(tmp_path, inst, f"problem-{index}.json")
             assert main(["analyze", path]) == 0
             replayed = capsys.readouterr().out
@@ -959,7 +972,7 @@ class TestFuzzStreaming:
 
     def test_out_of_memory_is_an_error_line(self, monkeypatch, tmp_path, capsys):
         exc = MemoryError("Unable to allocate 74.5 GiB")
-        err = self.fail_at(monkeypatch, tmp_path, capsys, "random_instance", 3, exc)
+        err = self.fail_at(monkeypatch, tmp_path, capsys, "_fuzz_instance", 3, exc)
         assert err == "error: out of memory: Unable to allocate 74.5 GiB\n"
 
     def test_report_files_are_closed_in_bounded_groups(self, monkeypatch, tmp_path, capsys):

@@ -298,10 +298,10 @@ def _package_trees():
         yield path.name, ast.parse(path.read_text(encoding="utf-8"))
 
 
-def _is_numpy_linalg(node):
+def _is_numpy(node, attr):
     return (
         isinstance(node, ast.Attribute)
-        and node.attr == "linalg"
+        and node.attr == attr
         and isinstance(node.value, ast.Name)
         and node.value.id in ("np", "numpy")
     )
@@ -315,7 +315,7 @@ def test_every_lapack_call_goes_through_linalg():
     for name, tree in _package_trees():
         for node in ast.walk(tree):
             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
-                if _is_numpy_linalg(node.func.value):
+                if _is_numpy(node.func.value, "linalg"):
                     offences.append(f"{name}:{node.lineno} calls np.linalg.{node.func.attr}")
             elif isinstance(node, ast.ImportFrom) and node.module in ("numpy", "numpy.linalg"):
                 if node.module == "numpy.linalg" or "linalg" in [a.name for a in node.names]:
@@ -325,3 +325,20 @@ def test_every_lapack_call_goes_through_linalg():
             ):
                 offences.append(f"{name}:{node.lineno} names LinAlgError")
     assert offences == []
+
+
+def test_only_harness_draws_random_numbers():
+    # the instance stream has one owner: no other module names numpy.random,
+    # as an attribute or in an import
+    owners = set()
+    for name, tree in _package_trees():
+        for node in ast.walk(tree):
+            if (
+                _is_numpy(node, "random")
+                or isinstance(node, ast.ImportFrom) and node.module == "numpy.random"
+                or isinstance(node, ast.ImportFrom) and node.module == "numpy"
+                and "random" in [a.name for a in node.names]
+                or isinstance(node, ast.Import) and "numpy.random" in [a.name for a in node.names]
+            ):
+                owners.add(name)
+    assert owners == {"harness.py"}
